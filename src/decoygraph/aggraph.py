@@ -108,6 +108,24 @@ class AttackGraph:
                 out[e].append(p)
         return {e: tuple(sorted(v)) for e, v in out.items()}
 
+    @cached_property
+    def unit_rule(self) -> bool:
+        """Whether every exploit requires exactly one privilege and one config."""
+        return all(len(privs) == 1 and len(confs) == 1 for privs, confs in self.requirements.values())
+
+    @cached_property
+    def consumers(self) -> dict[str, tuple[tuple[str, str, tuple[str, ...]], ...]]:
+        """privilege -> (exploit, config, grants) of each exploit requiring it, by exploit id.
+
+        Defined on unit-rule graphs only, where the one privilege and the one
+        config requirement name the exploit's in-edge and its weight.
+        """
+        out: dict[str, list[tuple[str, str, tuple[str, ...]]]] = {}
+        for e in sorted(self.exploit_nodes):
+            (priv,), (config,) = self.requirements[e]
+            out.setdefault(priv, []).append((e, config, self.grants[e]))
+        return {p: tuple(v) for p, v in out.items()}
+
     @property
     def nodes(self) -> frozenset[str]:
         return self.privilege_nodes | self.exploit_nodes | self.config_nodes

@@ -5,20 +5,22 @@ attempting them. Each round it computes the cheapest plan at face value and
 executes it in order; the first exploit that needs a fake config fails. The
 attacker pays for every config consumed up to and including the failed
 attempt, keeps the privileges it gained (configs consumed before the failure
-cost nothing from then on), scratches the discovered fake off its map, and
-replans. The loop ends when a plan runs entirely on real configs, and the
-accumulated payments are the attack's actual total cost.
+cost nothing from then on), scratches the discovered fake off its map (bans
+its config on the same graph), and replans. The loop ends when a plan runs
+entirely on real configs, and the accumulated payments are the attack's
+actual total cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
-from .aggraph import AttackGraph, apply_assignments, build_attack_graph, remove_assignment
+from .aggraph import AttackGraph, apply_assignments
 from .errors import Unreachable
 from .netmodel import Assignment, NetworkModel
-from .planner import AttackPlan, PlannerStats, derivable, optimal_cost, plan_with_stats
+from .planner import AttackPlan, PlannerStats, optimal_plan, plan_with_stats
 
 
 @dataclass(frozen=True)
@@ -91,69 +93,63 @@ class EvaluationReport:
         }
 
 
-def _remove(
-    graph: AttackGraph,
-    assignment: Assignment,
-    graph_cache: dict | None,
-) -> AttackGraph:
-    if graph_cache is not None and graph.origin is not None:
-        remaining = frozenset(a for a in graph.origin[1] if a != assignment)
-        cached = graph_cache.get(remaining)
-        if cached is not None:
-            return cached
-        rebuilt = remove_assignment(graph, assignment)
-        graph_cache[remaining] = rebuilt
-        return rebuilt
-    return remove_assignment(graph, assignment)
-
-
-def simulate_attack(graph: AttackGraph, graph_cache: dict | None = None) -> SimulationTrace:
+def simulate_attack(graph: AttackGraph, banned_configs: Iterable[str] = ()) -> SimulationTrace:
     """Run the plan/fail/replan loop to completion and return the trace.
 
-    Requires a real attack path to exist (goal derivable using real configs
-    only), otherwise the attacker would fail forever. `graph_cache` optionally
-    memoizes regenerated graphs by remaining-assignment set; only share it
-    between simulations on the same underlying network.
+    Everything happens on the one graph given. `banned_configs` takes configs
+    out of play from the start; a search passes the fake configs of the
+    candidates it did not plant, so one graph with every candidate planted
+    serves every subset. Each round plans at face value with the configs paid
+    so far zeroed. When the plan trips a fake, the discovered assignment's
+    own config joins the ban set, which leaves the planner exactly the plans
+    of the graph regenerated without that assignment.
+
+    A real attack path (goal derivable from real configs only) must exist.
+    The loop raises Unreachable("no real attack path exists") if and only if
+    none does: while a real path exists every round finds a plan, since only
+    fakes are ever banned; without one, every plan found uses a fake, so each
+    round bans a fake it had not banned before, and once none is left the
+    planner raises.
     """
-    if not derivable(graph, graph.real_configs()):
-        raise Unreachable("no real attack path exists")
+    banned = frozenset(banned_configs)
     working: dict[str, float] = dict(graph.config_cost)
-    current = graph
     iterations: list[AttackIteration] = []
     effort = PlannerStats()
     total = 0.0
     while True:
-        plan, stats = plan_with_stats(current, cost_override=working)
+        try:
+            plan, stats = plan_with_stats(graph, cost_override=working, banned_configs=banned)
+        except Unreachable:
+            raise Unreachable("no real attack path exists") from None
         effort += stats
         failed_at = None
         fake_reqs: list[str] = []
         for idx, exploit in enumerate(plan.exec_order):
-            fake_reqs = [
-                c for c in current.requirements[exploit][1] if current.fake_flag.get(c, False)
-            ]
+            fake_reqs = [c for c in graph.requirements[exploit][1] if graph.fake_flag.get(c, False)]
             if fake_reqs:
                 failed_at = idx
                 break
         if failed_at is None:
-            paid = sum(working[c] for c in sorted(plan.node_set & current.config_nodes))
+            paid = sum(working[c] for c in sorted(plan.node_set & graph.config_nodes))
             total += paid
             iterations.append(AttackIteration(plan, paid, None, frozenset()))
             break
         consumed: set[str] = set()
         for exploit in plan.exec_order[: failed_at + 1]:
-            consumed.update(current.requirements[exploit][1])
+            consumed.update(graph.requirements[exploit][1])
         paid = sum(working[c] for c in sorted(consumed))
         before: set[str] = set()
         for exploit in plan.exec_order[:failed_at]:
-            before.update(current.requirements[exploit][1])
+            before.update(graph.requirements[exploit][1])
         # Several fakes on one exploit: the attacker learns the one whose
         # config node id sorts first. Generated graphs never hit this case.
-        discovered = current.provenance[min(fake_reqs)]
+        discovered_config = min(fake_reqs)
+        discovered = graph.provenance[discovered_config]
         total += paid
         iterations.append(AttackIteration(plan, paid, discovered, frozenset(before)))
         for c in before:
             working[c] = 0.0
-        current = _remove(current, discovered, graph_cache)
+        banned = banned | {discovered_config}
     return SimulationTrace(
         iterations=tuple(iterations),
         total_cost=total,
@@ -165,18 +161,18 @@ def evaluate_placement(
     network: NetworkModel,
     assignments,
     seed: int = 0,
-    graph_cache: dict | None = None,
 ) -> EvaluationReport:
     """Simulate the attacker against a placement and compute the measures.
 
     The seed is recorded for reporting only; the simulation itself is
     deterministic. An empty placement reports p4 = 1.0 by convention, flagged.
+    The deception-free optimum is planned on the decorated graph with every
+    fake banned, which leaves exactly the plans of the undecorated graph.
     """
     ordered = tuple(sorted(set(assignments)))
-    baseline = build_attack_graph(network)
-    baseline_cost = optimal_cost(baseline)
     graph = apply_assignments(network, ordered)
-    trace = simulate_attack(graph, graph_cache=graph_cache)
+    baseline_cost = optimal_plan(graph, banned_configs=graph.fake_configs()).cost
+    trace = simulate_attack(graph)
     p1 = trace.recalculations
     if baseline_cost == 0:
         p3 = 1.0 if trace.total_cost == 0 else math.inf

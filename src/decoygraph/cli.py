@@ -413,13 +413,12 @@ def _approach_label(approach: dict) -> str:
 
 
 class _NetworkContext:
-    """Per-network caches shared by every cell of a sweep."""
+    """Per-network utility memo and path index shared by every cell of a sweep."""
 
     def __init__(self, network_id: str, network: NetworkModel):
         self.network_id = network_id
         self.network = network
         self.utility_cache: dict = {}
-        self.graph_cache: dict = {}
         self.path_index = None
 
     def index(self, pool_size: int):
@@ -477,7 +476,6 @@ def _sweep_cell(
                     budget=budget,
                     max_subsets=approach.get("max_subsets", 10_000),
                     utility_cache=ctx.utility_cache,
-                    graph_cache=ctx.graph_cache,
                 )
             else:
                 engine = dfbnb if algorithm == "dfbnb" else astar
@@ -492,13 +490,12 @@ def _sweep_cell(
                     seed=seed,
                     pool_size=pool_size,
                     utility_cache=ctx.utility_cache,
-                    graph_cache=ctx.graph_cache,
                     path_index=index,
                 )
             assignments = result.best_assignments
         else:
             raise ConfigurationError(f"unknown approach {name!r}")
-        report = evaluate_placement(ctx.network, assignments, seed=seed, graph_cache=ctx.graph_cache)
+        report = evaluate_placement(ctx.network, assignments, seed=seed)
         row.update(
             {
                 "n_assignments": report.n_assignments,

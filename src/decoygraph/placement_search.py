@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .aggraph import AttackGraph, apply_assignments, build_attack_graph
+from .aggraph import AttackGraph, apply_assignments, build_attack_graph, config_id
 from .attacker import simulate_attack
 from .errors import ConfigurationError, Unreachable, ValidationError
 from .netmodel import Assignment, Catalog, NetworkModel, compatible_vulns, normalize_cost
@@ -125,27 +125,33 @@ def compute_singleton_utilities(
     baseline: AttackGraph,
     candidates: list[Candidate],
     utility_cache: dict | None = None,
-    graph_cache: dict | None = None,
 ) -> list[Candidate]:
-    """Attach to each candidate the attacker cost if it were planted alone."""
+    """Attach to each candidate the attacker cost if it were planted alone.
+
+    Only the network `baseline` was generated from is used. Every candidate
+    is planted on one graph, and each singleton is simulated on it with the
+    other candidates' fake configs banned.
+    """
     if baseline.origin is None:
         raise ValidationError("baseline graph lacks its source network; rebuild it from the model")
     network = baseline.origin[0]
     cache = {} if utility_cache is None else utility_cache
+    graph = apply_assignments(network, [c.assignment for c in candidates])
+    fake_configs = graph.fake_configs()
     out: list[Candidate] = []
     for cand in candidates:
         singleton = frozenset({cand.assignment})
         value = cache.get(singleton)
         if value is None:
-            graph = None if graph_cache is None else graph_cache.get(singleton)
-            if graph is None:
-                graph = apply_assignments(network, singleton)
-                if graph_cache is not None:
-                    graph_cache[singleton] = graph
-            value = simulate_attack(graph, graph_cache=graph_cache).total_cost
+            value = simulate_attack(graph, banned_configs=_unplanted(fake_configs, singleton)).total_cost
             cache[singleton] = value
         out.append(replace(cand, singleton_utility=value))
     return out
+
+
+def _unplanted(fake_configs: frozenset[str], planted: frozenset[Assignment]) -> frozenset[str]:
+    """Fake configs of a graph with every candidate planted, less those of `planted`."""
+    return fake_configs - {config_id(a.host_id, a.vuln_id) for a in planted}
 
 
 def _top_utility_sum(candidates: tuple[Candidate, ...], slots: int) -> float:
@@ -363,9 +369,12 @@ def expand(
 class _SearchContext:
     """Shared setup for one placement search on one network.
 
-    Holds the merged network, candidate list with singleton utilities, the
-    incumbent, and the memo caches. Caches may be passed in to share planner
-    work across searches on the same network; never share across networks.
+    Holds the candidate list with singleton utilities, the incumbent, the
+    utility memo, and one attack graph of the merged network with every
+    candidate planted. A subset is evaluated on that graph by banning the
+    fake configs of the candidates outside it. The utility memo may be passed
+    in to share work across searches on the same network; never share it
+    across networks.
     """
 
     def __init__(
@@ -378,7 +387,6 @@ class _SearchContext:
         seed: int,
         pool_size: int,
         utility_cache: dict | None,
-        graph_cache: dict | None,
         path_index: PathIndex | None,
     ):
         if budget < 0:
@@ -390,18 +398,15 @@ class _SearchContext:
             raise ConfigurationError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
         if catalog:
             network = network.with_records(catalog.values())
-        self.network = network
         self.ordering = ordering
         self.heuristic_fn = h1 if heuristic == "h1" else h2
         self.seed = seed
         self.utility_cache: dict = {} if utility_cache is None else utility_cache
-        self.graph_cache: dict = {} if graph_cache is None else graph_cache
-        self.baseline = self._graph(frozenset())
-        self.baseline_cost = optimal_cost(self.baseline)
         candidates = enumerate_candidates(network)
-        candidates = compute_singleton_utilities(
-            self.baseline, candidates, utility_cache=self.utility_cache, graph_cache=self.graph_cache
-        )
+        self.graph = apply_assignments(network, [c.assignment for c in candidates])
+        self.fake_configs = self.graph.fake_configs()
+        self.baseline_cost = optimal_plan(self.graph, banned_configs=self.fake_configs).cost
+        candidates = compute_singleton_utilities(self.graph, candidates, utility_cache=self.utility_cache)
         self.candidates = candidates
         # a budget beyond the candidate pool means "plant everything"
         self.budget = min(budget, len(candidates))
@@ -423,17 +428,11 @@ class _SearchContext:
         else:
             self.reorder_fn = None
 
-    def _graph(self, assignments: frozenset[Assignment]) -> AttackGraph:
-        graph = self.graph_cache.get(assignments)
-        if graph is None:
-            graph = apply_assignments(self.network, assignments)
-            self.graph_cache[assignments] = graph
-        return graph
-
     def evaluate(self, assignments: frozenset[Assignment]) -> float:
         value = self.utility_cache.get(assignments)
         if value is None:
-            value = simulate_attack(self._graph(assignments), graph_cache=self.graph_cache).total_cost
+            banned = _unplanted(self.fake_configs, assignments)
+            value = simulate_attack(self.graph, banned_configs=banned).total_cost
             self.utility_cache[assignments] = value
         key = (-value, len(assignments), tuple(sorted(assignments)))
         if self.best_key is None or key < self.best_key:
@@ -477,7 +476,6 @@ def dfbnb(
     seed: int = 0,
     pool_size: int = 100,
     utility_cache: dict | None = None,
-    graph_cache: dict | None = None,
     path_index: PathIndex | None = None,
 ) -> SearchResult:
     """Depth-first branch and bound over the placement tree.
@@ -489,7 +487,7 @@ def dfbnb(
     """
     t0 = time.perf_counter()
     ctx = _SearchContext(
-        network, catalog, budget, ordering, heuristic, seed, pool_size, utility_cache, graph_cache, path_index
+        network, catalog, budget, ordering, heuristic, seed, pool_size, utility_cache, path_index
     )
     stack = [ctx.root()]
     generated = 1
@@ -520,7 +518,6 @@ def astar(
     seed: int = 0,
     pool_size: int = 100,
     utility_cache: dict | None = None,
-    graph_cache: dict | None = None,
     path_index: PathIndex | None = None,
 ) -> SearchResult:
     """Best-first search over the placement tree, highest bound popped first.
@@ -531,7 +528,7 @@ def astar(
     """
     t0 = time.perf_counter()
     ctx = _SearchContext(
-        network, catalog, budget, ordering, heuristic, seed, pool_size, utility_cache, graph_cache, path_index
+        network, catalog, budget, ordering, heuristic, seed, pool_size, utility_cache, path_index
     )
     root = ctx.root()
     heap: list[tuple[float, int, SearchNode]] = [(-root.f, 0, root)]
@@ -564,7 +561,6 @@ def exhaustive_best(
     budget: int = 1,
     max_subsets: int = 10_000,
     utility_cache: dict | None = None,
-    graph_cache: dict | None = None,
 ) -> SearchResult:
     """Evaluate every candidate subset up to the budget; the ground truth.
 
@@ -573,9 +569,7 @@ def exhaustive_best(
     set is always evaluated, so the result never loses to doing nothing.
     """
     t0 = time.perf_counter()
-    ctx = _SearchContext(
-        network, catalog, budget, "utility", "h2", 0, 0, utility_cache, graph_cache, None
-    )
+    ctx = _SearchContext(network, catalog, budget, "utility", "h2", 0, 0, utility_cache, None)
     assignments = sorted(c.assignment for c in ctx.candidates)
     total = sum(math.comb(len(assignments), size) for size in range(ctx.budget + 1))
     if total > max_subsets:

@@ -207,24 +207,12 @@ def _empty_plan(graph: AttackGraph) -> AttackPlan:
 # ---------------------------------------------------------------------------
 
 
-def _is_unit_rule(graph: AttackGraph) -> bool:
-    return all(
-        len(req_privs) == 1 and len(req_configs) == 1
-        for req_privs, req_configs in graph.requirements.values()
-    )
-
-
 def _dijkstra_plan(
     graph: AttackGraph,
     effective,
     banned: frozenset[str],
 ) -> tuple[AttackPlan, int]:
-    consumers: dict[str, list[str]] = {}
-    for e in sorted(graph.exploit_nodes):
-        req_privs, req_configs = graph.requirements[e]
-        if req_configs[0] in banned:
-            continue
-        consumers.setdefault(req_privs[0], []).append(e)
+    consumers = graph.consumers
     dist: dict[str, float] = {graph.source: 0.0}
     pred: dict[str, str] = {}  # privilege -> exploit that reaches it on the best chain
     done: set[str] = set()
@@ -238,10 +226,11 @@ def _dijkstra_plan(
         expanded += 1
         if p == graph.goal:
             break
-        for e in consumers.get(p, ()):
-            weight = effective(graph.requirements[e][1][0])
-            nd = d + weight
-            for q in graph.grants[e]:
+        for e, config, grants in consumers.get(p, ()):
+            if config in banned:
+                continue
+            nd = d + effective(config)
+            for q in grants:
                 if nd < dist.get(q, _INF):
                     dist[q] = nd
                     pred[q] = e
@@ -391,14 +380,16 @@ def plan_with_stats(
 
     `cost_override` replaces individual config costs (the simulator's zeroed
     weights); `banned_configs` removes configs from consideration entirely.
-    Raises Unreachable when no plan exists.
+    Raises Unreachable when no plan exists. The engines raise it themselves,
+    with the same message: Dijkstra when it never settles the goal, best-first
+    when the goal's max-cost relaxation from the start state is infinite or
+    its frontier runs dry. Both happen exactly when the goal is not derivable
+    from the unbanned configs, so no separate derivability check runs first.
     """
     banned = frozenset(banned_configs)
     effective = _cost_fn(graph, cost_override)
     started = time.perf_counter()
-    if not derivable(graph, graph.config_nodes - banned):
-        raise Unreachable(f"goal {graph.goal} is not derivable")
-    if _is_unit_rule(graph):
+    if graph.unit_rule:
         plan, expanded = _dijkstra_plan(graph, effective, banned)
         heuristic_evals = 0
     else:

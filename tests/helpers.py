@@ -3,8 +3,9 @@
 The random attack-graph builder produces general AND/OR structure directly
 (multi-requirement exploits, shared configs, zero costs, occasional cycles),
 independent of the network-model rules, so the planner is exercised beyond
-the shapes the generator emits. Costs come from a dyadic palette so equal
-plan costs compare exactly as floats.
+the shapes the generator emits. Costs come from a dyadic palette, so equal
+plan costs compare exactly as floats, or from a CVSS v3 palette (subscore /
+3.9), whose sums round differently in different orders.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from decoygraph.netmodel import (
 
 # dyadic values with repeats to encourage cost ties
 COST_PALETTE = [0.0, 0.125, 0.25, 0.25, 0.375, 0.5, 0.5, 0.75, 1.0]
+# CVSS v3 exploitability subscores; normalized costs x/3.9 are not dyadic
+CVSS3_SUBSCORES = (0.5, 0.9, 1.2, 1.6, 1.8, 2.2, 2.8, 3.9)
+# the same shape of palette: zero, then every cost, the three cheapest twice
+CVSS3_PALETTE = [0.0] + [x / 3.9 for x in CVSS3_SUBSCORES + CVSS3_SUBSCORES[:3]]
 
 
 def random_attack_graph(
@@ -33,6 +38,7 @@ def random_attack_graph(
     max_privs: int = 7,
     max_exploits: int = 12,
     max_configs: int = 10,
+    palette: list[float] = COST_PALETTE,
 ) -> AttackGraph:
     """Build a random fake-free AND/OR graph, not necessarily solvable."""
     n_p = rng.randint(2, max_privs)
@@ -70,15 +76,32 @@ def random_attack_graph(
         edges=frozenset(edges),
         goal=goal,
         source=source,
-        config_cost={c: rng.choice(COST_PALETTE) for c in configs},
+        config_cost={c: rng.choice(palette) for c in configs},
         fake_flag={c: False for c in configs},
         provenance={},
     )
 
 
-def small_network(rng: random.Random, max_hosts: int = 8) -> NetworkModel:
+def small_network(rng: random.Random, max_hosts: int = 8, catalog=None) -> NetworkModel:
     n = rng.randint(3, max_hosts)
-    return generate_network(n, default_catalog(), seed=rng.randrange(10**6))
+    return generate_network(n, catalog or default_catalog(), seed=rng.randrange(10**6))
+
+
+def cvss3_catalog() -> dict[str, VulnerabilityRecord]:
+    """The default catalog's ids and operating systems with CVSS v3 subscores.
+
+    Subscores cycle through CVSS3_SUBSCORES in id order, so every cost is
+    x/3.9 and hosts still see several distinct costs.
+    """
+    return {
+        vuln_id: VulnerabilityRecord(
+            vuln_id=vuln_id,
+            cvss_version=CvssVersion.V3,
+            exploitability_subscore=CVSS3_SUBSCORES[i % len(CVSS3_SUBSCORES)],
+            affected_os=record.affected_os,
+        )
+        for i, (vuln_id, record) in enumerate(sorted(default_catalog().items()))
+    }
 
 
 def _vuln(vuln_id: str, os: str, subscore: float) -> VulnerabilityRecord:

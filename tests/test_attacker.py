@@ -6,13 +6,17 @@ from itertools import combinations
 
 import pytest
 
+from decoygraph import attacker
 from decoygraph.aggraph import AttackGraph, apply_assignments, build_attack_graph
 from decoygraph.attacker import evaluate_placement, simulate_attack
 from decoygraph.errors import Unreachable, ValidationError
 from decoygraph.netmodel import Assignment
 from decoygraph.placement_random import random_placement
-from decoygraph.planner import optimal_cost
-from helpers import small_network
+from decoygraph.placement_search import exhaustive_best
+from decoygraph.planner import optimal_cost, plan_with_stats
+from helpers import cvss3_catalog, small_network
+
+CATALOGS = pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
 
 H1_FAKES = (
     Assignment(host_id="f1", vuln_id="fv-1"),
@@ -115,7 +119,7 @@ class TestConventions:
 class TestUnreachable:
     def test_goal_behind_fake_only(self):
         # the only config feeding the goal is a planted one; once the
-        # precheck strips fakes nothing derives the goal
+        # attacker trips it and bans it, nothing derives the goal
         fake = Assignment(host_id="x", vuln_id="w", fake=True)
         g = AttackGraph(
             privilege_nodes=frozenset({"p0", "p1"}),
@@ -182,19 +186,56 @@ class TestBounds:
 
 
 class TestCaching:
-    def test_graph_cache_is_shared_and_results_stable(self, lure_net):
-        cache: dict = {}
-        first = evaluate_placement(lure_net, H1_FAKES, graph_cache=cache)
-        assert cache, "expected the removal chain to populate the cache"
-        size = len(cache)
-        second = evaluate_placement(lure_net, H1_FAKES, graph_cache=cache)
-        assert len(cache) == size
-        assert first.trace.iterations == second.trace.iterations
-        assert first.total_cost == second.total_cost
-
     def test_replay_is_semantically_identical(self, chain_net):
         a = evaluate_placement(chain_net, CHAIN_FAKES[:2])
         b = evaluate_placement(chain_net, CHAIN_FAKES[:2])
         assert a.trace.iterations == b.trace.iterations
         assert a.total_cost == b.total_cost
         assert a.p1 == b.p1
+
+
+class TestBanSetOracle:
+    """Evaluation by ban set on one graph against graphs regenerated from the
+    network with exactly the planted fakes, which stay the reference."""
+
+    @CATALOGS
+    def test_search_utilities_match_regenerated_graphs(self, catalog):
+        checked = 0
+        for seed in range(20):
+            net = small_network(random.Random(7000 + seed), catalog=catalog)
+            ucache: dict = {}
+            exhaustive_best(net, budget=2, utility_cache=ucache)
+            for subset, value in ucache.items():
+                expected = simulate_attack(apply_assignments(net, subset)).total_cost
+                assert value == expected, f"seed {seed}, {sorted(subset)}"
+            checked += len(ucache)
+        assert checked >= 500
+
+    @CATALOGS
+    def test_rounds_match_planning_on_regenerated_graphs(self, catalog, monkeypatch):
+        rounds = []
+
+        def recording(*args, **kwargs):
+            rounds.append(plan_with_stats(*args, **kwargs))
+            return rounds[-1]
+
+        monkeypatch.setattr(attacker, "plan_with_stats", recording)
+        replanned = 0
+        for seed in range(30):
+            net = small_network(random.Random(8000 + seed), catalog=catalog)
+            placement, graph = random_placement(net, 1.0, seed=seed)
+            rounds.clear()
+            trace = simulate_attack(graph)
+            assert len(rounds) == trace.recalculations
+            found: set[Assignment] = set()
+            zeroed: set[str] = set()
+            for it, (_, stats) in zip(trace.iterations, rounds):
+                reference = apply_assignments(net, placement - found)
+                plan, ref_stats = plan_with_stats(reference, cost_override=dict.fromkeys(zeroed, 0.0))
+                assert it.plan == plan, f"seed {seed}"
+                assert stats.expanded_states == ref_stats.expanded_states, f"seed {seed}"
+                if it.discovered_fake is not None:
+                    found.add(it.discovered_fake)
+                zeroed |= it.zeroed_configs
+            replanned += trace.recalculations > 1
+        assert replanned >= 10

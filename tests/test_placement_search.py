@@ -365,11 +365,10 @@ class TestEngines:
 
     def test_shared_caches_do_not_change_answers(self, chain_net):
         ucache: dict = {}
-        gcache: dict = {}
         lone = dfbnb(chain_net, budget=2)
-        warm1 = dfbnb(chain_net, budget=2, utility_cache=ucache, graph_cache=gcache)
+        warm1 = dfbnb(chain_net, budget=2, utility_cache=ucache)
         assert ucache
-        warm2 = astar(chain_net, budget=2, utility_cache=ucache, graph_cache=gcache)
+        warm2 = astar(chain_net, budget=2, utility_cache=ucache)
         assert _result_key(lone) == _result_key(warm1)
         assert warm2.best_utility == lone.best_utility
         assert warm2.best_assignments == lone.best_assignments
@@ -383,11 +382,8 @@ class TestEngines:
         for seed in (2, 5, 9, 14):
             net = small_network(random.Random(seed), max_hosts=5)
             ucache: dict = {}
-            gcache: dict = {}
-            truth = exhaustive_best(
-                net, budget=2, max_subsets=100_000, utility_cache=ucache, graph_cache=gcache
-            )
-            found = dfbnb(net, budget=2, utility_cache=ucache, graph_cache=gcache)
+            truth = exhaustive_best(net, budget=2, max_subsets=100_000, utility_cache=ucache)
+            found = dfbnb(net, budget=2, utility_cache=ucache)
             assert found.best_utility == truth.best_utility, f"seed {seed}"
             assert found.best_assignments == truth.best_assignments, f"seed {seed}"
 
