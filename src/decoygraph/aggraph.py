@@ -10,13 +10,13 @@ Generation uses a single remote-exploit rule evaluated to a least fixpoint:
 whenever a privilege exists on x, (x, h) is reachable, and vulnerability v is
 installed on h, the exploit "v on h attacked from x" exists, requiring the
 privilege on x and the config (v, h), and granting the privilege on h. The
-rule makes regeneration a pure function of the network, so applying and
-removing fake vulnerabilities is reproducible.
+rule makes generation a pure function of the network and the planted
+assignments, so a graph with fake vulnerabilities applied is reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -72,11 +72,6 @@ class AttackGraph:
     config_cost: dict[str, float]
     fake_flag: dict[str, bool]
     provenance: dict[str, Assignment]
-    # Regeneration context: the originating network and the applied assignments.
-    # Deserialized graphs lack it; anything needing regeneration checks `origin`.
-    origin: tuple[NetworkModel, tuple[Assignment, ...]] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     # -- derived adjacency, computed once ------------------------------------
 
@@ -91,17 +86,8 @@ class AttackGraph:
         return {e: (tuple(sorted(privs[e])), tuple(sorted(confs[e]))) for e in self.exploit_nodes}
 
     @cached_property
-    def supporters(self) -> dict[str, tuple[str, ...]]:
-        """privilege -> exploits that grant it, sorted."""
-        out: dict[str, list[str]] = {p: [] for p in self.privilege_nodes}
-        for a, b in self.edges:
-            if a in self.privilege_nodes:
-                out[a].append(b)
-        return {p: tuple(sorted(v)) for p, v in out.items()}
-
-    @cached_property
     def grants(self) -> dict[str, tuple[str, ...]]:
-        """exploit -> privileges it grants (inverse of supporters)."""
+        """exploit -> privileges it grants, sorted."""
         out: dict[str, list[str]] = {e: [] for e in self.exploit_nodes}
         for p, e in self.edges:
             if p in self.privilege_nodes and e in self.exploit_nodes:
@@ -253,24 +239,6 @@ def apply_assignments(network: NetworkModel, assignments: Iterable[Assignment]) 
     return _generate(network, ordered)
 
 
-def remove_assignment(graph: AttackGraph, assignment: Assignment) -> AttackGraph:
-    """Drop one applied assignment by regenerating from the origin network.
-
-    Regeneration rather than node surgery: a node jointly enabled by two
-    fakes must survive the removal of one of them, which a per-assignment
-    node partition cannot express.
-    """
-    if graph.origin is None:
-        raise ValidationError("graph carries no regeneration context")
-    network, applied = graph.origin
-    if assignment not in applied:
-        raise ValidationError(
-            f"assignment ({assignment.host_id}, {assignment.vuln_id}) is not applied to this graph"
-        )
-    remaining = tuple(a for a in applied if a != assignment)
-    return _generate(network, remaining)
-
-
 def _generate(network: NetworkModel, assignments: tuple[Assignment, ...]) -> AttackGraph:
     applied = network.with_assignments(assignments) if assignments else network
     fake_pairs = {(a.host_id, a.vuln_id): a for a in assignments}
@@ -368,7 +336,6 @@ def _generate(network: NetworkModel, assignments: tuple[Assignment, ...]) -> Att
         config_cost=cost,
         fake_flag=fake,
         provenance=provenance,
-        origin=(network, assignments),
     )
 
 

@@ -118,7 +118,7 @@ def simulate_attack(graph: AttackGraph, banned_configs: Iterable[str] = ()) -> S
     total = 0.0
     while True:
         try:
-            plan, stats = plan_with_stats(graph, cost_override=working, banned_configs=banned)
+            plan, stats = plan_with_stats(graph, costs=working, banned_configs=banned)
         except Unreachable:
             raise Unreachable("no real attack path exists") from None
         effort += stats
@@ -130,14 +130,14 @@ def simulate_attack(graph: AttackGraph, banned_configs: Iterable[str] = ()) -> S
                 failed_at = idx
                 break
         if failed_at is None:
-            paid = sum(working[c] for c in sorted(plan.node_set & graph.config_nodes))
+            paid = math.fsum(working[c] for c in plan.node_set & graph.config_nodes)
             total += paid
             iterations.append(AttackIteration(plan, paid, None, frozenset()))
             break
         consumed: set[str] = set()
         for exploit in plan.exec_order[: failed_at + 1]:
             consumed.update(graph.requirements[exploit][1])
-        paid = sum(working[c] for c in sorted(consumed))
+        paid = math.fsum(working[c] for c in consumed)
         before: set[str] = set()
         for exploit in plan.exec_order[:failed_at]:
             before.update(graph.requirements[exploit][1])

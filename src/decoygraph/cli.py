@@ -31,7 +31,14 @@ from .netmodel import (
     load_catalog,
 )
 from .placement_random import random_budget_placement, random_placement
-from .placement_search import SearchResult, astar, build_path_index, dfbnb, exhaustive_best
+from .placement_search import (
+    SearchResult,
+    astar,
+    build_path_index,
+    dfbnb,
+    enumerate_candidates,
+    exhaustive_best,
+)
 
 _CSV_COLUMNS = [
     "network_id",
@@ -59,10 +66,7 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ValidationError, ConfigurationError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            raise SystemExit(2)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (ValidationError, ConfigurationError, OSError, json.JSONDecodeError) as exc:
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(2)
         except Unreachable as exc:
@@ -326,11 +330,6 @@ def simulate(
         graph = apply_assignments(network, assignments)
     elif graph_path:
         graph = load_graph(graph_path)
-        if graph.fake_configs():
-            raise ConfigurationError(
-                "a serialized graph cannot be replanned past a fake; "
-                "pass --network and --assignments instead"
-            )
     else:
         raise ConfigurationError("give --network (with optional --assignments) or --graph")
     trace = simulate_attack(graph)
@@ -366,10 +365,10 @@ def evaluate(
         _emit(_dumps(_report_payload(report, timings)), out)
         return
     row = {
+        **dict.fromkeys(_CSV_COLUMNS, ""),
         "network_id": Path(network_path).stem,
         "n_hosts": network.n_hosts,
         "approach": "evaluate",
-        "budget": "",
         "n_assignments": report.n_assignments,
         "p1": report.p1,
         "p2_states": report.p2.expanded_states,
@@ -378,11 +377,6 @@ def evaluate(
         "p4": report.p4,
         "seed": seed,
         "trial": 0,
-        "expanded_nodes": "",
-        "budget_used": "",
-        "search_ms": "",
-        "p4_budget": "",
-        "error": "",
     }
     _emit(_rows_to_csv([row]), out)
 
@@ -423,14 +417,9 @@ class _NetworkContext:
 
     def index(self, pool_size: int):
         if self.path_index is None:
-            from .placement_search import enumerate_candidates
-
             candidates = enumerate_candidates(self.network)
-            self.path_index = build_path_index(
-                self.network,
-                [c.assignment for c in candidates],
-                pool_size=pool_size,
-            )
+            full = apply_assignments(self.network, [c.assignment for c in candidates])
+            self.path_index = build_path_index(full, pool_size=pool_size)
         return self.path_index
 
 
@@ -444,23 +433,13 @@ def _sweep_cell(
 ) -> dict:
     name = approach.get("name", "")
     row = {
+        **dict.fromkeys(_CSV_COLUMNS, ""),
         "network_id": ctx.network_id,
         "n_hosts": ctx.network.n_hosts,
         "approach": _approach_label(approach),
         "budget": budget,
         "seed": seed,
         "trial": trial,
-        "n_assignments": "",
-        "p1": "",
-        "p2_states": "",
-        "p2_ms": "",
-        "p3": "",
-        "p4": "",
-        "expanded_nodes": "",
-        "budget_used": "",
-        "search_ms": "",
-        "p4_budget": "",
-        "error": "",
     }
     try:
         result = None

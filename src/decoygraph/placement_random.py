@@ -16,9 +16,9 @@ from .errors import ConfigurationError
 from .netmodel import Assignment, NetworkModel, compatible_vulns, normalize_cost
 
 
-def _weighted_sample(pool: list[str], count: int, rng: random.Random, weights: dict[str, float]) -> list[str]:
+def _weighted_sample(pool: list, count: int, rng: random.Random, weights: dict) -> list:
     remaining = list(pool)
-    picked: list[str] = []
+    picked = []
     for _ in range(count):
         w = [weights[v] for v in remaining]
         idx = rng.choices(range(len(remaining)), weights=w, k=1)[0]
@@ -95,13 +95,6 @@ def random_budget_placement(
             pair = (host_id, vuln_id)
             pool.append(pair)
             weights[pair] = 1.0 / (normalize_cost(network.catalog[vuln_id]) + weight_epsilon)
-    count = min(budget, len(pool))
-    remaining = list(pool)
-    assignments: set[Assignment] = set()
-    for _ in range(count):
-        w = [weights[p] for p in remaining]
-        idx = rng.choices(range(len(remaining)), weights=w, k=1)[0]
-        host_id, vuln_id = remaining.pop(idx)
-        assignments.add(Assignment(host_id=host_id, vuln_id=vuln_id))
-    placement = frozenset(assignments)
+    picked = _weighted_sample(pool, min(budget, len(pool)), rng, weights)
+    placement = frozenset(Assignment(host_id=host_id, vuln_id=vuln_id) for host_id, vuln_id in picked)
     return placement, apply_assignments(network, placement)

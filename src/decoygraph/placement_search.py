@@ -19,11 +19,11 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .aggraph import AttackGraph, apply_assignments, build_attack_graph, config_id
+from .aggraph import AttackGraph, apply_assignments, config_id
 from .attacker import simulate_attack
 from .errors import ConfigurationError, Unreachable, ValidationError
 from .netmodel import Assignment, Catalog, NetworkModel, compatible_vulns, normalize_cost
-from .planner import optimal_cost, optimal_plan
+from .planner import optimal_plan
 
 ORDERINGS = ("utility", "shortest_path", "random")
 HEURISTICS = ("h1", "h2")
@@ -122,25 +122,25 @@ def enumerate_candidates(network: NetworkModel, catalog: Catalog | None = None) 
 
 
 def compute_singleton_utilities(
-    baseline: AttackGraph,
+    graph: AttackGraph,
     candidates: list[Candidate],
     utility_cache: dict | None = None,
 ) -> list[Candidate]:
     """Attach to each candidate the attacker cost if it were planted alone.
 
-    Only the network `baseline` was generated from is used. Every candidate
-    is planted on one graph, and each singleton is simulated on it with the
-    other candidates' fake configs banned.
+    `graph` has every candidate planted, and each singleton is simulated on
+    it with the other candidates' fake configs banned. A candidate whose
+    config is not a fake config of `graph` raises ValidationError, since it
+    would otherwise score as the undefended attack.
     """
-    if baseline.origin is None:
-        raise ValidationError("baseline graph lacks its source network; rebuild it from the model")
-    network = baseline.origin[0]
     cache = {} if utility_cache is None else utility_cache
-    graph = apply_assignments(network, [c.assignment for c in candidates])
     fake_configs = graph.fake_configs()
     out: list[Candidate] = []
     for cand in candidates:
-        singleton = frozenset({cand.assignment})
+        a = cand.assignment
+        if _fake_config(a) not in fake_configs:
+            raise ValidationError(f"candidate ({a.host_id}, {a.vuln_id}) is not planted in the graph")
+        singleton = frozenset({a})
         value = cache.get(singleton)
         if value is None:
             value = simulate_attack(graph, banned_configs=_unplanted(fake_configs, singleton)).total_cost
@@ -149,9 +149,13 @@ def compute_singleton_utilities(
     return out
 
 
+def _fake_config(assignment: Assignment) -> str:
+    return config_id(assignment.host_id, assignment.vuln_id)
+
+
 def _unplanted(fake_configs: frozenset[str], planted: frozenset[Assignment]) -> frozenset[str]:
     """Fake configs of a graph with every candidate planted, less those of `planted`."""
-    return fake_configs - {config_id(a.host_id, a.vuln_id) for a in planted}
+    return fake_configs - {_fake_config(a) for a in planted}
 
 
 def _top_utility_sum(candidates: tuple[Candidate, ...], slots: int) -> float:
@@ -242,23 +246,15 @@ def _rank_by_paths(
     return tuple(on_path + off_path)
 
 
-def build_path_index(
-    network: NetworkModel,
-    assignments,
-    pool_size: int = 100,
-    baseline_cost: float | None = None,
-) -> PathIndex:
-    """Enumerate cheap fake-using plans on the fully-decorated graph.
+def build_path_index(full: AttackGraph, pool_size: int = 100) -> PathIndex:
+    """Enumerate cheap fake-using plans on the graph with every candidate planted.
 
-    All candidate fakes are planted at once and plans are enumerated cheapest
-    first by banning one config per branch; only plans strictly cheaper than
-    the deception-free optimum are kept (costlier ones cannot lure a
-    cost-minimizing attacker off the real path). Dedup is by config set.
+    Plans are enumerated cheapest first by banning one config per branch;
+    only plans strictly cheaper than the deception-free optimum (the plan with
+    every fake banned) are kept, since costlier ones cannot lure a
+    cost-minimizing attacker off the real path. Dedup is by config set.
     """
-    all_assignments = frozenset(assignments)
-    full = apply_assignments(network, all_assignments)
-    if baseline_cost is None:
-        baseline_cost = optimal_cost(build_attack_graph(network))
+    baseline_cost = optimal_plan(full, banned_configs=full.fake_configs()).cost
     records: list[PathRecord] = []
     seen_cfg: set[frozenset[str]] = set()
     heap: list[tuple[float, int, frozenset[str]]] = []
@@ -372,8 +368,10 @@ class _SearchContext:
     Holds the candidate list with singleton utilities, the incumbent, the
     utility memo, and one attack graph of the merged network with every
     candidate planted. A subset is evaluated on that graph by banning the
-    fake configs of the candidates outside it. The utility memo may be passed
-    in to share work across searches on the same network; never share it
+    fake configs of the candidates outside it. Candidates the attacker can
+    never reach leave no fake config in that graph; they cannot change any
+    subset's value, so they are dropped. The utility memo may be passed in
+    to share work across searches on the same network; never share it
     across networks.
     """
 
@@ -406,24 +404,22 @@ class _SearchContext:
         self.graph = apply_assignments(network, [c.assignment for c in candidates])
         self.fake_configs = self.graph.fake_configs()
         self.baseline_cost = optimal_plan(self.graph, banned_configs=self.fake_configs).cost
-        candidates = compute_singleton_utilities(self.graph, candidates, utility_cache=self.utility_cache)
-        self.candidates = candidates
+        candidates = [c for c in candidates if _fake_config(c.assignment) in self.fake_configs]
+        self.candidates = compute_singleton_utilities(self.graph, candidates, utility_cache=self.utility_cache)
         # a budget beyond the candidate pool means "plant everything"
         self.budget = min(budget, len(candidates))
         if ordering == "shortest_path" and path_index is None:
-            path_index = build_path_index(
-                network,
-                [c.assignment for c in candidates],
-                pool_size=pool_size,
-                baseline_cost=self.baseline_cost,
-            )
+            path_index = build_path_index(self.graph, pool_size=pool_size)
         self.index = path_index
         self.best_key: tuple | None = None
         self.best_value = -math.inf
         self.best_set: tuple[Assignment, ...] = ()
         if self.ordering == "shortest_path":
+            # Closes over locals, not self: a closure reaching self would keep
+            # every context (and its planted graph) alive until a cyclic collection.
+            index, budget = self.index, self.budget
             self.reorder_fn = lambda remaining, chosen: _rank_by_paths(
-                self.index, remaining, frozenset(chosen), self.budget
+                index, remaining, frozenset(chosen), budget
             )
         else:
             self.reorder_fn = None

@@ -14,14 +14,16 @@ shared configs across required branches) go through admissible best-first
 search over achieved-fact sets. A brute-force subset enumerator serves as the
 oracle for both.
 
-Plan cost is always summed over the sorted config-id list so the same config
-set yields the same float no matter which engine found it.
+Plan cost is the correctly rounded sum (`math.fsum`) of its config costs, so
+the same cost multiset yields the same float no matter which engine found it
+or in which order its configs are listed.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -127,18 +129,6 @@ def derivable(graph: AttackGraph, usable_configs: Iterable[str] | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _cost_fn(graph: AttackGraph, cost_override: Mapping[str, float] | None):
-    base = graph.config_cost
-    if cost_override is None:
-        return base.__getitem__
-
-    def effective(c: str) -> float:
-        value = cost_override.get(c)
-        return base[c] if value is None else value
-
-    return effective
-
-
 def _exec_waves(graph: AttackGraph, support: set[str]) -> tuple[str, ...]:
     # Earliest-enabled-first execution, ties inside a wave by exploit id.
     # Configs never gate enablement; the attacker pays them on execution.
@@ -161,7 +151,7 @@ def _exec_waves(graph: AttackGraph, support: set[str]) -> tuple[str, ...]:
 def _assemble_plan(
     graph: AttackGraph,
     supporter: Mapping[str, str],
-    effective,
+    costs: Mapping[str, float],
 ) -> AttackPlan:
     """Build a plan from a privilege -> chosen-supporting-exploit map."""
     support: set[str] = set()
@@ -183,7 +173,7 @@ def _assemble_plan(
                 privs.add(q)
                 todo.append(q)
     exec_order = _exec_waves(graph, support)
-    cost = sum(effective(c) for c in sorted(configs))
+    cost = math.fsum(costs[c] for c in configs)
     node_set = frozenset(privs) | frozenset(support) | frozenset(configs)
     return AttackPlan(
         node_set=node_set,
@@ -209,7 +199,7 @@ def _empty_plan(graph: AttackGraph) -> AttackPlan:
 
 def _dijkstra_plan(
     graph: AttackGraph,
-    effective,
+    costs: Mapping[str, float],
     banned: frozenset[str],
 ) -> tuple[AttackPlan, int]:
     consumers = graph.consumers
@@ -229,7 +219,7 @@ def _dijkstra_plan(
         for e, config, grants in consumers.get(p, ()):
             if config in banned:
                 continue
-            nd = d + effective(config)
+            nd = d + costs[config]
             for q in grants:
                 if nd < dist.get(q, _INF):
                     dist[q] = nd
@@ -245,7 +235,7 @@ def _dijkstra_plan(
         e = pred[p]
         supporter[p] = e
         p = graph.requirements[e][0][0]
-    return _assemble_plan(graph, supporter, effective), expanded
+    return _assemble_plan(graph, supporter, costs), expanded
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +243,15 @@ def _dijkstra_plan(
 # ---------------------------------------------------------------------------
 
 
-def _hmax(graph: AttackGraph, state: frozenset[str], effective, banned: frozenset[str]) -> float:
+def _hmax(
+    graph: AttackGraph, state: frozenset[str], costs: Mapping[str, float], banned: frozenset[str]
+) -> float:
     """Admissible max-cost relaxation with already-paid configs treated as free."""
     value: dict[str, float] = {}
     for c in graph.config_nodes:
         if c in banned:
             continue
-        value[c] = 0.0 if c in state else effective(c)
+        value[c] = 0.0 if c in state else costs[c]
     pending: dict[str, int] = {}
     heap: list[tuple[float, str]] = []
     for e, (req_privs, req_configs) in graph.requirements.items():
@@ -299,7 +291,7 @@ def _hmax(graph: AttackGraph, state: frozenset[str], effective, banned: frozense
 
 def _bestfirst_plan(
     graph: AttackGraph,
-    effective,
+    costs: Mapping[str, float],
     banned: frozenset[str],
 ) -> tuple[AttackPlan, int, int]:
     start = frozenset({graph.source})
@@ -317,7 +309,7 @@ def _bestfirst_plan(
     g_best: dict[frozenset[str], float] = {start: 0.0}
     came_from: dict[frozenset[str], tuple[frozenset[str], str]] = {}
     counter = itertools.count()
-    h0 = _hmax(graph, start, effective, banned)
+    h0 = _hmax(graph, start, costs, banned)
     heuristic_evals = 1
     if h0 == _INF:
         raise Unreachable(f"goal {graph.goal} is not derivable")
@@ -339,12 +331,12 @@ def _bestfirst_plan(
             if not new_privs:
                 continue
             succ = state | grants | req_configs
-            step = sum(effective(c) for c in sorted(req_configs - state))
+            step = sum(costs[c] for c in sorted(req_configs - state))
             ng = g + step
             if ng < g_best.get(succ, _INF):
                 g_best[succ] = ng
                 came_from[succ] = (state, e)
-                h = _hmax(graph, succ, effective, banned)
+                h = _hmax(graph, succ, costs, banned)
                 heuristic_evals += 1
                 if h == _INF:
                     continue
@@ -362,7 +354,7 @@ def _bestfirst_plan(
     for e in sequence:
         for p in graph.grants[e]:
             supporter.setdefault(p, e)
-    plan = _assemble_plan(graph, supporter, effective)
+    plan = _assemble_plan(graph, supporter, costs)
     return plan, expanded, heuristic_evals
 
 
@@ -373,13 +365,14 @@ def _bestfirst_plan(
 
 def plan_with_stats(
     graph: AttackGraph,
-    cost_override: Mapping[str, float] | None = None,
+    costs: Mapping[str, float] | None = None,
     banned_configs: Iterable[str] = (),
 ) -> tuple[AttackPlan, PlannerStats]:
     """Optimal plan plus search-effort counters.
 
-    `cost_override` replaces individual config costs (the simulator's zeroed
-    weights); `banned_configs` removes configs from consideration entirely.
+    `costs` is a full config -> cost table (the simulator's, with paid
+    configs zeroed) and defaults to `graph.config_cost`; `banned_configs`
+    removes configs from consideration entirely.
     Raises Unreachable when no plan exists. The engines raise it themselves,
     with the same message: Dijkstra when it never settles the goal, best-first
     when the goal's max-cost relaxation from the start state is infinite or
@@ -387,35 +380,35 @@ def plan_with_stats(
     from the unbanned configs, so no separate derivability check runs first.
     """
     banned = frozenset(banned_configs)
-    effective = _cost_fn(graph, cost_override)
+    costs = graph.config_cost if costs is None else costs
     started = time.perf_counter()
     if graph.unit_rule:
-        plan, expanded = _dijkstra_plan(graph, effective, banned)
+        plan, expanded = _dijkstra_plan(graph, costs, banned)
         heuristic_evals = 0
     else:
-        plan, expanded, heuristic_evals = _bestfirst_plan(graph, effective, banned)
+        plan, expanded, heuristic_evals = _bestfirst_plan(graph, costs, banned)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return plan, PlannerStats(expanded, heuristic_evals, elapsed_ms)
 
 
 def optimal_plan(
     graph: AttackGraph,
-    cost_override: Mapping[str, float] | None = None,
+    costs: Mapping[str, float] | None = None,
     banned_configs: Iterable[str] = (),
 ) -> AttackPlan:
-    return plan_with_stats(graph, cost_override, banned_configs)[0]
+    return plan_with_stats(graph, costs, banned_configs)[0]
 
 
 def optimal_cost(
     graph: AttackGraph,
-    cost_override: Mapping[str, float] | None = None,
+    costs: Mapping[str, float] | None = None,
 ) -> float:
     """Cost of the cheapest plan with every config taken at face value.
 
     Fake flags are ignored: this is the cost the attacker believes the
     cheapest attack has.
     """
-    return optimal_plan(graph, cost_override).cost
+    return optimal_plan(graph, costs).cost
 
 
 def brute_force_plan(graph: AttackGraph, max_configs: int = 16) -> AttackPlan:
@@ -430,26 +423,28 @@ def brute_force_plan(graph: AttackGraph, max_configs: int = 16) -> AttackPlan:
         raise ConfigurationError(
             f"brute force refuses {len(configs)} configs (bound {max_configs})"
         )
-    effective = _cost_fn(graph, None)
+    costs = graph.config_cost
     if graph.goal == graph.source:
         return _empty_plan(graph)
     subsets = []
     for r in range(len(configs) + 1):
         for combo in itertools.combinations(configs, r):
-            subsets.append((sum(effective(c) for c in combo), combo))
+            subsets.append((math.fsum(costs[c] for c in combo), combo))
     subsets.sort(key=lambda item: (item[0], item[1]))
     for _, combo in subsets:
         usable = frozenset(combo)
         derived, fired = derivable_facts(graph, usable)
         if graph.goal not in derived:
             continue
-        plan = _plan_from_closure(graph, fired, effective)
+        plan = _plan_from_closure(graph, fired, costs)
         if plan is not None and frozenset(plan.node_set & graph.config_nodes) == usable:
             return plan
     raise Unreachable(f"goal {graph.goal} is not derivable")
 
 
-def _plan_from_closure(graph: AttackGraph, fired: frozenset[str], effective) -> AttackPlan | None:
+def _plan_from_closure(
+    graph: AttackGraph, fired: frozenset[str], costs: Mapping[str, float]
+) -> AttackPlan | None:
     """Minimal support over a fixpoint closure, earliest wave first."""
     have = {graph.source}
     remaining = set(fired)
@@ -467,7 +462,7 @@ def _plan_from_closure(graph: AttackGraph, fired: frozenset[str], effective) -> 
         remaining.difference_update(wave)
     if graph.goal not in have:
         return None
-    return _assemble_plan(graph, supporter, effective)
+    return _assemble_plan(graph, supporter, costs)
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +473,10 @@ def _plan_from_closure(graph: AttackGraph, fired: frozenset[str], effective) -> 
 def plan_violations(
     graph: AttackGraph,
     plan: AttackPlan,
-    cost_override: Mapping[str, float] | None = None,
+    costs: Mapping[str, float] | None = None,
 ) -> list[str]:
     """Machine check of the plan closure bullets and the execution contract."""
-    effective = _cost_fn(graph, cost_override)
+    costs = graph.config_cost if costs is None else costs
     violations: list[str] = []
     nodes = plan.node_set
     if graph.goal not in nodes:
@@ -507,7 +502,7 @@ def plan_violations(
         if not all(p in have for p in req_privs):
             violations.append(f"exploit {e} executed before its privileges are available")
         have.update(graph.grants[e])
-    expected = sum(effective(c) for c in sorted(nodes & graph.config_nodes))
+    expected = math.fsum(costs[c] for c in nodes & graph.config_nodes)
     if expected != plan.cost:
         violations.append(f"plan cost {plan.cost} != config sum {expected}")
     return violations

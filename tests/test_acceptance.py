@@ -39,12 +39,24 @@ from decoygraph.placement_search import (
     h2,
 )
 from decoygraph.planner import brute_force_plan, derivable, optimal_cost, optimal_plan
-from helpers import COST_PALETTE, CVSS3_PALETTE, eight_candidate_net, random_attack_graph, small_network
+from helpers import (
+    COST_PALETTE,
+    CVSS3_PALETTE,
+    cvss3_catalog,
+    eight_candidate_net,
+    random_attack_graph,
+    small_network,
+)
 
 LURE_FAKES = (
     Assignment(host_id="f1", vuln_id="fv-1"),
     Assignment(host_id="f2", vuln_id="fv-2"),
 )
+
+
+def _planted(net):
+    """The graph of `net` with every search candidate planted."""
+    return apply_assignments(net, [c.assignment for c in enumerate_candidates(net)])
 
 
 class _Instance:
@@ -55,18 +67,11 @@ class _Instance:
         self.network = network
         self.utility_cache: dict = {}
         self._index = None
-        self.baseline = build_attack_graph(network)
-        self.baseline_cost = optimal_cost(self.baseline)
 
     @property
     def index(self):
         if self._index is None:
-            candidates = enumerate_candidates(self.network)
-            self._index = build_path_index(
-                self.network,
-                [c.assignment for c in candidates],
-                baseline_cost=self.baseline_cost,
-            )
+            self._index = build_path_index(_planted(self.network))
         return self._index
 
     def search(self, engine, budget, **kwargs):
@@ -126,7 +131,7 @@ def test_criterion_2_lure_fixture_worked_values():
     assert optimal_cost(decorated) == 9.0
     actual = simulate_attack(decorated).total_cost
     assert actual == 22.0
-    candidates = tuple(compute_singleton_utilities(baseline, enumerate_candidates(net)))
+    candidates = tuple(compute_singleton_utilities(_planted(net), enumerate_candidates(net)))
     root = SearchNode(
         chosen=(),
         remaining=candidates,
@@ -179,8 +184,7 @@ def test_criterion_3_cost_inflation_laws():
 def _full_tree_heuristic_violations(net, budget):
     """Walk the whole placement tree; count h1/h2 drops below the true
     remaining reward max(U(A∪E)) - U(A)."""
-    baseline = build_attack_graph(net)
-    base_cost = optimal_cost(baseline)
+    base_cost = optimal_cost(build_attack_graph(net))
     ucache: dict = {}
 
     def utility(assignments):
@@ -190,7 +194,7 @@ def _full_tree_heuristic_violations(net, budget):
         return ucache[key]
 
     candidates = compute_singleton_utilities(
-        baseline, enumerate_candidates(net), utility_cache=ucache
+        _planted(net), enumerate_candidates(net), utility_cache=ucache
     )
     budget = min(budget, len(candidates))
     ordered = tuple(sorted(candidates, key=lambda c: (-c.singleton_utility, c.assignment)))
@@ -256,8 +260,11 @@ def test_criterion_4_heuristic_bound_sweep():
 
 
 def test_criterion_5_optimizer_equivalence(suite):
-    """Both search engines reproduce the exhaustive optimum exactly."""
+    """Both search engines reproduce the exhaustive optimum exactly, on the
+    default catalog and on a CVSS v3 catalog, whose costs are not dyadic."""
     t0 = time.perf_counter()
+    v3_net10 = _Instance("v3-net10", generate_network(10, cvss3_catalog(), seed=2))
+    v3_net20 = _Instance("v3-net20", generate_network(20, cvss3_catalog(), seed=4))
     local = [
         ("three-chain", _Instance("three-chain", build_searchspace_k2()), 2),
         ("two-lure", _Instance("two-lure", build_h1_counterexample()), 2),
@@ -265,6 +272,9 @@ def test_criterion_5_optimizer_equivalence(suite):
         ("net10 K2", suite["net10"], 2),
         ("net10 K3", suite["net10"], 3),
         ("net20 K2", suite["net20"], 2),
+        ("v3-net10 K2", v3_net10, 2),
+        ("v3-net10 K3", v3_net10, 3),
+        ("v3-net20 K2", v3_net20, 2),
     ]
     import math
 

@@ -16,7 +16,6 @@ from decoygraph.aggraph import (
     exploit_id,
     load_graph,
     priv_id,
-    remove_assignment,
     save_graph,
     validate_graph,
 )
@@ -110,31 +109,6 @@ class TestApplyAssignments:
             apply_assignments(lure_net, [Assignment("a01", "fv-1")])
 
 
-class TestRemoveAssignment:
-    def test_remove_restores_baseline(self, lure_net, lure_graph):
-        a = Assignment("f1", "fv-1")
-        g = apply_assignments(lure_net, [a])
-        assert remove_assignment(g, a) == lure_graph
-
-    def test_remove_one_of_two(self, lure_net):
-        a1, a2 = Assignment("f1", "fv-1"), Assignment("f2", "fv-2")
-        g = apply_assignments(lure_net, [a1, a2])
-        assert remove_assignment(g, a1) == apply_assignments(lure_net, [a2])
-
-    def test_remove_unapplied_rejected(self, lure_net, lure_graph):
-        with pytest.raises(ValidationError):
-            remove_assignment(lure_graph, Assignment("f1", "fv-1"))
-
-    def test_remove_without_origin_rejected(self, lure_net, tmp_path):
-        a = Assignment("f1", "fv-1")
-        g = apply_assignments(lure_net, [a])
-        path = tmp_path / "g.json"
-        save_graph(g, path)
-        loaded = load_graph(path)
-        with pytest.raises(ValidationError):
-            remove_assignment(loaded, a)
-
-
 class TestSerialization:
     def test_round_trip(self, lure_net, tmp_path):
         g = apply_assignments(lure_net, [Assignment("f1", "fv-1")])
@@ -193,11 +167,9 @@ def test_apply_then_remove_all_is_identity(seed):
     baseline = build_attack_graph(net)
     from decoygraph.placement_random import random_budget_placement
 
-    placement, g = random_budget_placement(net, 3, seed=seed)
+    _, g = random_budget_placement(net, 3, seed=seed)
     assert validate_graph(g) == []
-    for a in sorted(placement):
-        g = remove_assignment(g, a)
-    assert g == baseline
+    assert apply_assignments(net, ()) == baseline
 
 
 def test_node_kind_values():

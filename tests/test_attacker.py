@@ -231,7 +231,8 @@ class TestBanSetOracle:
             zeroed: set[str] = set()
             for it, (_, stats) in zip(trace.iterations, rounds):
                 reference = apply_assignments(net, placement - found)
-                plan, ref_stats = plan_with_stats(reference, cost_override=dict.fromkeys(zeroed, 0.0))
+                costs = {**reference.config_cost, **dict.fromkeys(zeroed, 0.0)}
+                plan, ref_stats = plan_with_stats(reference, costs=costs)
                 assert it.plan == plan, f"seed {seed}"
                 assert stats.expanded_states == ref_stats.expanded_states, f"seed {seed}"
                 if it.discovered_fake is not None:

@@ -195,20 +195,28 @@ class TestSimulate:
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["total_cost"] == 3.0
 
-    def test_decorated_graph_is_refused(self, tmp_path, runner, chain_bundle):
-        graph = tmp_path / "g.json"
-        runner.invoke(
+    def test_decorated_graph_replays_like_its_placement(self, tmp_path, runner, chain_bundle):
+        graph, placement = tmp_path / "g.json", tmp_path / "placement.json"
+        res = runner.invoke(
             main,
             [
                 "obfuscate", "search",
                 "--network", str(chain_bundle),
-                "--budget", "1",
+                "--budget", "2",
+                "--out", str(placement),
                 "--out-graph", str(graph),
             ],
         )
-        res = runner.invoke(main, ["simulate", "--graph", str(graph)])
-        assert res.exit_code == 2
-        assert "cannot be replanned" in res.output
+        assert res.exit_code == 0, res.output
+        from_graph = runner.invoke(main, ["simulate", "--graph", str(graph)])
+        from_network = runner.invoke(
+            main,
+            ["simulate", "--network", str(chain_bundle), "--assignments", str(placement)],
+        )
+        assert from_graph.exit_code == 0, from_graph.output
+        assert from_graph.output == from_network.output
+        trace = json.loads(from_graph.output)
+        assert any(it["discovered_fake"] for it in trace["iterations"])
 
     def test_no_input_is_an_error(self, runner):
         res = runner.invoke(main, ["simulate"])

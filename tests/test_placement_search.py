@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 
 import pytest
 
-from decoygraph.aggraph import build_attack_graph
+from decoygraph.aggraph import apply_assignments
 from decoygraph.errors import ConfigurationError, ValidationError
 from decoygraph.netmodel import (
     EXTERNAL,
@@ -21,6 +22,7 @@ from decoygraph.placement_search import (
     Candidate,
     SearchNode,
     _rank_by_paths,
+    _SearchContext,
     astar,
     build_path_index,
     compute_singleton_utilities,
@@ -37,6 +39,11 @@ from helpers import small_network
 W1 = Assignment(host_id="h1", vuln_id="w1")
 W2 = Assignment(host_id="h2", vuln_id="w2")
 W3 = Assignment(host_id="h3", vuln_id="w3")
+
+
+def _planted(net):
+    """The graph of `net` with every search candidate planted."""
+    return apply_assignments(net, [c.assignment for c in enumerate_candidates(net)])
 
 
 def _result_key(res):
@@ -87,14 +94,14 @@ class TestCandidates:
         cands = enumerate_candidates(net)
         assert [c.assignment.vuln_id for c in cands] == ["w-a", "w-b"]
 
-    def test_singleton_utilities(self, chain_net, chain_graph):
-        cands = compute_singleton_utilities(chain_graph, enumerate_candidates(chain_net))
+    def test_singleton_utilities(self, chain_net):
+        cands = compute_singleton_utilities(_planted(chain_net), enumerate_candidates(chain_net))
         assert [c.singleton_utility for c in cands] == [3.5, 3.5, 3.5]
 
-    def test_rejects_graph_without_origin(self, chain_net, chain_graph):
-        orphan = dataclasses.replace(chain_graph, origin=None)
+    def test_rejects_graph_missing_a_candidate(self, chain_net, chain_graph):
+        # the baseline graph plants nothing, so every candidate would score as the baseline
         with pytest.raises(ValidationError):
-            compute_singleton_utilities(orphan, enumerate_candidates(chain_net))
+            compute_singleton_utilities(chain_graph, enumerate_candidates(chain_net))
 
 
 def _node(chosen, remaining, budget, baseline, utility=0.0):
@@ -109,8 +116,8 @@ def _node(chosen, remaining, budget, baseline, utility=0.0):
 
 
 @pytest.fixture
-def chain_candidates(chain_net, chain_graph):
-    return tuple(compute_singleton_utilities(chain_graph, enumerate_candidates(chain_net)))
+def chain_candidates(chain_net):
+    return tuple(compute_singleton_utilities(_planted(chain_net), enumerate_candidates(chain_net)))
 
 
 class TestHeuristics:
@@ -135,10 +142,10 @@ class TestHeuristics:
         with pytest.raises(ValidationError):
             h1(node)
 
-    def test_lure_root_bounds(self, lure_net, lure_graph):
+    def test_lure_root_bounds(self, lure_net):
         # the optimistic estimate undershoots the best pair here (20 < 22)
         # while the sound bound stays above it (30 >= 22)
-        cands = tuple(compute_singleton_utilities(lure_graph, enumerate_candidates(lure_net)))
+        cands = tuple(compute_singleton_utilities(_planted(lure_net), enumerate_candidates(lure_net)))
         node = _node((), cands, 2, 10.0)
         assert h1(node) == 20.0
         assert h2(node) == 30.0
@@ -168,7 +175,7 @@ class TestOrdering:
             order_candidates(node, "shortest_path")
 
     def test_hyphen_alias(self, chain_net, chain_candidates):
-        idx = build_path_index(chain_net, [c.assignment for c in chain_candidates])
+        idx = build_path_index(_planted(chain_net))
         node = _node((), chain_candidates, 2, 3.0)
         ordered = order_candidates(node, "shortest-path", index=idx)
         assert [c.assignment for c in ordered] == [W3, W2, W1]
@@ -180,8 +187,8 @@ class TestOrdering:
 
 
 class TestPathPool:
-    def test_chain_pool_contents(self, chain_net, chain_candidates):
-        idx = build_path_index(chain_net, [c.assignment for c in chain_candidates])
+    def test_chain_pool_contents(self, chain_net):
+        idx = build_path_index(_planted(chain_net))
         assert len(idx.paths) == 7
         costs = [p.cost for p in idx.paths]
         assert costs == sorted(costs)
@@ -195,17 +202,15 @@ class TestPathPool:
             for pid in ids:
                 assert a in idx.paths[pid].assignments
 
-    def test_pool_size_keeps_the_cheapest(self, chain_net, chain_candidates):
-        idx = build_path_index(chain_net, [c.assignment for c in chain_candidates], pool_size=3)
+    def test_pool_size_keeps_the_cheapest(self, chain_net):
+        idx = build_path_index(_planted(chain_net), pool_size=3)
         assert [p.cost for p in idx.paths] == [1.5, 2.0, 2.0]
 
-    def test_pool_is_deterministic(self, chain_net, chain_candidates):
-        fakes = [c.assignment for c in chain_candidates]
-        assert build_path_index(chain_net, fakes) == build_path_index(chain_net, fakes)
+    def test_pool_is_deterministic(self, chain_net):
+        assert build_path_index(_planted(chain_net)) == build_path_index(_planted(chain_net))
 
-    def test_lure_pool_is_a_single_record(self, lure_net, lure_graph):
-        cands = enumerate_candidates(lure_net)
-        idx = build_path_index(lure_net, [c.assignment for c in cands])
+    def test_lure_pool_is_a_single_record(self, lure_net):
+        idx = build_path_index(_planted(lure_net))
         assert len(idx.paths) == 1
         assert idx.paths[0].cost == 9.0
         assert {a.host_id for a in idx.paths[0].assignments} == {"f1", "f2"}
@@ -213,18 +218,18 @@ class TestPathPool:
 
 class TestRanking:
     def test_singleton_paths_rank_first_at_the_root(self, chain_net, chain_candidates):
-        idx = build_path_index(chain_net, [c.assignment for c in chain_candidates])
+        idx = build_path_index(_planted(chain_net))
         ranked = _rank_by_paths(idx, chain_candidates, frozenset(), 2)
         # each lure closes a one-assignment path; ties break on cost then id
         assert [c.assignment for c in ranked] == [W3, W2, W1]
 
     def test_partial_choice_prefers_path_completion(self, chain_net, chain_candidates):
-        idx = build_path_index(chain_net, [c.assignment for c in chain_candidates])
+        idx = build_path_index(_planted(chain_net))
         ranked = _rank_by_paths(idx, chain_candidates[1:], frozenset({W1}), 2)
         assert [c.assignment for c in ranked] == [W3, W2]
 
     def test_off_pool_candidates_fall_back_to_utility(self, chain_net, chain_candidates):
-        idx = build_path_index(chain_net, [c.assignment for c in chain_candidates], pool_size=1)
+        idx = build_path_index(_planted(chain_net), pool_size=1)
         # only the all-three path survives; no candidate fits one open slot
         ranked = _rank_by_paths(idx, chain_candidates[1:], frozenset({W1}), 2)
         assert [c.assignment for c in ranked] == [W2, W3]
@@ -373,10 +378,34 @@ class TestEngines:
         assert warm2.best_utility == lone.best_utility
         assert warm2.best_assignments == lone.best_assignments
 
-    def test_prebuilt_path_index_is_honored(self, chain_net, chain_candidates):
-        idx = build_path_index(chain_net, [c.assignment for c in chain_candidates])
+    def test_prebuilt_path_index_is_honored(self, chain_net):
+        idx = build_path_index(_planted(chain_net))
         res = dfbnb(chain_net, budget=2, ordering="shortest_path", path_index=idx)
         assert res.best_utility == 4.0
+
+    def test_unreachable_candidates_are_dropped(self, chain_net):
+        # h4 has no inbound reachability, so fakes planted there are never tripped
+        isolated = Host(host_id="h4", os="os-h1", layer=Layer.INTERNAL)
+        net = dataclasses.replace(
+            chain_net,
+            hosts={**chain_net.hosts, "h4": isolated},
+            reachability=chain_net.reachability | {("h4", "h3")},
+        )
+        assert {c.assignment.host_id for c in enumerate_candidates(net)} == {"h1", "h2", "h3", "h4"}
+        for engine in (dfbnb, astar, exhaustive_best):
+            assert _result_key(engine(net, budget=2)) == _result_key(engine(chain_net, budget=2))
+
+    def test_search_context_needs_no_cycle_collection(self, chain_net):
+        # a reorder closure over the context would keep it, and its planted
+        # graph, alive until the cyclic collector runs
+        gc.collect()
+        gc.disable()
+        try:
+            astar(chain_net, budget=2, ordering="shortest_path")
+            leaked = sum(isinstance(o, _SearchContext) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert leaked == 0
 
     def test_matches_exhaustive_on_random_networks(self):
         for seed in (2, 5, 9, 14):

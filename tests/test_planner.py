@@ -17,7 +17,7 @@ from decoygraph.planner import (
     plan_violations,
     plan_with_stats,
 )
-from helpers import random_attack_graph
+from helpers import CVSS3_PALETTE, random_attack_graph
 
 from decoygraph.aggraph import build_attack_graph
 
@@ -102,11 +102,11 @@ class TestCostOverride:
     def test_zeroed_configs_change_the_optimum(self, diamond):
         base = optimal_plan(diamond)
         assert base.cost == 0.75
-        cheap = optimal_plan(diamond, cost_override={"cf0": 0.0})
+        cheap = optimal_plan(diamond, costs={**diamond.config_cost, "cf0": 0.0})
         assert cheap.cost == 0.25
 
     def test_override_does_not_mutate_graph(self, diamond):
-        optimal_plan(diamond, cost_override={"cf0": 0.0})
+        optimal_plan(diamond, costs={**diamond.config_cost, "cf0": 0.0})
         assert diamond.config_cost["cf0"] == 0.5
 
     def test_banned_configs_divert_or_block(self, diamond):
@@ -157,6 +157,12 @@ class TestOracleAgreement:
             assert plan_violations(g, fast) == []
             assert plan_violations(g, slow) == []
         assert solvable > 80
+
+    def test_equal_cost_multisets_sum_to_the_same_float(self):
+        # The two plans use different configs of equal costs {0.5, 0.9, 0.9}/3.9;
+        # summed in config-id order they round 1 ulp apart.
+        g = random_attack_graph(random.Random(983), palette=CVSS3_PALETTE)
+        assert optimal_plan(g).cost == brute_force_plan(g).cost
 
     def test_matches_brute_force_on_generated_networks(self):
         checked = 0
