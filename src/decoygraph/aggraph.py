@@ -62,6 +62,25 @@ def config_owner(node_id: str) -> tuple[str, str]:
 
 
 @dataclass(frozen=True)
+class IndexedView:
+    """A unit-rule graph's privileges and exploits as integers.
+
+    Both are numbered in sorted id order, so comparing two indices compares
+    their ids. Configs keep their ids: cost tables and ban sets are keyed by them.
+    """
+
+    privileges: tuple[str, ...]
+    exploits: tuple[str, ...]
+    source: int
+    goal: int
+    # per privilege: (exploit, config, granted privileges) of each exploit requiring it, by exploit
+    consumers: tuple[tuple[tuple[int, str, tuple[int, ...]], ...], ...]
+    # per exploit: its one required privilege and its one config
+    required: tuple[int, ...]
+    config: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class AttackGraph:
     privilege_nodes: frozenset[str]
     exploit_nodes: frozenset[str]
@@ -95,22 +114,55 @@ class AttackGraph:
         return {e: tuple(sorted(v)) for e, v in out.items()}
 
     @cached_property
+    def indexed(self) -> IndexedView | None:
+        """Integer-indexed view for the Dijkstra planner; None unless the graph is unit-rule.
+
+        Unit-rule means every exploit requires exactly one privilege and one
+        config. Built in one pass over the edges, without `requirements` or
+        `grants`.
+        """
+        privileges = tuple(sorted(self.privilege_nodes))
+        exploits = tuple(sorted(self.exploit_nodes))
+        p_index = {p: i for i, p in enumerate(privileges)}
+        e_index = {e: i for i, e in enumerate(exploits)}
+        if self.source not in p_index or self.goal not in p_index:
+            return None
+        required: list[int | None] = [None] * len(exploits)
+        config: list[str | None] = [None] * len(exploits)
+        grants: list[list[int]] = [[] for _ in exploits]
+        for a, b in self.edges:
+            e = e_index.get(a)
+            if e is None:
+                e = e_index.get(b)
+                if e is not None and a in p_index:
+                    grants[e].append(p_index[a])
+            elif b in p_index:
+                if required[e] is not None:
+                    return None
+                required[e] = p_index[b]
+            else:
+                if config[e] is not None:
+                    return None
+                config[e] = b
+        if None in required or None in config:
+            return None
+        consumers: list[list[tuple[int, str, tuple[int, ...]]]] = [[] for _ in privileges]
+        for e, p in enumerate(required):
+            consumers[p].append((e, config[e], tuple(sorted(grants[e]))))
+        return IndexedView(
+            privileges=privileges,
+            exploits=exploits,
+            source=p_index[self.source],
+            goal=p_index[self.goal],
+            consumers=tuple(tuple(c) for c in consumers),
+            required=tuple(required),
+            config=tuple(config),
+        )
+
+    @property
     def unit_rule(self) -> bool:
         """Whether every exploit requires exactly one privilege and one config."""
-        return all(len(privs) == 1 and len(confs) == 1 for privs, confs in self.requirements.values())
-
-    @cached_property
-    def consumers(self) -> dict[str, tuple[tuple[str, str, tuple[str, ...]], ...]]:
-        """privilege -> (exploit, config, grants) of each exploit requiring it, by exploit id.
-
-        Defined on unit-rule graphs only, where the one privilege and the one
-        config requirement name the exploit's in-edge and its weight.
-        """
-        out: dict[str, list[tuple[str, str, tuple[str, ...]]]] = {}
-        for e in sorted(self.exploit_nodes):
-            (priv,), (config,) = self.requirements[e]
-            out.setdefault(priv, []).append((e, config, self.grants[e]))
-        return {p: tuple(v) for p, v in out.items()}
+        return self.indexed is not None
 
     @property
     def nodes(self) -> frozenset[str]:

@@ -32,6 +32,7 @@ from .netmodel import (
 )
 from .placement_random import random_budget_placement, random_placement
 from .placement_search import (
+    PathIndex,
     SearchResult,
     astar,
     build_path_index,
@@ -407,20 +408,20 @@ def _approach_label(approach: dict) -> str:
 
 
 class _NetworkContext:
-    """Per-network utility memo and path index shared by every cell of a sweep."""
+    """Per-network utility memo and path indexes (by pool size) shared by every cell of a sweep."""
 
     def __init__(self, network_id: str, network: NetworkModel):
         self.network_id = network_id
         self.network = network
         self.utility_cache: dict = {}
-        self.path_index = None
+        self.path_indexes: dict[int, PathIndex] = {}
 
-    def index(self, pool_size: int):
-        if self.path_index is None:
+    def index(self, pool_size: int) -> PathIndex:
+        if pool_size not in self.path_indexes:
             candidates = enumerate_candidates(self.network)
             full = apply_assignments(self.network, [c.assignment for c in candidates])
-            self.path_index = build_path_index(full, pool_size=pool_size)
-        return self.path_index
+            self.path_indexes[pool_size] = build_path_index(full, pool_size=pool_size)
+        return self.path_indexes[pool_size]
 
 
 def _sweep_cell(

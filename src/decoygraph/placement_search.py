@@ -166,8 +166,7 @@ def _top_utility_sum(candidates: tuple[Candidate, ...], slots: int) -> float:
         if c.singleton_utility is None:
             raise ValidationError("candidate is missing its singleton utility")
         utilities.append(c.singleton_utility)
-    utilities.sort(reverse=True)
-    return sum(utilities[:slots])
+    return sum(heapq.nlargest(slots, utilities))
 
 
 def h1(node: SearchNode) -> float:
@@ -322,15 +321,11 @@ def _make_node(
     baseline_cost: float,
     heuristic_fn: Callable[[SearchNode], float],
 ) -> SearchNode:
-    node = SearchNode(
-        chosen=chosen,
-        remaining=remaining,
-        utility=utility,
-        heuristic=0.0,
-        budget=budget,
-        baseline_cost=baseline_cost,
-    )
-    return replace(node, heuristic=heuristic_fn(node))
+    node = SearchNode(chosen, remaining, utility, 0.0, budget, baseline_cost)
+    # The heuristic reads the node's other fields only, so it is filled in
+    # place instead of building the node a second time.
+    object.__setattr__(node, "heuristic", heuristic_fn(node))
+    return node
 
 
 def expand(
@@ -439,17 +434,10 @@ class _SearchContext:
 
     def root(self) -> SearchNode:
         root_value = self.evaluate(frozenset())
-        prov = SearchNode(
-            chosen=(),
-            remaining=tuple(sorted(self.candidates, key=lambda c: c.assignment)),
-            utility=root_value,
-            heuristic=0.0,
-            budget=self.budget,
-            baseline_cost=self.baseline_cost,
-        )
+        remaining = tuple(sorted(self.candidates, key=lambda c: c.assignment))
+        prov = SearchNode((), remaining, root_value, 0.0, self.budget, self.baseline_cost)
         ordered = order_candidates(prov, self.ordering, index=self.index, seed=self.seed)
-        node = replace(prov, remaining=ordered)
-        return replace(node, heuristic=self.heuristic_fn(node))
+        return _make_node((), ordered, root_value, self.budget, self.baseline_cost, self.heuristic_fn)
 
     def result(self, expanded: int, generated: int, t0: float) -> SearchResult:
         return SearchResult(

@@ -14,6 +14,26 @@ shared configs across required branches) go through admissible best-first
 search over achieved-fact sets. A brute-force subset enumerator serves as the
 oracle for both.
 
+Dijkstra runs on the graph's cached integer view (`AttackGraph.indexed`):
+privileges and exploits numbered in sorted id order, so heap ties between
+equal distances still break by privilege id, and per privilege the
+(exploit, config, granted privileges) of each exploit requiring it. Configs
+stay named, since the cost table and the ban set are keyed by name. The plan
+is read off the predecessor chain from the goal back to the source, and the
+chain in order is the execution order: each chain exploit's required
+privilege first appears in the grants of the exploit before it. It appears
+there because that exploit is its predecessor. It appears no earlier: an
+earlier chain exploit granting it was relaxed first, since chain privileges
+settle in chain order, and offered it a distance no larger than the
+predecessor's, since settled distances never decrease and costs are not
+negative. A predecessor is only replaced by a strictly smaller distance, so
+the recorded one would then be that earlier exploit. (The first chain exploit
+requires the source, held from the start.) So earliest-enabled-first
+execution, the order `_exec_waves` gives the other engines' plans, enables
+exactly one chain exploit at a time, in chain order. The plan's nodes are the
+chain's exploits, their configs, their required privileges and the goal; its
+cost is the `math.fsum` of those configs, each counted once.
+
 Plan cost is the correctly rounded sum (`math.fsum`) of its config costs, so
 the same cost multiset yields the same float no matter which engine found it
 or in which order its configs are listed.
@@ -125,7 +145,7 @@ def derivable(graph: AttackGraph, usable_configs: Iterable[str] | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# Shared plan assembly
+# Plan assembly for best-first search and brute force
 # ---------------------------------------------------------------------------
 
 
@@ -202,40 +222,54 @@ def _dijkstra_plan(
     costs: Mapping[str, float],
     banned: frozenset[str],
 ) -> tuple[AttackPlan, int]:
-    consumers = graph.consumers
-    dist: dict[str, float] = {graph.source: 0.0}
-    pred: dict[str, str] = {}  # privilege -> exploit that reaches it on the best chain
-    done: set[str] = set()
-    heap: list[tuple[float, str]] = [(0.0, graph.source)]
+    view = graph.indexed
+    consumers, source, goal = view.consumers, view.source, view.goal
+    n = len(view.privileges)
+    dist = [_INF] * n
+    dist[source] = 0.0
+    pred = [-1] * n  # privilege -> exploit that reaches it on the best chain
+    done = [False] * n
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    pop, push = heapq.heappop, heapq.heappush
     expanded = 0
     while heap:
-        d, p = heapq.heappop(heap)
-        if p in done or d > dist.get(p, _INF):
+        d, p = pop(heap)
+        if done[p] or d > dist[p]:
             continue
-        done.add(p)
+        done[p] = True
         expanded += 1
-        if p == graph.goal:
+        if p == goal:
             break
-        for e, config, grants in consumers.get(p, ()):
+        for e, config, grants in consumers[p]:
             if config in banned:
                 continue
             nd = d + costs[config]
             for q in grants:
-                if nd < dist.get(q, _INF):
+                if nd < dist[q]:
                     dist[q] = nd
                     pred[q] = e
-                    heapq.heappush(heap, (nd, q))
-    if graph.goal not in done:
+                    push(heap, (nd, q))
+    if not done[goal]:
         raise Unreachable(f"goal {graph.goal} is not derivable")
-    if graph.goal == graph.source:
-        return _empty_plan(graph), expanded
-    supporter: dict[str, str] = {}
-    p = graph.goal
-    while p != graph.source:
+    chain: list[int] = []
+    p = goal
+    while p != source:
         e = pred[p]
-        supporter[p] = e
-        p = graph.requirements[e][0][0]
-    return _assemble_plan(graph, supporter, costs), expanded
+        chain.append(e)
+        p = view.required[e]
+    chain.reverse()
+    # chain order is execution order; the argument is in the module docstring
+    exec_order = tuple(view.exploits[e] for e in chain)
+    configs = {view.config[e] for e in chain}
+    privs = {view.privileges[view.required[e]] for e in chain}
+    privs.add(graph.goal)
+    plan = AttackPlan(
+        node_set=frozenset(exec_order) | configs | privs,
+        exec_order=exec_order,
+        cost=math.fsum(costs[c] for c in configs),
+        endpoints=(graph.source, graph.goal),
+    )
+    return plan, expanded
 
 
 # ---------------------------------------------------------------------------

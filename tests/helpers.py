@@ -3,7 +3,9 @@
 The random attack-graph builder produces general AND/OR structure directly
 (multi-requirement exploits, shared configs, zero costs, occasional cycles),
 independent of the network-model rules, so the planner is exercised beyond
-the shapes the generator emits. Costs come from a dyadic palette, so equal
+the shapes the generator emits. `random_unit_rule_graph` keeps the generator's
+one-privilege, one-config exploit shape, which the Dijkstra engine handles,
+and varies everything else. Costs come from a dyadic palette, so equal
 plan costs compare exactly as floats, or from a CVSS v3 palette (subscore /
 3.9), whose sums round differently in different orders.
 """
@@ -76,6 +78,47 @@ def random_attack_graph(
         edges=frozenset(edges),
         goal=goal,
         source=source,
+        config_cost={c: rng.choice(palette) for c in configs},
+        fake_flag={c: False for c in configs},
+        provenance={},
+    )
+
+
+def random_unit_rule_graph(
+    rng: random.Random,
+    max_privs: int = 9,
+    max_exploits: int = 20,
+    max_configs: int = 10,
+    palette: list[float] = COST_PALETTE,
+) -> AttackGraph:
+    """Build a random graph whose exploits each require one privilege and one config.
+
+    Most exploits lead one or two privileges further along pv0 .. pvN, so
+    plans are chains of several exploits; the rest grant a random privilege,
+    which makes cycles. Configs are shared between exploits, about one
+    exploit in five grants two privileges, and the goal need not be reachable.
+    """
+    n_p = rng.randint(2, max_privs)
+    n_e = rng.randint(n_p - 1, max_exploits)
+    n_c = rng.randint(1, max_configs)
+    privs = [f"pv{i}" for i in range(n_p)]
+    configs = [f"cf{i}" for i in range(n_c)]
+    exploits = [f"ex{i}" for i in range(n_e)]
+    edges: set[tuple[str, str]] = set()
+    for ex in exploits:
+        i = rng.randrange(n_p - 1)
+        edges.add((ex, privs[i]))
+        edges.add((ex, rng.choice(configs)))
+        for _ in range(2 if rng.random() < 0.2 else 1):
+            j = min(i + rng.randint(1, 2), n_p - 1) if rng.random() < 0.8 else rng.randrange(1, n_p)
+            edges.add((privs[j], ex))
+    return AttackGraph(
+        privilege_nodes=frozenset(privs),
+        exploit_nodes=frozenset(exploits),
+        config_nodes=frozenset(configs),
+        edges=frozenset(edges),
+        goal=privs[-1],
+        source=privs[0],
         config_cost={c: rng.choice(palette) for c in configs},
         fake_flag={c: False for c in configs},
         provenance={},

@@ -7,7 +7,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from decoygraph.cli import _network_bundle, main
+from decoygraph.aggraph import apply_assignments
+from decoygraph.cli import _network_bundle, _NetworkContext, main
 from decoygraph.netmodel import (
     EXTERNAL,
     CvssVersion,
@@ -16,7 +17,10 @@ from decoygraph.netmodel import (
     Layer,
     NetworkModel,
     VulnerabilityRecord,
+    default_catalog,
+    generate_network,
 )
+from decoygraph.placement_search import build_path_index, enumerate_candidates
 
 
 @pytest.fixture
@@ -392,3 +396,10 @@ class TestSweep:
         assert rows[0]["error"].startswith("ConfigurationError")
         summary = json.loads((tmp_path / "r.summary.json").read_text())
         assert summary["cells"][0]["errors"] == 1
+
+    def test_path_index_is_kept_per_pool_size(self):
+        network = generate_network(12, default_catalog(), seed=7)
+        full = apply_assignments(network, [c.assignment for c in enumerate_candidates(network)])
+        ctx = _NetworkContext("n12", network)
+        assert len(ctx.index(1).paths) == 1
+        assert len(ctx.index(100).paths) == len(build_path_index(full, 100).paths) == 17

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from decoygraph.aggraph import AttackGraph
+from decoygraph.aggraph import AttackGraph, apply_assignments
 from decoygraph.errors import ConfigurationError, Unreachable
 from decoygraph.netmodel import default_catalog, generate_network
 from decoygraph.planner import (
@@ -17,7 +19,14 @@ from decoygraph.planner import (
     plan_violations,
     plan_with_stats,
 )
-from helpers import CVSS3_PALETTE, random_attack_graph
+from decoygraph.placement_search import enumerate_candidates
+from helpers import (
+    COST_PALETTE,
+    CVSS3_PALETTE,
+    cvss3_catalog,
+    random_attack_graph,
+    random_unit_rule_graph,
+)
 
 from decoygraph.aggraph import build_attack_graph
 
@@ -228,3 +237,58 @@ def test_unit_rule_graphs_use_exact_chain_search(chain_graph):
     # network-built graphs satisfy the one-privilege one-config shape, so
     # costs must match the subset oracle exactly
     assert optimal_cost(chain_graph) == brute_force_plan(chain_graph).cost == 3.0
+
+
+def _outputs_digest(calls) -> str:
+    """SHA-256 over each call's plan and expanded-state count, or its Unreachable message."""
+    digest = hashlib.sha256()
+    for graph, costs, banned in calls:
+        try:
+            plan, stats = plan_with_stats(graph, costs=costs, banned_configs=banned)
+            line = json.dumps([plan.to_dict(), stats.expanded_states])
+        except Unreachable as exc:
+            line = f"Unreachable: {exc}"
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def _perturbed(rng: random.Random, graph: AttackGraph, configs: list[str]):
+    """A random ban set drawn from `configs` and a cost table with random configs zeroed."""
+    banned = frozenset(c for c in configs if rng.random() < 0.2)
+    costs = {c: 0.0 if rng.random() < 0.3 else v for c, v in sorted(graph.config_cost.items())}
+    return costs, banned
+
+
+class TestPinnedOutputs:
+    """Exact planner outputs, pinned to digests recorded before the integer-indexed Dijkstra.
+
+    Cost equality with brute force does not fix which of several optimal
+    plans comes back, in which execution order, after how many expansions.
+    These digests do, so a rewrite of an engine must reproduce them bit for bit.
+    """
+
+    def test_random_unit_rule_graphs(self):
+        calls = []
+        for seed in range(1500):
+            rng = random.Random(seed)
+            g = random_unit_rule_graph(rng, palette=CVSS3_PALETTE if seed % 2 else COST_PALETTE)
+            assert g.unit_rule
+            configs = sorted(g.config_nodes)
+            calls.append((g, None, ()))
+            for _ in range(3):
+                calls.append((g, *_perturbed(rng, g, configs)))
+        assert _outputs_digest(calls) == "2920888a21402b6fae5590a9760afd8a67aec78a1c17e2538293fd72ad034221"
+
+    def test_planted_generated_networks(self):
+        calls = []
+        dyadic, cvss3 = default_catalog(), cvss3_catalog()
+        for hosts, seed, catalog in ((8, 1, dyadic), (12, 7, dyadic), (20, 11, dyadic), (30, 3, dyadic), (10, 2, cvss3)):
+            net = generate_network(hosts, catalog, seed=seed)
+            g = apply_assignments(net, [c.assignment for c in enumerate_candidates(net)])
+            assert g.unit_rule
+            fakes = sorted(g.fake_configs())
+            rng = random.Random(seed)
+            calls.append((g, None, ()))
+            for _ in range(60):
+                calls.append((g, *_perturbed(rng, g, fakes)))
+        assert _outputs_digest(calls) == "ffe181051e7b161d51c3eb08ff4690fdb5f5f1ce92eecbabf0e834a125940244"
