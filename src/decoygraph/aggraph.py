@@ -168,18 +168,8 @@ class AttackGraph:
     def nodes(self) -> frozenset[str]:
         return self.privilege_nodes | self.exploit_nodes | self.config_nodes
 
-    def real_configs(self) -> frozenset[str]:
-        return frozenset(c for c in self.config_nodes if not self.fake_flag.get(c, False))
-
     def fake_configs(self) -> frozenset[str]:
         return frozenset(c for c in self.config_nodes if self.fake_flag.get(c, False))
-
-    def assignment_nodes(self) -> dict[Assignment, frozenset[str]]:
-        """Provenance grouped per assignment (the disjoint partition view)."""
-        grouped: dict[Assignment, set[str]] = {}
-        for node, assignment in self.provenance.items():
-            grouped.setdefault(assignment, set()).add(node)
-        return {a: frozenset(nodes) for a, nodes in grouped.items()}
 
     # -- serialization --------------------------------------------------------
 

@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import click
@@ -31,15 +32,7 @@ from .netmodel import (
     load_catalog,
 )
 from .placement_random import random_budget_placement, random_placement
-from .placement_search import (
-    PathIndex,
-    SearchResult,
-    astar,
-    build_path_index,
-    dfbnb,
-    enumerate_candidates,
-    exhaustive_best,
-)
+from .placement_search import PlacementProblem, SearchResult, astar, dfbnb, exhaustive_best
 
 _CSV_COLUMNS = [
     "network_id",
@@ -407,36 +400,22 @@ def _approach_label(approach: dict) -> str:
     return name
 
 
-class _NetworkContext:
-    """Per-network utility memo and path indexes (by pool size) shared by every cell of a sweep."""
-
-    def __init__(self, network_id: str, network: NetworkModel):
-        self.network_id = network_id
-        self.network = network
-        self.utility_cache: dict = {}
-        self.path_indexes: dict[int, PathIndex] = {}
-
-    def index(self, pool_size: int) -> PathIndex:
-        if pool_size not in self.path_indexes:
-            candidates = enumerate_candidates(self.network)
-            full = apply_assignments(self.network, [c.assignment for c in candidates])
-            self.path_indexes[pool_size] = build_path_index(full, pool_size=pool_size)
-        return self.path_indexes[pool_size]
-
-
 def _sweep_cell(
-    ctx: _NetworkContext,
+    network_id: str,
+    network: NetworkModel,
+    problem: Callable[[], PlacementProblem],
     approach: dict,
     budget: int,
     trial: int,
     seed: int,
     timings: bool,
 ) -> dict:
+    """One sweep row; `problem()` returns the network's shared PlacementProblem."""
     name = approach.get("name", "")
     row = {
         **dict.fromkeys(_CSV_COLUMNS, ""),
-        "network_id": ctx.network_id,
-        "n_hosts": ctx.network.n_hosts,
+        "network_id": network_id,
+        "n_hosts": network.n_hosts,
         "approach": _approach_label(approach),
         "budget": budget,
         "seed": seed,
@@ -445,37 +424,35 @@ def _sweep_cell(
     try:
         result = None
         if name == "random":
-            assignments, _ = random_budget_placement(ctx.network, budget, seed)
+            assignments, _ = random_budget_placement(network, budget, seed)
         elif name == "random-hosts":
-            assignments, _ = random_placement(ctx.network, approach["fraction"], seed)
+            if "fraction" not in approach:
+                raise ConfigurationError("approach random-hosts needs a fraction")
+            assignments, _ = random_placement(network, approach["fraction"], seed)
         elif name == "search":
             algorithm = approach.get("algorithm", "dfbnb")
             if algorithm == "exhaustive":
                 result = exhaustive_best(
-                    ctx.network,
+                    network,
                     budget=budget,
                     max_subsets=approach.get("max_subsets", 10_000),
-                    utility_cache=ctx.utility_cache,
+                    problem=problem(),
                 )
             else:
                 engine = dfbnb if algorithm == "dfbnb" else astar
-                ordering = approach.get("ordering", "utility")
-                pool_size = approach.get("pool_size", 100)
-                index = ctx.index(pool_size) if ordering in ("shortest_path", "shortest-path") else None
                 result = engine(
-                    ctx.network,
+                    network,
                     budget=budget,
-                    ordering=ordering,
+                    ordering=approach.get("ordering", "utility"),
                     heuristic=approach.get("heuristic", "h2"),
                     seed=seed,
-                    pool_size=pool_size,
-                    utility_cache=ctx.utility_cache,
-                    path_index=index,
+                    pool_size=approach.get("pool_size", 100),
+                    problem=problem(),
                 )
             assignments = result.best_assignments
         else:
             raise ConfigurationError(f"unknown approach {name!r}")
-        report = evaluate_placement(ctx.network, assignments, seed=seed)
+        report = evaluate_placement(network, assignments, seed=seed)
         row.update(
             {
                 "n_assignments": report.n_assignments,
@@ -541,7 +518,8 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
 
     The spec JSON carries: networks (generator specs {hosts, seed} or file
     refs {path}), optional catalog path, budgets, approaches, trials, and
-    base_seed; trial seeds are base_seed + trial index.
+    base_seed; trial seeds are base_seed + trial index. Every search cell on
+    a network shares one PlacementProblem, built when the first one needs it.
     """
     spec = json.loads(Path(spec_path).read_text())
     catalog_path = spec.get("catalog")
@@ -554,6 +532,8 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
         if "path" in net_spec:
             network = _load_network_file(net_spec["path"], catalog_path)
             network_id = net_spec.get("id", Path(net_spec["path"]).stem)
+        elif "hosts" not in net_spec:
+            raise ConfigurationError(f"network spec {net_spec!r} needs a path or hosts")
         else:
             catalog = _catalog_from_option(catalog_path)
             network = generate_network(
@@ -563,12 +543,14 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
                 dead_hosts=int(net_spec.get("dead_hosts", 0)),
             )
             network_id = net_spec.get("id", f"gen-{net_spec['hosts']}-{net_spec.get('seed', 0)}")
-        ctx = _NetworkContext(network_id, network)
+        problem = functools.cache(functools.partial(PlacementProblem, network))
         for approach in approaches:
             for budget in budgets:
                 for trial in range(trials):
                     seed = base_seed + trial
-                    rows.append(_sweep_cell(ctx, approach, int(budget), trial, seed, timings))
+                    rows.append(
+                        _sweep_cell(network_id, network, problem, approach, int(budget), trial, seed, timings)
+                    )
     Path(out).write_text(_rows_to_csv(rows))
     summary_file = summary_path or str(Path(out).with_suffix(".summary.json"))
     Path(summary_file).write_text(_dumps(_summarize(rows)))

@@ -209,25 +209,6 @@ class NetworkModel:
     def sorted_hosts(self) -> list[Host]:
         return [self.hosts[h] for h in sorted(self.hosts)]
 
-    def with_records(self, records: Iterable[VulnerabilityRecord]) -> "NetworkModel":
-        """Return a copy whose catalog also contains `records`.
-
-        Re-registering an id with a conflicting record is an error.
-        """
-        merged = dict(self.catalog)
-        for record in records:
-            existing = merged.get(record.vuln_id)
-            if existing is not None and existing != record:
-                raise ValidationError(f"conflicting records for {record.vuln_id}")
-            merged[record.vuln_id] = record
-        return NetworkModel(
-            hosts=self.hosts,
-            reachability=self.reachability,
-            attacker_entry=self.attacker_entry,
-            goal=self.goal,
-            catalog=merged,
-        )
-
     def with_assignments(self, assignments: Iterable[Assignment]) -> "NetworkModel":
         """Return a copy with each assignment's vulnerability added to its host."""
         ordered = sorted(set(assignments))

@@ -6,7 +6,8 @@ or drops it. A node's value is the simulated attacker's total cost against
 the chosen set, and two upper-bound heuristics estimate how much the open
 candidates could still add. Engines: depth-first branch and bound, best-first
 (A*-style) search, and brute-force subset enumeration as the ground truth on
-small instances.
+small instances. Each engine compiles the network into a PlacementProblem,
+or takes one via `problem=` so that searches on one network share it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable
 from .aggraph import AttackGraph, apply_assignments, config_id
 from .attacker import simulate_attack
 from .errors import ConfigurationError, Unreachable, ValidationError
-from .netmodel import Assignment, Catalog, NetworkModel, compatible_vulns, normalize_cost
+from .netmodel import Assignment, NetworkModel, compatible_vulns, normalize_cost
 from .planner import optimal_plan
 
 ORDERINGS = ("utility", "shortest_path", "random")
@@ -39,7 +40,6 @@ _POOL_CALL_FACTOR = 40
 @dataclass(frozen=True)
 class Candidate:
     assignment: Assignment
-    equivalence_key: tuple
     singleton_utility: float | None = None
 
 
@@ -93,21 +93,20 @@ class PathRecord:
 
 @dataclass(frozen=True)
 class PathIndex:
-    """Pool of cheap fake-using paths with lookups by assignment and by host."""
+    """Pool of cheap fake-using paths with a lookup by assignment."""
 
     paths: tuple[PathRecord, ...]
     by_assignment: dict[Assignment, tuple[int, ...]]
-    by_host: dict[str, tuple[int, ...]]
 
 
-def enumerate_candidates(network: NetworkModel, catalog: Catalog | None = None) -> list[Candidate]:
+def enumerate_candidates(network: NetworkModel) -> list[Candidate]:
     """List plantable (host, vulnerability) pairs, one per equivalence class.
 
     Two candidates on the same host with the same config cost produce
     interchangeable graph structure, so only the one with the smallest
     vulnerability id is kept. Order is deterministic: by host, then vuln id.
     """
-    catalog = network.catalog if catalog is None else catalog
+    catalog = network.catalog
     seen: set[tuple] = set()
     out: list[Candidate] = []
     for host_id in sorted(network.hosts):
@@ -117,7 +116,7 @@ def enumerate_candidates(network: NetworkModel, catalog: Catalog | None = None) 
             if key in seen:
                 continue
             seen.add(key)
-            out.append(Candidate(assignment=Assignment(host_id=host_id, vuln_id=vuln_id), equivalence_key=key))
+            out.append(Candidate(assignment=Assignment(host_id=host_id, vuln_id=vuln_id)))
     return out
 
 
@@ -299,17 +298,12 @@ def build_path_index(full: AttackGraph, pool_size: int = 100) -> PathIndex:
             push(banned | {c})
 
     by_assignment: dict[Assignment, list[int]] = {}
-    by_host: dict[str, list[int]] = {}
     for rec in records:
         for a in sorted(rec.assignments):
             by_assignment.setdefault(a, []).append(rec.path_id)
-            ids = by_host.setdefault(a.host_id, [])
-            if not ids or ids[-1] != rec.path_id:
-                ids.append(rec.path_id)
     return PathIndex(
         paths=tuple(records),
         by_assignment={a: tuple(ids) for a, ids in sorted(by_assignment.items())},
-        by_host={h: tuple(ids) for h, ids in sorted(by_host.items())},
     )
 
 
@@ -357,30 +351,59 @@ def expand(
     return left, right
 
 
-class _SearchContext:
-    """Shared setup for one placement search on one network.
+class PlacementProblem:
+    """The placement problem of one network, compiled once and shared.
 
-    Holds the candidate list with singleton utilities, the incumbent, the
-    utility memo, and one attack graph of the merged network with every
-    candidate planted. A subset is evaluated on that graph by banning the
+    Holds one attack graph of the network with every candidate planted, its
+    fake configs, the undefended attack cost, and the candidates with their
+    singleton utilities. A subset is evaluated on that graph by banning the
     fake configs of the candidates outside it. Candidates the attacker can
     never reach leave no fake config in that graph; they cannot change any
-    subset's value, so they are dropped. The utility memo may be passed in
-    to share work across searches on the same network; never share it
-    across networks.
+    subset's value, so they are dropped. Subset values and path indexes (by
+    pool size) are memoized, so every search on the network can share one
+    problem; a search refuses a problem compiled from another network.
     """
+
+    def __init__(self, network: NetworkModel):
+        self.network = network
+        candidates = enumerate_candidates(network)
+        self.graph = apply_assignments(network, [c.assignment for c in candidates])
+        self.fake_configs = self.graph.fake_configs()
+        self.baseline_cost = optimal_plan(self.graph, banned_configs=self.fake_configs).cost
+        self._values: dict[frozenset[Assignment], float] = {}
+        self._indexes: dict[int, PathIndex] = {}
+        candidates = [c for c in candidates if _fake_config(c.assignment) in self.fake_configs]
+        self.candidates = tuple(compute_singleton_utilities(self.graph, candidates, utility_cache=self._values))
+
+    def value(self, assignments: frozenset[Assignment]) -> float:
+        """The attacker's total cost against exactly `assignments` planted."""
+        value = self._values.get(assignments)
+        if value is None:
+            banned = _unplanted(self.fake_configs, assignments)
+            value = simulate_attack(self.graph, banned_configs=banned).total_cost
+            self._values[assignments] = value
+        return value
+
+    def path_index(self, pool_size: int) -> PathIndex:
+        """The pool of up to `pool_size` cheap fake-using paths, built once per size."""
+        index = self._indexes.get(pool_size)
+        if index is None:
+            index = self._indexes[pool_size] = build_path_index(self.graph, pool_size=pool_size)
+        return index
+
+
+class _SearchContext:
+    """Per-search state on a shared PlacementProblem: settings and incumbent."""
 
     def __init__(
         self,
         network: NetworkModel,
-        catalog: Catalog | None,
         budget: int,
         ordering: str,
         heuristic: str,
         seed: int,
         pool_size: int,
-        utility_cache: dict | None,
-        path_index: PathIndex | None,
+        problem: PlacementProblem | None,
     ):
         if budget < 0:
             raise ConfigurationError(f"budget must be non-negative, got {budget}")
@@ -389,42 +412,31 @@ class _SearchContext:
             raise ConfigurationError(f"unknown ordering {ordering!r}; expected one of {ORDERINGS}")
         if heuristic not in HEURISTICS:
             raise ConfigurationError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
-        if catalog:
-            network = network.with_records(catalog.values())
+        if problem is None:
+            problem = PlacementProblem(network)
+        elif problem.network is not network:
+            raise ConfigurationError("the placement problem was compiled from another network")
+        self.problem = problem
         self.ordering = ordering
         self.heuristic_fn = h1 if heuristic == "h1" else h2
         self.seed = seed
-        self.utility_cache: dict = {} if utility_cache is None else utility_cache
-        candidates = enumerate_candidates(network)
-        self.graph = apply_assignments(network, [c.assignment for c in candidates])
-        self.fake_configs = self.graph.fake_configs()
-        self.baseline_cost = optimal_plan(self.graph, banned_configs=self.fake_configs).cost
-        candidates = [c for c in candidates if _fake_config(c.assignment) in self.fake_configs]
-        self.candidates = compute_singleton_utilities(self.graph, candidates, utility_cache=self.utility_cache)
         # a budget beyond the candidate pool means "plant everything"
-        self.budget = min(budget, len(candidates))
-        if ordering == "shortest_path" and path_index is None:
-            path_index = build_path_index(self.graph, pool_size=pool_size)
-        self.index = path_index
+        self.budget = min(budget, len(problem.candidates))
         self.best_key: tuple | None = None
         self.best_value = -math.inf
         self.best_set: tuple[Assignment, ...] = ()
-        if self.ordering == "shortest_path":
+        self.index = self.reorder_fn = None
+        if ordering == "shortest_path":
             # Closes over locals, not self: a closure reaching self would keep
-            # every context (and its planted graph) alive until a cyclic collection.
-            index, budget = self.index, self.budget
+            # every context (and its problem) alive until a cyclic collection.
+            index = self.index = problem.path_index(pool_size)
+            budget = self.budget
             self.reorder_fn = lambda remaining, chosen: _rank_by_paths(
                 index, remaining, frozenset(chosen), budget
             )
-        else:
-            self.reorder_fn = None
 
     def evaluate(self, assignments: frozenset[Assignment]) -> float:
-        value = self.utility_cache.get(assignments)
-        if value is None:
-            banned = _unplanted(self.fake_configs, assignments)
-            value = simulate_attack(self.graph, banned_configs=banned).total_cost
-            self.utility_cache[assignments] = value
+        value = self.problem.value(assignments)
         key = (-value, len(assignments), tuple(sorted(assignments)))
         if self.best_key is None or key < self.best_key:
             self.best_key = key
@@ -434,16 +446,17 @@ class _SearchContext:
 
     def root(self) -> SearchNode:
         root_value = self.evaluate(frozenset())
-        remaining = tuple(sorted(self.candidates, key=lambda c: c.assignment))
-        prov = SearchNode((), remaining, root_value, 0.0, self.budget, self.baseline_cost)
+        baseline_cost = self.problem.baseline_cost
+        remaining = tuple(sorted(self.problem.candidates, key=lambda c: c.assignment))
+        prov = SearchNode((), remaining, root_value, 0.0, self.budget, baseline_cost)
         ordered = order_candidates(prov, self.ordering, index=self.index, seed=self.seed)
-        return _make_node((), ordered, root_value, self.budget, self.baseline_cost, self.heuristic_fn)
+        return _make_node((), ordered, root_value, self.budget, baseline_cost, self.heuristic_fn)
 
     def result(self, expanded: int, generated: int, t0: float) -> SearchResult:
         return SearchResult(
             best_assignments=self.best_set,
             best_utility=self.best_value,
-            baseline_cost=self.baseline_cost,
+            baseline_cost=self.problem.baseline_cost,
             expanded_nodes=expanded,
             generated_nodes=generated,
             elapsed_ms=(time.perf_counter() - t0) * 1000.0,
@@ -453,14 +466,12 @@ class _SearchContext:
 
 def dfbnb(
     network: NetworkModel,
-    catalog: Catalog | None = None,
     budget: int = 1,
     ordering: str = "utility",
     heuristic: str = "h2",
     seed: int = 0,
     pool_size: int = 100,
-    utility_cache: dict | None = None,
-    path_index: PathIndex | None = None,
+    problem: PlacementProblem | None = None,
 ) -> SearchResult:
     """Depth-first branch and bound over the placement tree.
 
@@ -470,9 +481,7 @@ def dfbnb(
     can miss the optimum.
     """
     t0 = time.perf_counter()
-    ctx = _SearchContext(
-        network, catalog, budget, ordering, heuristic, seed, pool_size, utility_cache, path_index
-    )
+    ctx = _SearchContext(network, budget, ordering, heuristic, seed, pool_size, problem)
     stack = [ctx.root()]
     generated = 1
     expanded = 0
@@ -495,14 +504,12 @@ def dfbnb(
 
 def astar(
     network: NetworkModel,
-    catalog: Catalog | None = None,
     budget: int = 1,
     ordering: str = "utility",
     heuristic: str = "h2",
     seed: int = 0,
     pool_size: int = 100,
-    utility_cache: dict | None = None,
-    path_index: PathIndex | None = None,
+    problem: PlacementProblem | None = None,
 ) -> SearchResult:
     """Best-first search over the placement tree, highest bound popped first.
 
@@ -511,9 +518,7 @@ def astar(
     same tree, at the price of keeping the frontier in memory.
     """
     t0 = time.perf_counter()
-    ctx = _SearchContext(
-        network, catalog, budget, ordering, heuristic, seed, pool_size, utility_cache, path_index
-    )
+    ctx = _SearchContext(network, budget, ordering, heuristic, seed, pool_size, problem)
     root = ctx.root()
     heap: list[tuple[float, int, SearchNode]] = [(-root.f, 0, root)]
     seq = 1
@@ -541,10 +546,9 @@ def astar(
 
 def exhaustive_best(
     network: NetworkModel,
-    catalog: Catalog | None = None,
     budget: int = 1,
     max_subsets: int = 10_000,
-    utility_cache: dict | None = None,
+    problem: PlacementProblem | None = None,
 ) -> SearchResult:
     """Evaluate every candidate subset up to the budget; the ground truth.
 
@@ -553,8 +557,8 @@ def exhaustive_best(
     set is always evaluated, so the result never loses to doing nothing.
     """
     t0 = time.perf_counter()
-    ctx = _SearchContext(network, catalog, budget, "utility", "h2", 0, 0, utility_cache, None)
-    assignments = sorted(c.assignment for c in ctx.candidates)
+    ctx = _SearchContext(network, budget, "utility", "h2", 0, 0, problem)
+    assignments = sorted(c.assignment for c in ctx.problem.candidates)
     total = sum(math.comb(len(assignments), size) for size in range(ctx.budget + 1))
     if total > max_subsets:
         raise ConfigurationError(

@@ -8,6 +8,7 @@ their simulations once.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -27,9 +28,9 @@ from decoygraph.fixtures import build_h1_counterexample, build_searchspace_k2
 from decoygraph.netmodel import Assignment, default_catalog, generate_network
 from decoygraph.placement_random import random_budget_placement, random_placement
 from decoygraph.placement_search import (
+    PlacementProblem,
     SearchNode,
     astar,
-    build_path_index,
     compute_singleton_utilities,
     dfbnb,
     enumerate_candidates,
@@ -60,28 +61,18 @@ def _planted(net):
 
 
 class _Instance:
-    """A network plus the caches every criterion shares for it."""
+    """A network plus the placement problem every criterion shares for it."""
 
     def __init__(self, name, network):
         self.name = name
         self.network = network
-        self.utility_cache: dict = {}
-        self._index = None
 
-    @property
-    def index(self):
-        if self._index is None:
-            self._index = build_path_index(_planted(self.network))
-        return self._index
+    @functools.cached_property
+    def problem(self):
+        return PlacementProblem(self.network)
 
     def search(self, engine, budget, **kwargs):
-        return engine(
-            self.network,
-            budget=budget,
-            utility_cache=self.utility_cache,
-            path_index=self.index if kwargs.get("ordering") in ("shortest_path", "shortest-path") else None,
-            **kwargs,
-        )
+        return engine(self.network, budget=budget, problem=self.problem, **kwargs)
 
     def evaluate(self, assignments):
         return evaluate_placement(self.network, assignments)
@@ -287,7 +278,7 @@ def test_criterion_5_optimizer_equivalence(suite):
             inst.network,
             budget=budget,
             max_subsets=10_000,
-            utility_cache=inst.utility_cache,
+            problem=inst.problem,
         )
         for engine in (dfbnb, astar):
             found = inst.search(engine, budget)

@@ -83,17 +83,6 @@ class TestApplyAssignments:
         a = Assignment("f1", "fv-1")
         assert apply_assignments(lure_net, [a, a]) == apply_assignments(lure_net, [a])
 
-    def test_assignment_nodes_partition(self, lure_net):
-        both = [Assignment("f1", "fv-1"), Assignment("f2", "fv-2")]
-        g = apply_assignments(lure_net, both)
-        parts = g.assignment_nodes()
-        assert set(parts) == set(both)
-        seen = set()
-        for nodes in parts.values():
-            assert not (nodes & seen)
-            seen |= nodes
-        assert seen == set(g.provenance)
-
     def test_downstream_nodes_inherit_the_enabling_assignment(self, lure_net):
         # d1 is only reachable through the fake on f2, so its exploit and
         # config exist because of that assignment and vanish with it

@@ -12,7 +12,7 @@ from decoygraph.attacker import evaluate_placement, simulate_attack
 from decoygraph.errors import Unreachable, ValidationError
 from decoygraph.netmodel import Assignment
 from decoygraph.placement_random import random_placement
-from decoygraph.placement_search import exhaustive_best
+from decoygraph.placement_search import PlacementProblem, exhaustive_best
 from decoygraph.planner import optimal_cost, plan_with_stats
 from helpers import cvss3_catalog, small_network
 
@@ -203,12 +203,15 @@ class TestBanSetOracle:
         checked = 0
         for seed in range(20):
             net = small_network(random.Random(7000 + seed), catalog=catalog)
-            ucache: dict = {}
-            exhaustive_best(net, budget=2, utility_cache=ucache)
-            for subset, value in ucache.items():
-                expected = simulate_attack(apply_assignments(net, subset)).total_cost
-                assert value == expected, f"seed {seed}, {sorted(subset)}"
-            checked += len(ucache)
+            problem = PlacementProblem(net)
+            exhaustive_best(net, budget=2, problem=problem)
+            assignments = sorted(c.assignment for c in problem.candidates)
+            for size in range(3):
+                for combo in combinations(assignments, size):
+                    subset = frozenset(combo)
+                    expected = simulate_attack(apply_assignments(net, subset)).total_cost
+                    assert problem.value(subset) == expected, f"seed {seed}, {sorted(subset)}"
+                    checked += 1
         assert checked >= 500
 
     @CATALOGS

@@ -7,8 +7,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from decoygraph.aggraph import apply_assignments
-from decoygraph.cli import _network_bundle, _NetworkContext, main
+from decoygraph.cli import _network_bundle, main
 from decoygraph.netmodel import (
     EXTERNAL,
     CvssVersion,
@@ -20,7 +19,7 @@ from decoygraph.netmodel import (
     default_catalog,
     generate_network,
 )
-from decoygraph.placement_search import build_path_index, enumerate_candidates
+from decoygraph.placement_search import PlacementProblem, build_path_index
 
 
 @pytest.fixture
@@ -261,6 +260,30 @@ class TestEvaluate:
         assert rows[0]["p2_ms"] == ""
 
 
+def _write_cut_network(tmp_path):
+    """Write a network whose goal host no exploit can reach; return its path."""
+    rv = VulnerabilityRecord(
+        vuln_id="rv",
+        cvss_version=CvssVersion.V2,
+        exploitability_subscore=10.0,
+        affected_os=frozenset({"os-t"}),
+    )
+    hosts = {
+        "t": Host(host_id="t", os="os-t", installed_vulns=frozenset({"rv"}), layer=Layer.SECURED),
+        "u": Host(host_id="u", os="os-t", installed_vulns=frozenset({"rv"}), layer=Layer.DMZ),
+    }
+    net = NetworkModel(
+        hosts=hosts,
+        reachability=frozenset({(EXTERNAL, "u")}),
+        attacker_entry=EXTERNAL,
+        goal=Goal(host_id="t"),
+        catalog={"rv": rv},
+    )
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(_network_bundle(net)))
+    return path
+
+
 class TestExitCodes:
     def test_malformed_json(self, tmp_path, runner):
         bad = tmp_path / "bad.json"
@@ -269,25 +292,7 @@ class TestExitCodes:
         assert res.exit_code == 2
 
     def test_unreachable_goal(self, tmp_path, runner):
-        rv = VulnerabilityRecord(
-            vuln_id="rv",
-            cvss_version=CvssVersion.V2,
-            exploitability_subscore=10.0,
-            affected_os=frozenset({"os-t"}),
-        )
-        hosts = {
-            "t": Host(host_id="t", os="os-t", installed_vulns=frozenset({"rv"}), layer=Layer.SECURED),
-            "u": Host(host_id="u", os="os-t", installed_vulns=frozenset({"rv"}), layer=Layer.DMZ),
-        }
-        net = NetworkModel(
-            hosts=hosts,
-            reachability=frozenset({(EXTERNAL, "u")}),
-            attacker_entry=EXTERNAL,
-            goal=Goal(host_id="t"),
-            catalog={"rv": rv},
-        )
-        path = tmp_path / "cut.json"
-        path.write_text(json.dumps(_network_bundle(net)))
+        path = _write_cut_network(tmp_path)
         res = runner.invoke(main, ["simulate", "--network", str(path)])
         assert res.exit_code == 3
         assert "error:" in res.output
@@ -376,20 +381,21 @@ class TestSweep:
         assert out1.read_bytes() == out2.read_bytes()
         assert sum1.read_bytes() == sum2.read_bytes()
 
-    def test_unknown_approach_becomes_an_error_row(self, tmp_path, runner):
-        spec = tmp_path / "spec.json"
-        spec.write_text(
-            json.dumps(
-                {
-                    "networks": [{"hosts": 4, "seed": 1}],
-                    "budgets": [1],
-                    "approaches": [{"name": "psychic"}],
-                    "trials": 1,
-                }
-            )
-        )
+    def _sweep(self, tmp_path, runner, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
         out = tmp_path / "r.csv"
-        res = runner.invoke(main, ["sweep", "--spec", str(spec), "--out", str(out)])
+        res = runner.invoke(main, ["sweep", "--spec", str(spec_path), "--out", str(out)])
+        return res, out
+
+    def test_unknown_approach_becomes_an_error_row(self, tmp_path, runner):
+        spec = {
+            "networks": [{"hosts": 4, "seed": 1}],
+            "budgets": [1],
+            "approaches": [{"name": "psychic"}],
+            "trials": 1,
+        }
+        res, out = self._sweep(tmp_path, runner, spec)
         assert res.exit_code == 0, res.output
         rows = _rows(out.read_text())
         assert len(rows) == 1
@@ -397,9 +403,38 @@ class TestSweep:
         summary = json.loads((tmp_path / "r.summary.json").read_text())
         assert summary["cells"][0]["errors"] == 1
 
+    def test_random_hosts_without_fraction_becomes_an_error_row(self, tmp_path, runner):
+        spec = {"networks": [{"hosts": 4, "seed": 1}], "approaches": [{"name": "random-hosts"}]}
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 0, res.output
+        rows = _rows(out.read_text())
+        assert len(rows) == 1
+        assert rows[0]["error"].startswith("ConfigurationError")
+
+    def test_network_spec_without_path_or_hosts_is_a_configuration_error(self, tmp_path, runner):
+        res, out = self._sweep(tmp_path, runner, {"networks": [{"seed": 1}]})
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output
+        assert not out.exists()
+
+    def test_unreachable_network_gives_error_rows(self, tmp_path, runner):
+        spec = {
+            "networks": [{"path": str(_write_cut_network(tmp_path))}],
+            "approaches": [
+                {"name": "random"},
+                {"name": "search", "algorithm": "dfbnb"},
+                {"name": "search", "algorithm": "exhaustive"},
+                {"name": "search", "algorithm": "astar", "ordering": "shortest-path"},
+            ],
+        }
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 0, res.output
+        rows = _rows(out.read_text())
+        assert len(rows) == 4
+        assert all(row["error"].startswith("Unreachable") for row in rows)
+
     def test_path_index_is_kept_per_pool_size(self):
         network = generate_network(12, default_catalog(), seed=7)
-        full = apply_assignments(network, [c.assignment for c in enumerate_candidates(network)])
-        ctx = _NetworkContext("n12", network)
-        assert len(ctx.index(1).paths) == 1
-        assert len(ctx.index(100).paths) == len(build_path_index(full, 100).paths) == 17
+        problem = PlacementProblem(network)
+        assert len(problem.path_index(1).paths) == 1
+        assert len(problem.path_index(100).paths) == len(build_path_index(problem.graph, 100).paths) == 17

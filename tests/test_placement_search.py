@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from decoygraph import placement_search
 from decoygraph.aggraph import apply_assignments
 from decoygraph.errors import ConfigurationError, ValidationError
 from decoygraph.netmodel import (
@@ -20,6 +21,7 @@ from decoygraph.netmodel import (
 )
 from decoygraph.placement_search import (
     Candidate,
+    PlacementProblem,
     SearchNode,
     _rank_by_paths,
     _SearchContext,
@@ -368,20 +370,40 @@ class TestEngines:
                 astar(net, budget=2, ordering="random", seed=8)
             )
 
-    def test_shared_caches_do_not_change_answers(self, chain_net):
-        ucache: dict = {}
+    def test_shared_caches_do_not_change_answers(self, chain_net, monkeypatch):
         lone = dfbnb(chain_net, budget=2)
-        warm1 = dfbnb(chain_net, budget=2, utility_cache=ucache)
-        assert ucache
-        warm2 = astar(chain_net, budget=2, utility_cache=ucache)
-        assert _result_key(lone) == _result_key(warm1)
-        assert warm2.best_utility == lone.best_utility
-        assert warm2.best_assignments == lone.best_assignments
+        problem = PlacementProblem(chain_net)
+        truth = exhaustive_best(chain_net, budget=2, problem=problem)
 
-    def test_prebuilt_path_index_is_honored(self, chain_net):
-        idx = build_path_index(_planted(chain_net))
-        res = dfbnb(chain_net, budget=2, ordering="shortest_path", path_index=idx)
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("every subset is memoized by the shared problem")
+
+        monkeypatch.setattr(placement_search, "simulate_attack", no_simulation)
+        warm1 = dfbnb(chain_net, budget=2, problem=problem)
+        warm2 = astar(chain_net, budget=2, problem=problem)
+        assert _result_key(lone) == _result_key(warm1)
+        for res in (truth, warm2):
+            assert res.best_utility == lone.best_utility
+            assert res.best_assignments == lone.best_assignments
+
+    def test_prebuilt_path_index_is_honored(self, chain_net, monkeypatch):
+        problem = PlacementProblem(chain_net)
+        idx = problem.path_index(100)
+        assert idx == build_path_index(_planted(chain_net))
+
+        def no_index(*args, **kwargs):
+            raise AssertionError("the problem's path index is rebuilt")
+
+        monkeypatch.setattr(placement_search, "build_path_index", no_index)
+        res = dfbnb(chain_net, budget=2, ordering="shortest_path", problem=problem)
         assert res.best_utility == 4.0
+        assert problem.path_index(100) is idx
+
+    def test_problem_from_another_network_is_refused(self, chain_net, lure_net):
+        problem = PlacementProblem(lure_net)
+        for engine in (dfbnb, astar, exhaustive_best):
+            with pytest.raises(ConfigurationError):
+                engine(chain_net, budget=2, problem=problem)
 
     def test_unreachable_candidates_are_dropped(self, chain_net):
         # h4 has no inbound reachability, so fakes planted there are never tripped
@@ -402,7 +424,7 @@ class TestEngines:
         gc.disable()
         try:
             astar(chain_net, budget=2, ordering="shortest_path")
-            leaked = sum(isinstance(o, _SearchContext) for o in gc.get_objects())
+            leaked = sum(isinstance(o, (_SearchContext, PlacementProblem)) for o in gc.get_objects())
         finally:
             gc.enable()
         assert leaked == 0
@@ -410,9 +432,9 @@ class TestEngines:
     def test_matches_exhaustive_on_random_networks(self):
         for seed in (2, 5, 9, 14):
             net = small_network(random.Random(seed), max_hosts=5)
-            ucache: dict = {}
-            truth = exhaustive_best(net, budget=2, max_subsets=100_000, utility_cache=ucache)
-            found = dfbnb(net, budget=2, utility_cache=ucache)
+            problem = PlacementProblem(net)
+            truth = exhaustive_best(net, budget=2, max_subsets=100_000, problem=problem)
+            found = dfbnb(net, budget=2, problem=problem)
             assert found.best_utility == truth.best_utility, f"seed {seed}"
             assert found.best_assignments == truth.best_assignments, f"seed {seed}"
 
