@@ -384,6 +384,13 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _spec_int(value, name: str) -> int:
+    """A sweep spec field that must be a JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"sweep spec {name} must be an integer, got {value!r}")
+    return value
+
+
 def _approach_label(approach: dict) -> str:
     name = approach.get("name", "")
     if name == "random-hosts":
@@ -435,10 +442,10 @@ def _sweep_cell(
                 result = exhaustive_best(
                     network,
                     budget=budget,
-                    max_subsets=approach.get("max_subsets", 10_000),
+                    max_subsets=_spec_int(approach.get("max_subsets", 10_000), "max_subsets"),
                     problem=problem(),
                 )
-            else:
+            elif algorithm in ("dfbnb", "astar"):
                 engine = dfbnb if algorithm == "dfbnb" else astar
                 result = engine(
                     network,
@@ -446,9 +453,11 @@ def _sweep_cell(
                     ordering=approach.get("ordering", "utility"),
                     heuristic=approach.get("heuristic", "h2"),
                     seed=seed,
-                    pool_size=approach.get("pool_size", 100),
+                    pool_size=_spec_int(approach.get("pool_size", 100), "pool_size"),
                     problem=problem(),
                 )
+            else:
+                raise ConfigurationError(f"unknown algorithm {algorithm!r}; expected dfbnb, astar or exhaustive")
             assignments = result.best_assignments
         else:
             raise ConfigurationError(f"unknown approach {name!r}")
@@ -523,10 +532,10 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
     """
     spec = json.loads(Path(spec_path).read_text())
     catalog_path = spec.get("catalog")
-    budgets = spec.get("budgets", [1])
+    budgets = [_spec_int(budget, "budget") for budget in spec.get("budgets", [1])]
     approaches = spec.get("approaches", [{"name": "random"}])
-    trials = int(spec.get("trials", 1))
-    base_seed = int(spec.get("base_seed", 0))
+    trials = _spec_int(spec.get("trials", 1), "trials")
+    base_seed = _spec_int(spec.get("base_seed", 0), "base_seed")
     rows: list[dict] = []
     for net_spec in spec.get("networks", []):
         if "path" in net_spec:
@@ -537,10 +546,10 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
         else:
             catalog = _catalog_from_option(catalog_path)
             network = generate_network(
-                int(net_spec["hosts"]),
+                _spec_int(net_spec["hosts"], "hosts"),
                 catalog,
-                int(net_spec.get("seed", 0)),
-                dead_hosts=int(net_spec.get("dead_hosts", 0)),
+                _spec_int(net_spec.get("seed", 0), "seed"),
+                dead_hosts=_spec_int(net_spec.get("dead_hosts", 0), "dead_hosts"),
             )
             network_id = net_spec.get("id", f"gen-{net_spec['hosts']}-{net_spec.get('seed', 0)}")
         problem = functools.cache(functools.partial(PlacementProblem, network))
@@ -549,7 +558,7 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
                 for trial in range(trials):
                     seed = base_seed + trial
                     rows.append(
-                        _sweep_cell(network_id, network, problem, approach, int(budget), trial, seed, timings)
+                        _sweep_cell(network_id, network, problem, approach, budget, trial, seed, timings)
                     )
     Path(out).write_text(_rows_to_csv(rows))
     summary_file = summary_path or str(Path(out).with_suffix(".summary.json"))

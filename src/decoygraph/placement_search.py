@@ -8,6 +8,9 @@ candidates could still add. Engines: depth-first branch and bound, best-first
 (A*-style) search, and brute-force subset enumeration as the ground truth on
 small instances. Each engine compiles the network into a PlacementProblem,
 or takes one via `problem=` so that searches on one network share it.
+Branch and bound and best-first search branch only on the candidates the
+budget can trip (`PlacementProblem.trippable`, whose docstring holds the
+proof that this loses nothing); subset enumeration scores every candidate.
 """
 
 from __future__ import annotations
@@ -35,6 +38,12 @@ _EXPLOIT_SHAPE = "remote:priv+config"
 
 # Bound on planner calls during path-pool construction, per unit of pool size.
 _POOL_CALL_FACTOR = 40
+
+# Relative and absolute slack on the trippability limit k*b. Chain costs are
+# float sums taken in another order than the attacker's, so a chain of exactly
+# k*b may read a few ulps high; keeping an extra candidate is always sound,
+# dropping a trippable one is not.
+_TRIP_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -355,13 +364,38 @@ class PlacementProblem:
     """The placement problem of one network, compiled once and shared.
 
     Holds one attack graph of the network with every candidate planted, its
-    fake configs, the undefended attack cost, and the candidates with their
-    singleton utilities. A subset is evaluated on that graph by banning the
+    fake configs, the undefended attack cost `baseline_cost` (b), and the
+    reachable candidates. A subset is evaluated on that graph by banning the
     fake configs of the candidates outside it. Candidates the attacker can
     never reach leave no fake config in that graph; they cannot change any
-    subset's value, so they are dropped. Subset values and path indexes (by
-    pool size) are memoized, so every search on the network can share one
+    subset's value, so `candidates` leaves them out. Subset values, the
+    candidates a budget can trip (with singleton utilities) and path indexes
+    (by pool size) are memoized, so every search on the network can share one
     problem; a search refuses a problem compiled from another network.
+
+    `trippable(k)` drops candidates that no attack on at most k planted fakes
+    can trip. Let L(a) be the cheapest face-value source-to-goal chain through
+    fake a on the planted graph, with nothing banned (`chain_costs`).
+
+    Lemma A. If a appears in some round's plan against a set S with |S| <= k,
+    then L(a) <= k*b. The round's plan costs at most b: only fakes are ever
+    banned, so the real optimum stays available, and zeroing paid configs only
+    lowers it. Its face cost is at least L(a). The two differ by the configs
+    zeroed so far, whose face costs were each paid once by an earlier round.
+    Each earlier round tripped a distinct fake of S other than a, so at most
+    k-1 of them ran, and each paid at most its own plan's cost, at most b.
+
+    Lemma B. A planted fake that no round's plan uses leaves the attack
+    unchanged. Banning a config off the chosen chain changes no chosen
+    predecessor: it only raises the distances of privileges reached through
+    that config. `TestTrippableFilter` checks both lemmas on every subset of
+    at most three candidates of small networks, on dyadic and CVSS v3 costs.
+
+    Together: a set holding an untrippable candidate has the value of the
+    smaller set without it, so under the smaller-set tie-break it is never the
+    answer, and dfbnb and astar search the trippable candidates only.
+    `exhaustive_best`, the oracle, enumerates all of `candidates`. On graphs
+    without an integer view (not unit-rule) every candidate is kept.
     """
 
     def __init__(self, network: NetworkModel):
@@ -370,10 +404,11 @@ class PlacementProblem:
         self.graph = apply_assignments(network, [c.assignment for c in candidates])
         self.fake_configs = self.graph.fake_configs()
         self.baseline_cost = optimal_plan(self.graph, banned_configs=self.fake_configs).cost
+        self.candidates = tuple(c for c in candidates if _fake_config(c.assignment) in self.fake_configs)
+        self.chain_costs = _chain_costs(self.graph)
         self._values: dict[frozenset[Assignment], float] = {}
+        self._trippable: dict[int, tuple[Candidate, ...]] = {}
         self._indexes: dict[int, PathIndex] = {}
-        candidates = [c for c in candidates if _fake_config(c.assignment) in self.fake_configs]
-        self.candidates = tuple(compute_singleton_utilities(self.graph, candidates, utility_cache=self._values))
 
     def value(self, assignments: frozenset[Assignment]) -> float:
         """The attacker's total cost against exactly `assignments` planted."""
@@ -384,12 +419,74 @@ class PlacementProblem:
             self._values[assignments] = value
         return value
 
+    def trippable(self, budget: int) -> tuple[Candidate, ...]:
+        """The candidates some placement of at most `budget` fakes can trip.
+
+        Those with L(a) <= budget * baseline_cost (Lemma A), in `candidates`
+        order and with their singleton utilities; memoized per budget.
+        """
+        kept = self._trippable.get(budget)
+        if kept is None:
+            chains = self.chain_costs
+            limit = budget * self.baseline_cost * (1.0 + _TRIP_SLACK) + _TRIP_SLACK
+            kept = [c for c in self.candidates if chains is None or chains[_fake_config(c.assignment)] <= limit]
+            kept = self._trippable[budget] = tuple(
+                compute_singleton_utilities(self.graph, kept, utility_cache=self._values)
+            )
+        return kept
+
     def path_index(self, pool_size: int) -> PathIndex:
         """The pool of up to `pool_size` cheap fake-using paths, built once per size."""
         index = self._indexes.get(pool_size)
         if index is None:
             index = self._indexes[pool_size] = build_path_index(self.graph, pool_size=pool_size)
         return index
+
+
+def _chain_costs(graph: AttackGraph) -> dict[str, float] | None:
+    """Per fake config, the cheapest face-value source-to-goal chain through it.
+
+    One Dijkstra forward from the source and one backward from the goal, on
+    the graph's integer view at face costs with nothing banned. A fake whose
+    chain cannot reach the goal gets inf. None when the graph has no integer
+    view.
+    """
+    view = graph.indexed
+    if view is None:
+        return None
+    costs = graph.config_cost
+    forward: list[list[tuple[int, float]]] = [[] for _ in view.privileges]
+    backward: list[list[tuple[int, float]]] = [[] for _ in view.privileges]
+    for p, consumers in enumerate(view.consumers):
+        for _, config, grants in consumers:
+            for q in grants:
+                forward[p].append((q, costs[config]))
+                backward[q].append((p, costs[config]))
+    head = _distances(forward, view.source)
+    tail = _distances(backward, view.goal)
+    chains: dict[str, float] = {}
+    for p, consumers in enumerate(view.consumers):
+        for _, config, grants in consumers:
+            if graph.fake_flag.get(config, False):
+                through = head[p] + costs[config] + min((tail[q] for q in grants), default=math.inf)
+                chains[config] = min(chains.get(config, math.inf), through)
+    return chains
+
+
+def _distances(adjacency: list[list[tuple[int, float]]], start: int) -> list[float]:
+    """Single-source shortest distances over weighted integer adjacency lists."""
+    dist = [math.inf] * len(adjacency)
+    dist[start] = 0.0
+    heap = [(0.0, start)]
+    while heap:
+        d, p = heapq.heappop(heap)
+        if d > dist[p]:
+            continue
+        for q, w in adjacency[p]:
+            if d + w < dist[q]:
+                dist[q] = d + w
+                heapq.heappush(heap, (d + w, q))
+    return dist
 
 
 class _SearchContext:
@@ -420,20 +517,13 @@ class _SearchContext:
         self.ordering = ordering
         self.heuristic_fn = h1 if heuristic == "h1" else h2
         self.seed = seed
+        self.pool_size = pool_size
         # a budget beyond the candidate pool means "plant everything"
         self.budget = min(budget, len(problem.candidates))
         self.best_key: tuple | None = None
         self.best_value = -math.inf
         self.best_set: tuple[Assignment, ...] = ()
         self.index = self.reorder_fn = None
-        if ordering == "shortest_path":
-            # Closes over locals, not self: a closure reaching self would keep
-            # every context (and its problem) alive until a cyclic collection.
-            index = self.index = problem.path_index(pool_size)
-            budget = self.budget
-            self.reorder_fn = lambda remaining, chosen: _rank_by_paths(
-                index, remaining, frozenset(chosen), budget
-            )
 
     def evaluate(self, assignments: frozenset[Assignment]) -> float:
         value = self.problem.value(assignments)
@@ -445,9 +535,19 @@ class _SearchContext:
         return value
 
     def root(self) -> SearchNode:
+        """The tree's root over the candidates the budget can trip; it narrows the budget to them."""
+        trippable = self.problem.trippable(self.budget)
+        self.budget = budget = min(self.budget, len(trippable))
+        if self.ordering == "shortest_path":
+            # Closes over locals, not self: a closure reaching self would keep
+            # every context (and its problem) alive until a cyclic collection.
+            index = self.index = self.problem.path_index(self.pool_size)
+            self.reorder_fn = lambda remaining, chosen: _rank_by_paths(
+                index, remaining, frozenset(chosen), budget
+            )
         root_value = self.evaluate(frozenset())
         baseline_cost = self.problem.baseline_cost
-        remaining = tuple(sorted(self.problem.candidates, key=lambda c: c.assignment))
+        remaining = tuple(sorted(trippable, key=lambda c: c.assignment))
         prov = SearchNode((), remaining, root_value, 0.0, self.budget, baseline_cost)
         ordered = order_candidates(prov, self.ordering, index=self.index, seed=self.seed)
         return _make_node((), ordered, root_value, self.budget, baseline_cost, self.heuristic_fn)

@@ -411,6 +411,30 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0]["error"].startswith("ConfigurationError")
 
+    def test_unknown_algorithm_becomes_an_error_row(self, tmp_path, runner):
+        spec = {"networks": [{"hosts": 4, "seed": 1}], "approaches": [{"name": "search", "algorithm": "bogus"}]}
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 0, res.output
+        rows = _rows(out.read_text())
+        assert len(rows) == 1
+        assert rows[0]["error"].startswith("ConfigurationError: unknown algorithm 'bogus'")
+
+    def test_non_integer_budget_is_a_configuration_error(self, tmp_path, runner):
+        spec = {"networks": [{"hosts": 4, "seed": 1}], "budgets": ["x"]}
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 2, res.output
+        assert "budget must be an integer" in res.output
+        assert not out.exists()
+
+    def test_non_integer_pool_size_becomes_an_error_row(self, tmp_path, runner):
+        approach = {"name": "search", "algorithm": "dfbnb", "ordering": "shortest-path", "pool_size": "5"}
+        spec = {"networks": [{"hosts": 4, "seed": 1}], "approaches": [approach]}
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 0, res.output
+        rows = _rows(out.read_text())
+        assert len(rows) == 1
+        assert rows[0]["error"].startswith("ConfigurationError: sweep spec pool_size must be an integer")
+
     def test_network_spec_without_path_or_hosts_is_a_configuration_error(self, tmp_path, runner):
         res, out = self._sweep(tmp_path, runner, {"networks": [{"seed": 1}]})
         assert res.exit_code == 2, res.output

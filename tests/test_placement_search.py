@@ -3,11 +3,13 @@ from __future__ import annotations
 import dataclasses
 import gc
 import random
+from itertools import combinations
 
 import pytest
 
 from decoygraph import placement_search
-from decoygraph.aggraph import apply_assignments
+from decoygraph.aggraph import apply_assignments, config_id
+from decoygraph.attacker import simulate_attack
 from decoygraph.errors import ConfigurationError, ValidationError
 from decoygraph.netmodel import (
     EXTERNAL,
@@ -18,6 +20,8 @@ from decoygraph.netmodel import (
     Layer,
     NetworkModel,
     VulnerabilityRecord,
+    default_catalog,
+    generate_network,
 )
 from decoygraph.placement_search import (
     Candidate,
@@ -36,7 +40,7 @@ from decoygraph.placement_search import (
     h2,
     order_candidates,
 )
-from helpers import small_network
+from helpers import cvss3_catalog, small_network
 
 W1 = Assignment(host_id="h1", vuln_id="w1")
 W2 = Assignment(host_id="h2", vuln_id="w2")
@@ -437,6 +441,94 @@ class TestEngines:
             found = dfbnb(net, budget=2, problem=problem)
             assert found.best_utility == truth.best_utility, f"seed {seed}"
             assert found.best_assignments == truth.best_assignments, f"seed {seed}"
+
+
+def _boundary_net(entry_fake, middle, goal):
+    """A fake on a dead-end host d whose only way on is the real route m -> t.
+
+    Real route: entry -> m -> t. Through the fake: entry -> d -> m -> t. The
+    three V2 subscores price the fake on d, the real vuln on m and the one on t.
+    """
+    catalog = {
+        "w": _vuln("w", "os-d", entry_fake),
+        "rm": _vuln("rm", "os-m", middle),
+        "rt": _vuln("rt", "os-t", goal),
+    }
+    hosts = {
+        "d": Host(host_id="d", os="os-d", layer=Layer.DMZ),
+        "m": Host(host_id="m", os="os-m", installed_vulns=frozenset({"rm"}), layer=Layer.INTERNAL),
+        "t": Host(host_id="t", os="os-t", installed_vulns=frozenset({"rt"}), layer=Layer.SECURED),
+    }
+    return NetworkModel(
+        hosts=hosts,
+        reachability=frozenset({(EXTERNAL, "d"), (EXTERNAL, "m"), ("d", "m"), ("m", "t")}),
+        attacker_entry=EXTERNAL,
+        goal=Goal(host_id="t"),
+        catalog=catalog,
+    )
+
+
+class TestTrippableFilter:
+    """dfbnb and astar search only the candidates a budget can trip; the
+    lemmas in the PlacementProblem docstring say that loses nothing."""
+
+    @pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
+    def test_dropped_candidates_never_change_a_value(self, catalog):
+        # For every subset S of size at most K: each fake the attacker trips
+        # is kept at K (Lemma A), and S is worth what its kept part is worth
+        # (Lemmas A and B together).
+        checked = dropped = 0
+        for seed in range(20):
+            net = small_network(random.Random(9300 + seed), max_hosts=8, catalog=catalog)
+            problem = PlacementProblem(net)
+            assignments = sorted(c.assignment for c in problem.candidates)
+            for budget in (1, 2, 3):
+                kept = {c.assignment for c in problem.trippable(budget)}
+                dropped += len(assignments) - len(kept)
+                for size in range(budget + 1):
+                    for combo in combinations(assignments, size):
+                        subset = frozenset(combo)
+                        banned = problem.fake_configs - {config_id(a.host_id, a.vuln_id) for a in subset}
+                        trace = simulate_attack(problem.graph, banned_configs=banned)
+                        tripped = {it.discovered_fake for it in trace.iterations} - {None}
+                        assert tripped <= kept, f"seed {seed}, K={budget}, {sorted(subset)}"
+                        assert problem.value(subset) == problem.value(subset & kept), f"seed {seed}, K={budget}"
+                        checked += 1
+        assert checked >= 10_000
+        assert dropped >= 250
+
+    @pytest.mark.parametrize(
+        "subscores, reads_high",
+        [((5.0, 2.5, 2.5), False), ((1.0, 0.1, 0.9), True)],
+        ids=["exact", "one-ulp-high"],
+    )
+    def test_candidate_on_the_limit_is_kept(self, subscores, reads_high):
+        # b = cost(rm) + cost(rt) and L(w) = cost(w) + b with cost(w) = b, so
+        # L(w) = 2b. With 0.01 + 0.09 and 0.1 the float chain reads one ulp
+        # above 2b; the slack keeps it.
+        net = _boundary_net(*subscores)
+        problem = PlacementProblem(net)
+        lure = Assignment(host_id="d", vuln_id="w")
+        chain = problem.chain_costs[config_id("d", "w")]
+        assert (chain > 2 * problem.baseline_cost) == reads_high
+        assert chain == pytest.approx(2 * problem.baseline_cost)
+        assert [c.assignment for c in problem.trippable(2)] == [lure]
+        assert problem.trippable(1) == ()
+
+    def test_exhaustive_keeps_every_candidate(self):
+        net = _boundary_net(5.0, 2.5, 2.5)
+        problem = PlacementProblem(net)
+        assert problem.trippable(1) == ()
+        res = exhaustive_best(net, budget=1, problem=problem)
+        assert res.expanded_nodes == 2  # the empty set and {(d, w)}
+        assert dfbnb(net, budget=1, problem=problem).expanded_nodes == 0
+
+    def test_filter_shrinks_the_tree_on_a_generated_network(self):
+        net = generate_network(20, default_catalog(), seed=11)
+        problem = PlacementProblem(net)
+        assert (len(problem.candidates), len(problem.trippable(2))) == (53, 9)
+        found = dfbnb(net, budget=2, problem=problem)
+        assert (found.best_utility, found.expanded_nodes) == (2.0, 44)
 
 
 def test_results_serialize_without_surprises(chain_net):
