@@ -97,6 +97,12 @@ class AttackGraph:
     @cached_property
     def requirements(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
         """exploit -> (required privileges, required configs), each sorted."""
+        view = self.indexed
+        if view is not None:
+            return {
+                e: ((view.privileges[view.required[i]],), (view.config[i],))
+                for i, e in enumerate(view.exploits)
+            }
         privs: dict[str, list[str]] = {e: [] for e in self.exploit_nodes}
         confs: dict[str, list[str]] = {e: [] for e in self.exploit_nodes}
         for a, b in self.edges:
@@ -107,6 +113,15 @@ class AttackGraph:
     @cached_property
     def grants(self) -> dict[str, tuple[str, ...]]:
         """exploit -> privileges it grants, sorted."""
+        view = self.indexed
+        if view is not None:
+            # each exploit is a consumer of its one required privilege, and the
+            # view's grants are sorted integers, so sorted ids
+            return {
+                view.exploits[e]: tuple(view.privileges[q] for q in granted)
+                for consumers in view.consumers
+                for e, _, granted in consumers
+            }
         out: dict[str, list[str]] = {e: [] for e in self.exploit_nodes}
         for p, e in self.edges:
             if p in self.privilege_nodes and e in self.exploit_nodes:
@@ -118,8 +133,8 @@ class AttackGraph:
         """Integer-indexed view for the Dijkstra planner; None unless the graph is unit-rule.
 
         Unit-rule means every exploit requires exactly one privilege and one
-        config. Built in one pass over the edges, without `requirements` or
-        `grants`.
+        config. Built in one pass over the edges; `requirements` and `grants`
+        are read off it.
         """
         privileges = tuple(sorted(self.privilege_nodes))
         exploits = tuple(sorted(self.exploit_nodes))
@@ -264,7 +279,7 @@ class AttackGraph:
 
 def build_attack_graph(network: NetworkModel) -> AttackGraph:
     """Generate the baseline graph (no fake assignments applied)."""
-    return _generate(network, ())
+    return _generate(network, {})
 
 
 def apply_assignments(network: NetworkModel, assignments: Iterable[Assignment]) -> AttackGraph:
@@ -273,22 +288,29 @@ def apply_assignments(network: NetworkModel, assignments: Iterable[Assignment]) 
     Nodes absent from the baseline graph carry provenance pointing at the
     assignment that first enabled them; configs matching an assignment's own
     (host, vuln) are flagged fake. apply_assignments(network, ()) equals
-    build_attack_graph(network).
+    build_attack_graph(network). Each assignment must pass `check_assignment`,
+    and no two may name the same (host, vuln).
     """
-    ordered = tuple(sorted(set(assignments)))
-    for a in ordered:
+    planted: dict[tuple[str, str], Assignment] = {}
+    for a in sorted(set(assignments)):
         check_assignment(network, a)
-    return _generate(network, ordered)
+        pair = (a.host_id, a.vuln_id)
+        if pair in planted:
+            raise ValidationError(f"two assignments name ({a.host_id}, {a.vuln_id})")
+        planted[pair] = a
+    return _generate(network, planted)
 
 
-def _generate(network: NetworkModel, assignments: tuple[Assignment, ...]) -> AttackGraph:
-    applied = network.with_assignments(assignments) if assignments else network
-    fake_pairs = {(a.host_id, a.vuln_id): a for a in assignments}
-    catalog = applied.catalog
+def _generate(network: NetworkModel, planted: Mapping[tuple[str, str], Assignment]) -> AttackGraph:
+    """Least fixpoint of the remote rule, real vulns first, then with `planted` added.
+
+    `planted` maps (host, vuln) to its assignment, in sorted order.
+    """
+    catalog = network.catalog
     children: dict[str, list[str]] = {}
-    for src, dst in sorted(applied.reachability):
+    for src, dst in sorted(network.reachability):
         children.setdefault(src, []).append(dst)
-    installed = {h.host_id: sorted(h.installed_vulns) for h in applied.sorted_hosts()}
+    real = {h.host_id: sorted(h.installed_vulns) for h in network.sorted_hosts()}
 
     privs: set[str] = set()
     exploits: set[str] = set()
@@ -297,71 +319,69 @@ def _generate(network: NetworkModel, assignments: tuple[Assignment, ...]) -> Att
     cost: dict[str, float] = {}
     fake: dict[str, bool] = {}
     cause: dict[str, Assignment | None] = {}
-    priv_host: dict[str, str] = {}  # privilege node id -> host/entry label
 
-    entry = applied.attacker_entry
+    entry = network.attacker_entry
     source = priv_id(entry)
     privs.add(source)
     cause[source] = None
-    priv_host[source] = entry
 
-    def sweep(allow_fakes: bool) -> None:
-        # Breadth-first waves over privilege hosts; sorted order at every level
-        # keeps first-cause attribution deterministic.
-        frontier = sorted(priv_host[p] for p in privs)
-        seen_frontier = set(frontier)
-        while frontier:
-            fresh: list[str] = []
-            for x in frontier:
-                px = priv_id(x)
-                for dst in children.get(x, ()):
-                    for vuln in installed.get(dst, ()):
-                        is_fake = (dst, vuln) in fake_pairs
-                        if is_fake and not allow_fakes:
-                            continue
-                        eid = exploit_id(dst, vuln, x)
-                        if eid in exploits:
-                            continue
-                        exploits.add(eid)
-                        cause[eid] = fake_pairs[(dst, vuln)] if is_fake else cause[px]
-                        edges.add((eid, px))
-                        cid = config_id(dst, vuln)
-                        if cid not in configs:
-                            configs.add(cid)
-                            cost[cid] = normalize_cost(catalog[vuln])
-                            fake[cid] = is_fake
-                            cause[cid] = fake_pairs[(dst, vuln)] if is_fake else cause[eid]
-                        edges.add((eid, cid))
-                        pd = priv_id(dst)
-                        if pd not in privs:
-                            privs.add(pd)
-                            cause[pd] = cause[eid]
-                            priv_host[pd] = dst
-                            if dst not in seen_frontier:
-                                fresh.append(dst)
-                                seen_frontier.add(dst)
-                        edges.add((pd, eid))
-            if not fresh:
-                # Re-scan everything once per wave only when new privileges
-                # appeared; otherwise the fixpoint is reached.
-                break
-            frontier = sorted(fresh)
+    def wave(frontier: list[str], vulns: Mapping[str, list[str]]) -> list[str]:
+        # One breadth-first wave: fire every rule from the frontier's hosts onto
+        # `vulns`, and return the hosts first reached, sorted. Sorted order at
+        # every level keeps first-cause attribution deterministic.
+        fresh: list[str] = []
+        for x in frontier:
+            px = priv_id(x)
+            for dst in children.get(x, ()):
+                pd = priv_id(dst)
+                for vuln in vulns.get(dst, ()):
+                    assignment = planted.get((dst, vuln))
+                    eid = exploit_id(dst, vuln, x)
+                    exploits.add(eid)
+                    cause[eid] = cause[px] if assignment is None else assignment
+                    edges.add((eid, px))
+                    cid = config_id(dst, vuln)
+                    if cid not in configs:
+                        configs.add(cid)
+                        cost[cid] = normalize_cost(catalog[vuln])
+                        fake[cid] = assignment is not None
+                        cause[cid] = cause[eid] if assignment is None else assignment
+                    edges.add((eid, cid))
+                    if pd not in privs:
+                        privs.add(pd)
+                        cause[pd] = cause[eid]
+                        fresh.append(dst)
+                    edges.add((pd, eid))
+        fresh.sort()
+        return fresh
 
-    sweep(allow_fakes=False)
-    baseline_nodes = privs | exploits | configs
+    # A host enters a frontier once per phase, so no exploit is created twice.
+    reached: list[str] = []
+    frontier = [entry]
+    while frontier:
+        reached += frontier
+        frontier = wave(frontier, real)
     goal_node = priv_id(network.goal.host_id)
-    baseline_nodes = baseline_nodes | {goal_node}
-    if fake_pairs:
-        # Second phase: fakes join the rule base. Every privilege may now fire
-        # previously impossible exploits, so re-seed the frontier with all of them.
-        sweep(allow_fakes=True)
+    baseline_nodes = privs | exploits | configs | {goal_node}
+    if planted:
+        # Second phase: fakes join the rule base. The real phase is a complete
+        # fixpoint, so the hosts it reached have fired every real rule already;
+        # they only fire onto planted vulns. Hosts first reached from here on
+        # fire onto everything.
+        fakes: dict[str, list[str]] = {}
+        for host, vuln in planted:
+            fakes.setdefault(host, []).append(vuln)
+        # check_assignment keeps planted vulns off the installed lists, so no duplicates
+        every = {**real, **{h: sorted(real[h] + vulns) for h, vulns in fakes.items()}}
+        frontier = wave(sorted(reached), fakes)
+        while frontier:
+            frontier = wave(frontier, every)
 
     if goal_node not in privs:
         # The goal privilege always exists, supported or not; derivability is
         # the planner's concern.
         privs.add(goal_node)
         cause[goal_node] = None
-        priv_host[goal_node] = network.goal.host_id
 
     provenance = {
         node: node_cause

@@ -122,25 +122,21 @@ def simulate_attack(graph: AttackGraph, banned_configs: Iterable[str] = ()) -> S
         except Unreachable:
             raise Unreachable("no real attack path exists") from None
         effort += stats
-        failed_at = None
+        # configs of the exploits run before the first one needing a fake
+        before: set[str] = set()
         fake_reqs: list[str] = []
-        for idx, exploit in enumerate(plan.exec_order):
-            fake_reqs = [c for c in graph.requirements[exploit][1] if graph.fake_flag.get(c, False)]
+        for exploit in plan.exec_order:
+            configs = graph.requirements[exploit][1]
+            fake_reqs = [c for c in configs if graph.fake_flag.get(c, False)]
             if fake_reqs:
-                failed_at = idx
                 break
-        if failed_at is None:
+            before.update(configs)
+        if not fake_reqs:
             paid = math.fsum(working[c] for c in plan.node_set & graph.config_nodes)
             total += paid
             iterations.append(AttackIteration(plan, paid, None, frozenset()))
             break
-        consumed: set[str] = set()
-        for exploit in plan.exec_order[: failed_at + 1]:
-            consumed.update(graph.requirements[exploit][1])
-        paid = math.fsum(working[c] for c in consumed)
-        before: set[str] = set()
-        for exploit in plan.exec_order[:failed_at]:
-            before.update(graph.requirements[exploit][1])
+        paid = math.fsum(working[c] for c in before.union(configs))
         # Several fakes on one exploit: the attacker learns the one whose
         # config node id sorts first. Generated graphs never hit this case.
         discovered_config = min(fake_reqs)

@@ -391,19 +391,23 @@ def _spec_int(value, name: str) -> int:
     return value
 
 
+def _spec_str(value, name: str) -> str:
+    """A sweep spec field that must be a JSON string."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"sweep spec {name} must be a string, got {value!r}")
+    return value
+
+
 def _approach_label(approach: dict) -> str:
+    """The row's approach column; any field value prints, valid or not."""
     name = approach.get("name", "")
     if name == "random-hosts":
         return f"random-hosts:{approach.get('fraction')}"
     if name == "search":
-        return ":".join(
-            [
-                "search",
-                approach.get("algorithm", "dfbnb"),
-                approach.get("heuristic", "h2"),
-                approach.get("ordering", "utility"),
-            ]
-        )
+        algorithm = approach.get("algorithm", "dfbnb")
+        heuristic = approach.get("heuristic", "h2")
+        ordering = approach.get("ordering", "utility")
+        return f"search:{algorithm}:{heuristic}:{ordering}"
     return name
 
 
@@ -437,7 +441,7 @@ def _sweep_cell(
                 raise ConfigurationError("approach random-hosts needs a fraction")
             assignments, _ = random_placement(network, approach["fraction"], seed)
         elif name == "search":
-            algorithm = approach.get("algorithm", "dfbnb")
+            algorithm = _spec_str(approach.get("algorithm", "dfbnb"), "algorithm")
             if algorithm == "exhaustive":
                 result = exhaustive_best(
                     network,
@@ -450,8 +454,8 @@ def _sweep_cell(
                 result = engine(
                     network,
                     budget=budget,
-                    ordering=approach.get("ordering", "utility"),
-                    heuristic=approach.get("heuristic", "h2"),
+                    ordering=_spec_str(approach.get("ordering", "utility"), "ordering"),
+                    heuristic=_spec_str(approach.get("heuristic", "h2"), "heuristic"),
                     seed=seed,
                     pool_size=_spec_int(approach.get("pool_size", 100), "pool_size"),
                     problem=problem(),

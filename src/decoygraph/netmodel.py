@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import ConfigurationError, ValidationError
 
@@ -208,31 +208,6 @@ class NetworkModel:
 
     def sorted_hosts(self) -> list[Host]:
         return [self.hosts[h] for h in sorted(self.hosts)]
-
-    def with_assignments(self, assignments: Iterable[Assignment]) -> "NetworkModel":
-        """Return a copy with each assignment's vulnerability added to its host."""
-        ordered = sorted(set(assignments))
-        hosts = dict(self.hosts)
-        for a in ordered:
-            check_assignment(self, a)
-            host = hosts[a.host_id]
-            if a.vuln_id in host.installed_vulns:
-                raise ValidationError(
-                    f"assignment ({a.host_id}, {a.vuln_id}) duplicates an installed vuln"
-                )
-            hosts[a.host_id] = Host(
-                host_id=host.host_id,
-                os=host.os,
-                installed_vulns=host.installed_vulns | {a.vuln_id},
-                layer=host.layer,
-            )
-        return NetworkModel(
-            hosts=hosts,
-            reachability=self.reachability,
-            attacker_entry=self.attacker_entry,
-            goal=self.goal,
-            catalog=self.catalog,
-        )
 
     # -- serialization (catalog travels in its own file) --------------------
 

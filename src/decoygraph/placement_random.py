@@ -27,8 +27,8 @@ def _weighted_sample(pool: list, count: int, rng: random.Random, weights: dict) 
 
 
 def _resolve_host_count(spec: float | int, n_hosts: int) -> int:
-    if isinstance(spec, bool):
-        raise ConfigurationError("host count must be an int or a fraction, not a bool")
+    if isinstance(spec, bool) or not isinstance(spec, (int, float)):
+        raise ConfigurationError(f"host count must be an int or a fraction, got {spec!r}")
     if isinstance(spec, float):
         if not 0.0 <= spec <= 1.0:
             raise ConfigurationError(f"host fraction must lie in [0, 1], got {spec}")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -20,7 +21,9 @@ from decoygraph.aggraph import (
     validate_graph,
 )
 from decoygraph.errors import ValidationError
-from decoygraph.netmodel import Assignment, default_catalog, generate_network
+from decoygraph.netmodel import Assignment, compatible_vulns, default_catalog, generate_network
+from decoygraph.placement_random import random_placement
+from helpers import COST_PALETTE, CVSS3_PALETTE, cvss3_catalog, random_attack_graph, random_unit_rule_graph
 
 
 def test_node_id_helpers_round_trip():
@@ -97,6 +100,11 @@ class TestApplyAssignments:
         with pytest.raises(ValidationError):
             apply_assignments(lure_net, [Assignment("a01", "fv-1")])
 
+    def test_two_assignments_of_one_pair_rejected(self, lure_net):
+        # they differ only in `fake`, so set() keeps both
+        with pytest.raises(ValidationError):
+            apply_assignments(lure_net, [Assignment("f1", "fv-1"), Assignment("f1", "fv-1", fake=False)])
+
 
 class TestSerialization:
     def test_round_trip(self, lure_net, tmp_path):
@@ -159,6 +167,74 @@ def test_apply_then_remove_all_is_identity(seed):
     _, g = random_budget_placement(net, 3, seed=seed)
     assert validate_graph(g) == []
     assert apply_assignments(net, ()) == baseline
+
+
+def _every_candidate(net):
+    return [
+        Assignment(host_id, vuln_id)
+        for host_id, host in sorted(net.hosts.items())
+        for vuln_id in compatible_vulns(net.catalog, host)
+    ]
+
+
+def _pinned_networks():
+    for hosts, seed in ((8, 1), (12, 7), (20, 11), (30, 3), (60, 1)):
+        yield generate_network(hosts, default_catalog(), seed=seed)
+    yield generate_network(12, cvss3_catalog(), seed=7)
+
+
+def test_generated_graphs_are_pinned():
+    """Generated graphs, byte for byte, against a digest recorded before generation
+    stopped rebuilding the network to plant fakes.
+
+    Per network: the baseline graph, seeded random placements at three host
+    fractions, and the graph with every compatible (host, vuln) pair planted.
+    """
+    digest = hashlib.sha256()
+    for net in _pinned_networks():
+        digest.update(build_attack_graph(net).to_json().encode())
+        for seed in range(6):
+            _, graph = random_placement(net, (0.25, 0.5, 1.0)[seed % 3], seed)
+            digest.update(graph.to_json().encode())
+        digest.update(apply_assignments(net, _every_candidate(net)).to_json().encode())
+    assert digest.hexdigest() == "b070f60c19fe0a9ff15bfd0bc44254f737f78367af93e0c9338aca28f3c68ccd"
+
+
+def _scanned_adjacency(graph):
+    """requirements and grants read off the edges, the definition the properties must match."""
+    reqs = {e: ([], []) for e in graph.exploit_nodes}
+    grants = {e: [] for e in graph.exploit_nodes}
+    for a, b in graph.edges:
+        if a in graph.exploit_nodes:
+            reqs[a][0 if b in graph.privilege_nodes else 1].append(b)
+        elif b in graph.exploit_nodes:
+            grants[b].append(a)
+    requirements = {e: (tuple(sorted(p)), tuple(sorted(c))) for e, (p, c) in reqs.items()}
+    return requirements, {e: tuple(sorted(g)) for e, g in grants.items()}
+
+
+class TestAdjacency:
+    def test_generated_graphs(self):
+        for net in _pinned_networks():
+            for graph in (build_attack_graph(net), apply_assignments(net, _every_candidate(net))):
+                assert graph.indexed is not None
+                assert (graph.requirements, graph.grants) == _scanned_adjacency(graph)
+
+    def test_random_unit_rule_graphs(self):
+        for seed in range(60):
+            palette = CVSS3_PALETTE if seed % 2 else COST_PALETTE
+            graph = random_unit_rule_graph(random.Random(seed), palette=palette)
+            assert graph.indexed is not None
+            assert (graph.requirements, graph.grants) == _scanned_adjacency(graph)
+
+    def test_graphs_without_an_integer_view_are_scanned(self):
+        checked = 0
+        for seed in range(60):
+            graph = random_attack_graph(random.Random(seed))
+            if graph.indexed is None:
+                checked += 1
+                assert (graph.requirements, graph.grants) == _scanned_adjacency(graph)
+        assert checked > 30
 
 
 def test_node_kind_values():

@@ -419,6 +419,24 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0]["error"].startswith("ConfigurationError: unknown algorithm 'bogus'")
 
+    def test_string_fraction_becomes_an_error_row(self, tmp_path, runner):
+        spec = {"networks": [{"hosts": 4, "seed": 1}], "approaches": [{"name": "random-hosts", "fraction": "0.5"}]}
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 0, res.output
+        rows = _rows(out.read_text())
+        assert [row["approach"] for row in rows] == ["random-hosts:0.5"]
+        assert rows[0]["error"].startswith("ConfigurationError: host count must be an int or a fraction")
+
+    @pytest.mark.parametrize("field", ["algorithm", "heuristic", "ordering"])
+    def test_non_string_approach_field_becomes_an_error_row(self, tmp_path, runner, field):
+        spec = {"networks": [{"hosts": 4, "seed": 1}], "approaches": [{"name": "search", field: 5}]}
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 0, res.output
+        rows = _rows(out.read_text())
+        assert len(rows) == 1
+        assert "5" in rows[0]["approach"].split(":")
+        assert rows[0]["error"] == f"ConfigurationError: sweep spec {field} must be a string, got 5"
+
     def test_non_integer_budget_is_a_configuration_error(self, tmp_path, runner):
         spec = {"networks": [{"hosts": 4, "seed": 1}], "budgets": ["x"]}
         res, out = self._sweep(tmp_path, runner, spec)

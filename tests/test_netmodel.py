@@ -191,21 +191,6 @@ class TestCheckAssignment:
         check_assignment(net, Assignment(host_id="a", vuln_id=vuln))
 
 
-class TestWithAssignments:
-    def test_installs_and_deduplicates(self, catalog):
-        net = _tiny_network(catalog)
-        vuln = compatible_vulns(catalog, net.hosts["a"])[0]
-        a = Assignment(host_id="a", vuln_id=vuln)
-        decorated = net.with_assignments([a, a])
-        assert vuln in decorated.hosts["a"].installed_vulns
-        assert net.hosts["a"].installed_vulns < decorated.hosts["a"].installed_vulns
-
-    def test_invalid_assignment_rejected(self, catalog):
-        net = _tiny_network(catalog)
-        with pytest.raises(ValidationError):
-            net.with_assignments([Assignment(host_id="a", vuln_id="nope")])
-
-
 class TestGenerateNetwork:
     def test_deterministic(self, catalog):
         a = generate_network(12, catalog, seed=5)

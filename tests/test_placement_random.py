@@ -48,6 +48,10 @@ class TestHostCountResolution:
             _resolve_host_count(11, 10)
         with pytest.raises(ConfigurationError):
             _resolve_host_count(-1, 10)
+        with pytest.raises(ConfigurationError):
+            _resolve_host_count("0.5", 10)
+        with pytest.raises(ConfigurationError):
+            _resolve_host_count(None, 10)
 
 
 class TestFractionPlacement:
