@@ -16,8 +16,9 @@ assignments, so a graph with fake vulnerabilities applied is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -80,8 +81,16 @@ class IndexedView:
     config: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackGraph:
+    """An attack graph; graphs equal when their nine fields do.
+
+    Loaded and hand-built graphs are given all nine fields and scan `edges`
+    for their integer view. Generated graphs (`_generate`) are born with the
+    view, and derive the string-keyed node sets, edges and provenance from it
+    on first read.
+    """
+
     privilege_nodes: frozenset[str]
     exploit_nodes: frozenset[str]
     config_nodes: frozenset[str]
@@ -91,6 +100,11 @@ class AttackGraph:
     config_cost: dict[str, float]
     fake_flag: dict[str, bool]
     provenance: dict[str, Assignment]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AttackGraph):
+            return NotImplemented
+        return all(getattr(self, f.name) == getattr(other, f.name) for f in fields(AttackGraph))
 
     # -- derived adjacency, computed once ------------------------------------
 
@@ -133,8 +147,8 @@ class AttackGraph:
         """Integer-indexed view for the Dijkstra planner; None unless the graph is unit-rule.
 
         Unit-rule means every exploit requires exactly one privilege and one
-        config. Built in one pass over the edges; `requirements` and `grants`
-        are read off it.
+        config. Generated graphs are born with it; other graphs build it in
+        one pass over the edges. `requirements` and `grants` are read off it.
         """
         privileges = tuple(sorted(self.privilege_nodes))
         exploits = tuple(sorted(self.exploit_nodes))
@@ -292,7 +306,8 @@ def apply_assignments(network: NetworkModel, assignments: Iterable[Assignment]) 
     and no two may name the same (host, vuln).
     """
     planted: dict[tuple[str, str], Assignment] = {}
-    for a in sorted(set(assignments)):
+    # Assignment's own order, by a tuple key: cheaper than Assignment.__lt__
+    for a in sorted(set(assignments), key=lambda a: (a.host_id, a.vuln_id, a.fake)):
         check_assignment(network, a)
         pair = (a.host_id, a.vuln_id)
         if pair in planted:
@@ -312,18 +327,13 @@ def _generate(network: NetworkModel, planted: Mapping[tuple[str, str], Assignmen
         children.setdefault(src, []).append(dst)
     real = {h.host_id: sorted(h.installed_vulns) for h in network.sorted_hosts()}
 
-    privs: set[str] = set()
-    exploits: set[str] = set()
-    configs: set[str] = set()
-    edges: set[tuple[str, str]] = set()
+    # one row per exploit: (id, attacking host, target host, config, first cause)
+    rows: list[tuple[str, str, str, str, Assignment | None]] = []
+    # reached host -> the assignment that first enabled its privilege
+    host_cause: dict[str, Assignment | None] = {}
     cost: dict[str, float] = {}
     fake: dict[str, bool] = {}
-    cause: dict[str, Assignment | None] = {}
-
-    entry = network.attacker_entry
-    source = priv_id(entry)
-    privs.add(source)
-    cause[source] = None
+    config_cause: dict[str, Assignment] = {}
 
     def wave(frontier: list[str], vulns: Mapping[str, list[str]]) -> list[str]:
         # One breadth-first wave: fire every rule from the frontier's hosts onto
@@ -331,38 +341,32 @@ def _generate(network: NetworkModel, planted: Mapping[tuple[str, str], Assignmen
         # every level keeps first-cause attribution deterministic.
         fresh: list[str] = []
         for x in frontier:
-            px = priv_id(x)
+            x_cause = host_cause[x]
             for dst in children.get(x, ()):
-                pd = priv_id(dst)
                 for vuln in vulns.get(dst, ()):
                     assignment = planted.get((dst, vuln))
-                    eid = exploit_id(dst, vuln, x)
-                    exploits.add(eid)
-                    cause[eid] = cause[px] if assignment is None else assignment
-                    edges.add((eid, px))
+                    cause = x_cause if assignment is None else assignment
                     cid = config_id(dst, vuln)
-                    if cid not in configs:
-                        configs.add(cid)
+                    rows.append((exploit_id(dst, vuln, x), x, dst, cid, cause))
+                    if cid not in cost:
                         cost[cid] = normalize_cost(catalog[vuln])
                         fake[cid] = assignment is not None
-                        cause[cid] = cause[eid] if assignment is None else assignment
-                    edges.add((eid, cid))
-                    if pd not in privs:
-                        privs.add(pd)
-                        cause[pd] = cause[eid]
+                        if cause is not None:
+                            config_cause[cid] = cause
+                    if dst not in host_cause:
+                        host_cause[dst] = cause
                         fresh.append(dst)
-                    edges.add((pd, eid))
         fresh.sort()
         return fresh
 
     # A host enters a frontier once per phase, so no exploit is created twice.
-    reached: list[str] = []
+    # Every node the real phase creates has no cause, and every node the fake
+    # phase creates has one, so the causes are the provenance (the goal aside).
+    entry = network.attacker_entry
+    host_cause[entry] = None
     frontier = [entry]
     while frontier:
-        reached += frontier
         frontier = wave(frontier, real)
-    goal_node = priv_id(network.goal.host_id)
-    baseline_nodes = privs | exploits | configs | {goal_node}
     if planted:
         # Second phase: fakes join the rule base. The real phase is a complete
         # fixpoint, so the hosts it reached have fired every real rule already;
@@ -373,32 +377,99 @@ def _generate(network: NetworkModel, planted: Mapping[tuple[str, str], Assignmen
             fakes.setdefault(host, []).append(vuln)
         # check_assignment keeps planted vulns off the installed lists, so no duplicates
         every = {**real, **{h: sorted(real[h] + vulns) for h, vulns in fakes.items()}}
-        frontier = wave(sorted(reached), fakes)
+        frontier = wave(sorted(host_cause), fakes)
         while frontier:
             frontier = wave(frontier, every)
+    goal_host = network.goal.host_id
+    # The goal privilege always exists, supported or not (derivability is the
+    # planner's concern), and never has provenance: it belongs to the baseline.
+    host_cause[goal_host] = None
 
-    if goal_node not in privs:
-        # The goal privilege always exists, supported or not; derivability is
-        # the planner's concern.
-        privs.add(goal_node)
-        cause[goal_node] = None
-
-    provenance = {
-        node: node_cause
-        for node, node_cause in cause.items()
-        if node_cause is not None and node not in baseline_nodes
-    }
-    return AttackGraph(
-        privilege_nodes=frozenset(privs),
-        exploit_nodes=frozenset(exploits),
-        config_nodes=frozenset(configs),
-        edges=frozenset(edges),
-        goal=goal_node,
-        source=source,
-        config_cost=cost,
-        fake_flag=fake,
-        provenance=provenance,
+    # Exploits numbered in sorted id order, which is not the order of their
+    # (host, vuln, host) parts: "h1|" sorts after "h10", "v1|" after "v1x".
+    rows.sort(key=itemgetter(0))
+    # privilege ids share the prefix "p|h:", so they sort as their hosts do
+    hosts = sorted(host_cause)
+    p_index = {h: i for i, h in enumerate(hosts)}
+    granted = [(i,) for i in range(len(hosts))]
+    consumers: list[list[tuple[int, str, tuple[int, ...]]]] = [[] for _ in hosts]
+    required: list[int] = []
+    for e, (_, x, dst, cid, _) in enumerate(rows):
+        p = p_index[x]
+        required.append(p)
+        consumers[p].append((e, cid, granted[p_index[dst]]))
+    view = IndexedView(
+        privileges=tuple(priv_id(h) for h in hosts),
+        exploits=tuple(row[0] for row in rows),
+        source=p_index[entry],
+        goal=p_index[goal_host],
+        consumers=tuple(map(tuple, consumers)),
+        required=tuple(required),
+        config=tuple(row[3] for row in rows),
     )
+    return _GeneratedGraph._born(view, cost, fake, rows, host_cause, config_cause)
+
+
+class _GeneratedGraph(AttackGraph):
+    """A graph from `_generate`, born with its integer view.
+
+    The planner and the attacker read only the view, the costs, the fake
+    flags and, when a fake is discovered, the provenance; the string-keyed
+    fields are derived on first read. `dataclasses.replace` builds a copy
+    through `AttackGraph.__init__`, with all nine fields given and the view
+    scanned from its edges.
+    """
+
+    @classmethod
+    def _born(
+        cls,
+        view: IndexedView,
+        cost: dict[str, float],
+        fake: dict[str, bool],
+        rows: list[tuple[str, str, str, str, Assignment | None]],
+        host_cause: dict[str, Assignment | None],
+        config_cause: dict[str, Assignment],
+    ) -> "_GeneratedGraph":
+        graph = cls.__new__(cls)
+        vars(graph).update(
+            goal=view.privileges[view.goal],
+            source=view.privileges[view.source],
+            config_cost=cost,
+            fake_flag=fake,
+            indexed=view,
+            _rows=rows,
+            _host_cause=host_cause,
+            _config_cause=config_cause,
+        )
+        return graph
+
+    @cached_property
+    def privilege_nodes(self) -> frozenset[str]:
+        return frozenset(self.indexed.privileges)
+
+    @cached_property
+    def exploit_nodes(self) -> frozenset[str]:
+        return frozenset(self.indexed.exploits)
+
+    @cached_property
+    def config_nodes(self) -> frozenset[str]:
+        return frozenset(self.config_cost)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        out: set[tuple[str, str]] = set()
+        for eid, x, dst, cid, _ in self._rows:
+            out.add((eid, priv_id(x)))
+            out.add((eid, cid))
+            out.add((priv_id(dst), eid))
+        return frozenset(out)
+
+    @cached_property
+    def provenance(self) -> dict[str, Assignment]:
+        out = {eid: cause for eid, _, _, _, cause in self._rows if cause is not None}
+        out.update(self._config_cause)
+        out.update((priv_id(h), cause) for h, cause in self._host_cause.items() if cause is not None)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +540,16 @@ def validate_graph(graph: AttackGraph) -> list[str]:
 
 
 def load_graph(path: str | Path) -> AttackGraph:
-    return AttackGraph.from_dict(json.loads(Path(path).read_text()))
+    """Read a graph file; ValidationError, naming every violation, if it is malformed."""
+    data = json.loads(Path(path).read_text())
+    try:
+        graph = AttackGraph.from_dict(data)
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: malformed graph file ({type(exc).__name__}: {exc})") from None
+    violations = validate_graph(graph)
+    if violations:
+        raise ValidationError(f"{path}: invalid attack graph: " + "; ".join(violations))
+    return graph
 
 
 def save_graph(graph: AttackGraph, path: str | Path) -> None:

@@ -165,8 +165,8 @@ def evaluate_placement(
     The deception-free optimum is planned on the decorated graph with every
     fake banned, which leaves exactly the plans of the undecorated graph.
     """
-    ordered = tuple(sorted(set(assignments)))
-    graph = apply_assignments(network, ordered)
+    placement = frozenset(assignments)
+    graph = apply_assignments(network, placement)
     baseline_cost = optimal_plan(graph, banned_configs=graph.fake_configs()).cost
     trace = simulate_attack(graph)
     p1 = trace.recalculations
@@ -174,8 +174,8 @@ def evaluate_placement(
         p3 = 1.0 if trace.total_cost == 0 else math.inf
     else:
         p3 = trace.total_cost / baseline_cost
-    if ordered:
-        p4 = (p1 - 1) / len(ordered)
+    if placement:
+        p4 = (p1 - 1) / len(placement)
         by_convention = False
     else:
         p4 = 1.0
@@ -186,7 +186,7 @@ def evaluate_placement(
         p3=p3,
         p4=p4,
         p4_by_convention=by_convention,
-        n_assignments=len(ordered),
+        n_assignments=len(placement),
         baseline_cost=baseline_cost,
         total_cost=trace.total_cost,
         seed=seed,

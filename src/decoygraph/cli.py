@@ -31,7 +31,7 @@ from .netmodel import (
     generate_network,
     load_catalog,
 )
-from .placement_random import random_budget_placement, random_placement
+from .placement_random import draw_budget_placement, draw_placement, random_budget_placement, random_placement
 from .placement_search import PlacementProblem, SearchResult, astar, dfbnb, exhaustive_best
 
 _CSV_COLUMNS = [
@@ -435,11 +435,11 @@ def _sweep_cell(
     try:
         result = None
         if name == "random":
-            assignments, _ = random_budget_placement(network, budget, seed)
+            assignments = draw_budget_placement(network, budget, seed)
         elif name == "random-hosts":
             if "fraction" not in approach:
                 raise ConfigurationError("approach random-hosts needs a fraction")
-            assignments, _ = random_placement(network, approach["fraction"], seed)
+            assignments = draw_placement(network, approach["fraction"], seed)
         elif name == "search":
             algorithm = _spec_str(approach.get("algorithm", "dfbnb"), "algorithm")
             if algorithm == "exhaustive":

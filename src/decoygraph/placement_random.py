@@ -39,13 +39,13 @@ def _resolve_host_count(spec: float | int, n_hosts: int) -> int:
     return spec
 
 
-def random_placement(
+def draw_placement(
     network: NetworkModel,
     fraction_or_count: float | int,
     seed: int,
     weight_epsilon: float = 0.01,
-) -> tuple[frozenset[Assignment], AttackGraph]:
-    """Place fakes on a random subset of hosts, returning (placement, graph).
+) -> frozenset[Assignment]:
+    """Fakes on a random subset of hosts.
 
     `fraction_or_count` is either a fraction of hosts (float in [0, 1],
     rounded up) or an absolute host count. Per chosen host the number of
@@ -68,19 +68,18 @@ def random_placement(
         n_fakes = rng.randint(0, len(valid))
         for vuln_id in _weighted_sample(valid, n_fakes, rng, weights):
             assignments.add(Assignment(host_id=host_id, vuln_id=vuln_id))
-    placement = frozenset(assignments)
-    return placement, apply_assignments(network, placement)
+    return frozenset(assignments)
 
 
-def random_budget_placement(
+def draw_budget_placement(
     network: NetworkModel,
     budget: int,
     seed: int,
     weight_epsilon: float = 0.01,
-) -> tuple[frozenset[Assignment], AttackGraph]:
-    """Place exactly min(budget, #compatible pairs) fakes network-wide.
+) -> frozenset[Assignment]:
+    """Exactly min(budget, #compatible pairs) fakes network-wide.
 
-    Same cost-biased draw as `random_placement` but over the flat pool of
+    Same cost-biased draw as `draw_placement` but over the flat pool of
     all (host, vulnerability) pairs, so the budget matches the search's and
     the two are comparable head-to-head.
     """
@@ -96,5 +95,32 @@ def random_budget_placement(
             pool.append(pair)
             weights[pair] = 1.0 / (normalize_cost(network.catalog[vuln_id]) + weight_epsilon)
     picked = _weighted_sample(pool, min(budget, len(pool)), rng, weights)
-    placement = frozenset(Assignment(host_id=host_id, vuln_id=vuln_id) for host_id, vuln_id in picked)
+    return frozenset(Assignment(host_id=host_id, vuln_id=vuln_id) for host_id, vuln_id in picked)
+
+
+def random_placement(
+    network: NetworkModel,
+    fraction_or_count: float | int,
+    seed: int,
+    weight_epsilon: float = 0.01,
+) -> tuple[frozenset[Assignment], AttackGraph]:
+    """Place fakes on a random subset of hosts, returning (placement, graph).
+
+    The placement is `draw_placement`'s, and the graph has it applied.
+    """
+    placement = draw_placement(network, fraction_or_count, seed, weight_epsilon)
+    return placement, apply_assignments(network, placement)
+
+
+def random_budget_placement(
+    network: NetworkModel,
+    budget: int,
+    seed: int,
+    weight_epsilon: float = 0.01,
+) -> tuple[frozenset[Assignment], AttackGraph]:
+    """Place fakes network-wide, returning (placement, graph).
+
+    The placement is `draw_budget_placement`'s, and the graph has it applied.
+    """
+    placement = draw_budget_placement(network, budget, seed, weight_epsilon)
     return placement, apply_assignments(network, placement)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from decoygraph.aggraph import (
+    AttackGraph,
     NodeKind,
     apply_assignments,
     build_attack_graph,
@@ -21,9 +23,25 @@ from decoygraph.aggraph import (
     validate_graph,
 )
 from decoygraph.errors import ValidationError
-from decoygraph.netmodel import Assignment, compatible_vulns, default_catalog, generate_network
+from decoygraph.netmodel import (
+    EXTERNAL,
+    Assignment,
+    Goal,
+    Host,
+    NetworkModel,
+    compatible_vulns,
+    default_catalog,
+    generate_network,
+)
 from decoygraph.placement_random import random_placement
-from helpers import COST_PALETTE, CVSS3_PALETTE, cvss3_catalog, random_attack_graph, random_unit_rule_graph
+from helpers import (
+    COST_PALETTE,
+    CVSS3_PALETTE,
+    _vuln,
+    cvss3_catalog,
+    random_attack_graph,
+    random_unit_rule_graph,
+)
 
 
 def test_node_id_helpers_round_trip():
@@ -198,6 +216,68 @@ def test_generated_graphs_are_pinned():
             digest.update(graph.to_json().encode())
         digest.update(apply_assignments(net, _every_candidate(net)).to_json().encode())
     assert digest.hexdigest() == "b070f60c19fe0a9ff15bfd0bc44254f737f78367af93e0c9338aca28f3c68ccd"
+
+
+def _prefix_ids_network():
+    """Host h1 next to h10, and vuln v1 next to v1x: ids whose string order is not their parts' order."""
+    catalog = {v: _vuln(v, "os", subscore) for v, subscore in (("v1", 10.0), ("v1x", 5.0), ("w", 2.5))}
+    hosts = {
+        "h1": Host(host_id="h1", os="os", installed_vulns=frozenset({"v1"})),
+        "h10": Host(host_id="h10", os="os", installed_vulns=frozenset({"v1", "v1x"})),
+        "h2": Host(host_id="h2", os="os", installed_vulns=frozenset({"w"})),
+    }
+    reach = {(EXTERNAL, "h1"), (EXTERNAL, "h10"), ("h1", "h10"), ("h10", "h1"), ("h1", "h2"), ("h10", "h2")}
+    return NetworkModel(
+        hosts=hosts, reachability=frozenset(reach), attacker_entry=EXTERNAL, goal=Goal("h2"), catalog=catalog
+    )
+
+
+def test_generated_and_loaded_graphs_agree():
+    """A generated graph equals its serialized copy, and was born with the view the copy scans from its edges."""
+    checked = 0
+    prefix_net = _prefix_ids_network()
+    # string order: "h10|" before "h1|", and "v1x|" before "v1|"; all three are in the baseline graph
+    baseline_exploits = build_attack_graph(prefix_net).exploit_nodes
+    for first, second in (
+        (exploit_id("h10", "v1", "h1"), exploit_id("h1", "v1", "h10")),
+        (exploit_id("h10", "v1x", "h1"), exploit_id("h10", "v1", "h1")),
+    ):
+        assert first < second and {first, second} <= baseline_exploits
+    for net in (*_pinned_networks(), prefix_net):
+        graphs = [build_attack_graph(net), apply_assignments(net, _every_candidate(net))]
+        graphs += [random_placement(net, (0.25, 0.5, 1.0)[seed % 3], seed)[1] for seed in range(6)]
+        for graph in graphs:
+            born = graph.__dict__["indexed"]
+            loaded = AttackGraph.from_dict(json.loads(graph.to_json()))
+            assert graph == loaded and loaded == graph
+            assert "indexed" not in loaded.__dict__
+            assert loaded.indexed == born
+            checked += 1
+    assert checked == 7 * 8
+    # a copy made by dataclasses.replace scans its own edges
+    moved = dataclasses.replace(build_attack_graph(prefix_net), goal=priv_id(EXTERNAL))
+    assert moved.indexed.goal == moved.indexed.source
+
+
+def test_equality_reads_every_field(lure_net):
+    graph = apply_assignments(lure_net, [Assignment("f1", "fv-1")])
+    config = min(graph.config_nodes)
+    changes = {
+        "privilege_nodes": graph.privilege_nodes | {priv_id("x")},
+        "exploit_nodes": graph.exploit_nodes - {min(graph.exploit_nodes)},
+        "config_nodes": graph.config_nodes | {config_id("x", "y")},
+        "edges": graph.edges - {min(graph.edges)},
+        "goal": graph.source,
+        "source": graph.goal,
+        "config_cost": {**graph.config_cost, config: -1.0},
+        "fake_flag": {**graph.fake_flag, config: not graph.fake_flag[config]},
+        "provenance": {},
+    }
+    assert set(changes) == {f.name for f in dataclasses.fields(AttackGraph)}
+    for name, value in changes.items():
+        changed = dataclasses.replace(graph, **{name: value})
+        assert graph != changed and changed != graph, name
+    assert graph == dataclasses.replace(graph)
 
 
 def _scanned_adjacency(graph):

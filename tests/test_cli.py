@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -291,11 +292,45 @@ class TestExitCodes:
         res = runner.invoke(main, ["build-graph", "--network", str(bad)])
         assert res.exit_code == 2
 
+    def test_malformed_graph_files(self, tmp_path, runner):
+        for path, violation in _tampered_graph_files(tmp_path, runner):
+            for command in ("plan", "simulate", "to-dot"):
+                res = runner.invoke(main, [command, "--graph", str(path)])
+                assert res.exit_code == 2, (command, path.name, res.output)
+                assert "error:" in res.output and violation in res.output
+
     def test_unreachable_goal(self, tmp_path, runner):
         path = _write_cut_network(tmp_path)
         res = runner.invoke(main, ["simulate", "--network", str(path)])
         assert res.exit_code == 3
         assert "error:" in res.output
+
+
+def _tampered_graph_files(tmp_path, runner) -> list:
+    """A 6-host network's build-graph output, broken in two ways validate_graph names and missing its edges."""
+    net, graph = tmp_path / "net.json", tmp_path / "graph.json"
+    assert runner.invoke(main, ["generate", "--hosts", "6", "--seed", "3", "--out", str(net)]).exit_code == 0
+    assert runner.invoke(main, ["build-graph", "--network", str(net), "--out", str(graph)]).exit_code == 0
+    data = json.loads(graph.read_text())
+    # every config flagged fake, with no provenance
+    all_fake = copy.deepcopy(data)
+    for node in all_fake["nodes"]:
+        if node["kind"] == "config":
+            node["fake"] = True
+    # one exploit's config edge pointed at a config that does not exist
+    dangling = copy.deepcopy(data)
+    edge = next(e for e in dangling["edges"] if e["from"].startswith("e|") and e["to"].startswith("c|"))
+    edge["to"] = "c|h:ghost|v:x"
+    paths = []
+    for name, payload, violation in (
+        ("all-fake.json", all_fake, "fake flag and provenance disagree"),
+        ("dangling.json", dangling, "references an unknown node"),
+        ("no-edges.json", {"nodes": data["nodes"], "goal": data["goal"], "source": data["source"]}, "malformed"),
+    ):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        paths.append((path, violation))
+    return paths
 
 
 class TestExportFixture:

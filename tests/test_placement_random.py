@@ -18,6 +18,8 @@ from decoygraph.netmodel import (
 )
 from decoygraph.placement_random import (
     _resolve_host_count,
+    draw_budget_placement,
+    draw_placement,
     random_budget_placement,
     random_placement,
 )
@@ -90,6 +92,7 @@ class TestFractionPlacement:
         from decoygraph.aggraph import apply_assignments
 
         fakes, graph = random_placement(chain_net, 1.0, seed=2)
+        assert fakes == draw_placement(chain_net, 1.0, seed=2)
         assert graph == apply_assignments(chain_net, fakes)
 
 
@@ -113,7 +116,7 @@ class TestBudgetPlacement:
         net = small_network(rng)
         a1, _ = random_budget_placement(net, 3, seed=5)
         a2, _ = random_budget_placement(net, 3, seed=5)
-        assert a1 == a2
+        assert a1 == a2 == draw_budget_placement(net, 3, seed=5)
         for a in a1:
             check_assignment(net, a)
 
