@@ -332,6 +332,8 @@ def _generate(network: NetworkModel, planted: Mapping[tuple[str, str], Assignmen
     # reached host -> the assignment that first enabled its privilege
     host_cause: dict[str, Assignment | None] = {}
     cost: dict[str, float] = {}
+    # a config costs what its vuln costs, so each vuln is priced (and checked) once
+    costs_by_vuln: dict[str, float] = {}
     fake: dict[str, bool] = {}
     config_cause: dict[str, Assignment] = {}
 
@@ -349,7 +351,10 @@ def _generate(network: NetworkModel, planted: Mapping[tuple[str, str], Assignmen
                     cid = config_id(dst, vuln)
                     rows.append((exploit_id(dst, vuln, x), x, dst, cid, cause))
                     if cid not in cost:
-                        cost[cid] = normalize_cost(catalog[vuln])
+                        vuln_cost = costs_by_vuln.get(vuln)
+                        if vuln_cost is None:
+                            vuln_cost = costs_by_vuln[vuln] = normalize_cost(catalog[vuln])
+                        cost[cid] = vuln_cost
                         fake[cid] = assignment is not None
                         if cause is not None:
                             config_cause[cid] = cause

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .aggraph import AttackGraph, apply_assignments, config_id
-from .attacker import simulate_attack
+from .attacker import SimulationTrace, simulate_attack
 from .errors import ConfigurationError, Unreachable, ValidationError
 from .netmodel import Assignment, NetworkModel, compatible_vulns, normalize_cost
 from .planner import optimal_plan
@@ -39,10 +39,11 @@ _EXPLOIT_SHAPE = "remote:priv+config"
 # Bound on planner calls during path-pool construction, per unit of pool size.
 _POOL_CALL_FACTOR = 40
 
-# Relative and absolute slack on the trippability limit k*b. Chain costs are
-# float sums taken in another order than the attacker's, so a chain of exactly
-# k*b may read a few ulps high; keeping an extra candidate is always sound,
-# dropping a trippable one is not.
+# Relative and absolute slack on the chain-cost tests: the trippability limit
+# k*b and the reach of Lemma C. Chain costs are float sums taken in another
+# order than the attacker's, so a chain of exactly k*b may read a few ulps
+# high; keeping an extra candidate or simulating an extra set is always sound,
+# dropping a trippable candidate or inheriting a wrong value is not.
 _TRIP_SLACK = 1e-9
 
 
@@ -396,6 +397,25 @@ class PlacementProblem:
     answer, and dfbnb and astar search the trippable candidates only.
     `exhaustive_best`, the oracle, enumerates all of `candidates`. On graphs
     without an integer view (not unit-rule) every candidate is kept.
+
+    The memo maps each valued set S to (value, reach). The reach R(S) is
+    the largest plan_i.cost + Z_i over the rounds i of S's attack, where Z_i
+    is the face cost of the configs zeroed before round i, each counted once.
+
+    Lemma C. If S is memoized and S' = S + {a} has L(a) > R(S), the attack on
+    S' is the attack on S, so S' has S's value and reach. By induction over
+    the rounds, which start from the same state: suppose a is on round i's
+    plan P' against S'. On a generated graph a simple chain pays each config
+    once, so P' has face cost at least L(a) and working cost at least
+    L(a) - Z_i. S's round-i plan is still open against S', so P' costs at
+    most cost_i. Then L(a) <= cost_i + Z_i <= R(S), a contradiction. So a is
+    on no plan, and Lemma B gives the same plan in every round. `value` tries
+    each member's memoized parent and inherits its pair instead of
+    simulating. The test is strict and carries `_TRIP_SLACK`: on a tie,
+    Dijkstra may pick the chain through a. Singleton utilities inherit from
+    the empty set the same way. `exhaustive_best` simulates every set it
+    does not find memoized, so on a fresh problem it stays an independent
+    oracle. Graphs without an integer view never inherit.
     """
 
     def __init__(self, network: NetworkModel):
@@ -406,32 +426,48 @@ class PlacementProblem:
         self.baseline_cost = optimal_plan(self.graph, banned_configs=self.fake_configs).cost
         self.candidates = tuple(c for c in candidates if _fake_config(c.assignment) in self.fake_configs)
         self.chain_costs = _chain_costs(self.graph)
-        self._values: dict[frozenset[Assignment], float] = {}
+        self._memo: dict[frozenset[Assignment], tuple[float, float]] = {}
         self._trippable: dict[int, tuple[Candidate, ...]] = {}
         self._indexes: dict[int, PathIndex] = {}
 
     def value(self, assignments: frozenset[Assignment]) -> float:
-        """The attacker's total cost against exactly `assignments` planted."""
-        value = self._values.get(assignments)
-        if value is None:
-            banned = _unplanted(self.fake_configs, assignments)
-            value = simulate_attack(self.graph, banned_configs=banned).total_cost
-            self._values[assignments] = value
-        return value
+        """The attacker's total cost against exactly `assignments` planted.
+
+        Inherited from a memoized parent where Lemma C allows, else simulated.
+        """
+        chains = self.chain_costs
+        if chains is not None and assignments not in self._memo:
+            for a in assignments:
+                parent = self._memo.get(assignments - {a})
+                if parent is not None and chains[_fake_config(a)] > parent[1] * (1.0 + _TRIP_SLACK) + _TRIP_SLACK:
+                    self._memo[assignments] = parent
+                    break
+        return self._simulated_value(assignments)
+
+    def _simulated_value(self, assignments: frozenset[Assignment]) -> float:
+        """`value` without inheritance: a set not memoized yet is simulated."""
+        entry = self._memo.get(assignments)
+        if entry is None:
+            trace = simulate_attack(self.graph, banned_configs=_unplanted(self.fake_configs, assignments))
+            entry = self._memo[assignments] = (trace.total_cost, _reach(trace, self.graph.config_cost))
+        return entry[0]
 
     def trippable(self, budget: int) -> tuple[Candidate, ...]:
         """The candidates some placement of at most `budget` fakes can trip.
 
         Those with L(a) <= budget * baseline_cost (Lemma A), in `candidates`
-        order and with their singleton utilities; memoized per budget.
+        order and with their singleton utilities; memoized per budget. The
+        empty set is valued first, so singletons can inherit from it.
         """
         kept = self._trippable.get(budget)
         if kept is None:
             chains = self.chain_costs
             limit = budget * self.baseline_cost * (1.0 + _TRIP_SLACK) + _TRIP_SLACK
             kept = [c for c in self.candidates if chains is None or chains[_fake_config(c.assignment)] <= limit]
+            self.value(frozenset())
+            singletons = {frozenset({c.assignment}): self.value(frozenset({c.assignment})) for c in kept}
             kept = self._trippable[budget] = tuple(
-                compute_singleton_utilities(self.graph, kept, utility_cache=self._values)
+                compute_singleton_utilities(self.graph, kept, utility_cache=singletons)
             )
         return kept
 
@@ -441,6 +477,19 @@ class PlacementProblem:
         if index is None:
             index = self._indexes[pool_size] = build_path_index(self.graph, pool_size=pool_size)
         return index
+
+
+def _reach(trace: SimulationTrace, face_costs: dict[str, float]) -> float:
+    """R of Lemma C: the largest plan cost plus face cost zeroed before its round."""
+    reach = 0.0
+    zeroed: set[str] = set()
+    zeroed_cost = 0.0
+    for it in trace.iterations:
+        reach = max(reach, it.plan.cost + zeroed_cost)
+        if not it.zeroed_configs <= zeroed:
+            zeroed |= it.zeroed_configs
+            zeroed_cost = math.fsum(face_costs[c] for c in zeroed)
+    return reach
 
 
 def _chain_costs(graph: AttackGraph) -> dict[str, float] | None:
@@ -524,9 +573,10 @@ class _SearchContext:
         self.best_value = -math.inf
         self.best_set: tuple[Assignment, ...] = ()
         self.index = self.reorder_fn = None
+        self.lookup = problem.value
 
     def evaluate(self, assignments: frozenset[Assignment]) -> float:
-        value = self.problem.value(assignments)
+        value = self.lookup(assignments)
         key = (-value, len(assignments), tuple(sorted(assignments)))
         if self.best_key is None or key < self.best_key:
             self.best_key = key
@@ -658,6 +708,8 @@ def exhaustive_best(
     """
     t0 = time.perf_counter()
     ctx = _SearchContext(network, budget, "utility", "h2", 0, 0, problem)
+    # the oracle simulates every set it does not find memoized (no Lemma C)
+    ctx.lookup = ctx.problem._simulated_value
     assignments = sorted(c.assignment for c in ctx.problem.candidates)
     total = sum(math.comb(len(assignments), size) for size in range(ctx.budget + 1))
     if total > max_subsets:

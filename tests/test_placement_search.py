@@ -531,6 +531,66 @@ class TestTrippableFilter:
         assert (found.best_utility, found.expanded_nodes) == (2.0, 44)
 
 
+class TestValueInheritance:
+    """PlacementProblem.value inherits a parent's value where Lemma C allows;
+    every value must still be the attack's cost on the regenerated graph."""
+
+    @staticmethod
+    def _count_simulations(monkeypatch):
+        counts = {"simulations": 0}
+
+        def counted(*args, **kwargs):
+            counts["simulations"] += 1
+            return simulate_attack(*args, **kwargs)
+
+        monkeypatch.setattr(placement_search, "simulate_attack", counted)
+        return counts
+
+    @pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
+    def test_inherited_values_match_regenerated_graphs(self, catalog, monkeypatch):
+        counts = self._count_simulations(monkeypatch)
+        checked = 0
+        for seed in range(20):
+            net = small_network(random.Random(9700 + seed), max_hosts=8, catalog=catalog)
+            problem = PlacementProblem(net)
+            assignments = sorted(c.assignment for c in problem.candidates)
+            for size in range(4):  # parents first
+                for combo in combinations(assignments, size):
+                    expected = simulate_attack(apply_assignments(net, combo)).total_cost
+                    assert problem.value(frozenset(combo)) == expected, f"seed {seed}, {list(combo)}"
+                    checked += 1
+        assert checked >= 9_000
+        assert counts["simulations"] < checked / 2, f"{counts['simulations']} simulations for {checked} sets"
+
+    def test_engines_simulate_less_than_they_evaluate(self, monkeypatch):
+        net = generate_network(12, default_catalog(), seed=7)
+        counts = self._count_simulations(monkeypatch)
+        evaluate = _SearchContext.evaluate
+
+        def counted_evaluate(ctx, assignments):
+            counts["evaluations"] += 1
+            return evaluate(ctx, assignments)
+
+        monkeypatch.setattr(_SearchContext, "evaluate", counted_evaluate)
+        best = (
+            Assignment(host_id="h01", vuln_id="CVE-2022-26134"),
+            Assignment(host_id="h12", vuln_id="CVE-2020-0601"),
+            Assignment(host_id="h12", vuln_id="CVE-2021-34527"),
+        )
+        for engine, expanded, generated in ((dfbnb, 815, 1495), (astar, 529, 989)):
+            counts.update(simulations=0, evaluations=0)
+            found = engine(net, budget=3)
+            assert (found.best_assignments, found.best_utility) == (best, 2.0)
+            assert (found.expanded_nodes, found.generated_nodes) == (expanded, generated)
+            assert counts["simulations"] <= 0.6 * counts["evaluations"], f"{engine.__name__}: {counts}"
+
+    def test_exhaustive_simulates_every_subset(self, monkeypatch):
+        net = generate_network(12, default_catalog(), seed=7)
+        counts = self._count_simulations(monkeypatch)
+        res = exhaustive_best(net, budget=2)
+        assert counts["simulations"] == res.expanded_nodes == 1 + 33 + 33 * 32 // 2
+
+
 def test_results_serialize_without_surprises(chain_net):
     import json
 
