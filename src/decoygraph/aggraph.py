@@ -111,12 +111,6 @@ class AttackGraph:
     @cached_property
     def requirements(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
         """exploit -> (required privileges, required configs), each sorted."""
-        view = self.indexed
-        if view is not None:
-            return {
-                e: ((view.privileges[view.required[i]],), (view.config[i],))
-                for i, e in enumerate(view.exploits)
-            }
         privs: dict[str, list[str]] = {e: [] for e in self.exploit_nodes}
         confs: dict[str, list[str]] = {e: [] for e in self.exploit_nodes}
         for a, b in self.edges:
@@ -127,15 +121,6 @@ class AttackGraph:
     @cached_property
     def grants(self) -> dict[str, tuple[str, ...]]:
         """exploit -> privileges it grants, sorted."""
-        view = self.indexed
-        if view is not None:
-            # each exploit is a consumer of its one required privilege, and the
-            # view's grants are sorted integers, so sorted ids
-            return {
-                view.exploits[e]: tuple(view.privileges[q] for q in granted)
-                for consumers in view.consumers
-                for e, _, granted in consumers
-            }
         out: dict[str, list[str]] = {e: [] for e in self.exploit_nodes}
         for p, e in self.edges:
             if p in self.privilege_nodes and e in self.exploit_nodes:
@@ -148,7 +133,8 @@ class AttackGraph:
 
         Unit-rule means every exploit requires exactly one privilege and one
         config. Generated graphs are born with it; other graphs build it in
-        one pass over the edges. `requirements` and `grants` are read off it.
+        one pass over the edges. `requirements` and `grants` are not read off
+        it: they scan the edges, for the general planner and the oracles.
         """
         privileges = tuple(sorted(self.privilege_nodes))
         exploits = tuple(sorted(self.exploit_nodes))
@@ -419,10 +405,12 @@ class _GeneratedGraph(AttackGraph):
     """A graph from `_generate`, born with its integer view.
 
     The planner and the attacker read only the view, the costs, the fake
-    flags and, when a fake is discovered, the provenance; the string-keyed
-    fields are derived on first read. `dataclasses.replace` builds a copy
-    through `AttackGraph.__init__`, with all nine fields given and the view
-    scanned from its edges.
+    flags and, when a fake is discovered, the provenance. The string-keyed
+    fields are derived on first read, and `requirements` and `grants`, which
+    only the general planner and the oracles read, are scanned from the
+    derived edges. `dataclasses.replace` builds a copy through
+    `AttackGraph.__init__`, with all nine fields given and the view scanned
+    from its edges.
     """
 
     @classmethod

@@ -100,9 +100,11 @@ def simulate_attack(graph: AttackGraph, banned_configs: Iterable[str] = ()) -> S
     out of play from the start; a search passes the fake configs of the
     candidates it did not plant, so one graph with every candidate planted
     serves every subset. Each round plans at face value with the configs paid
-    so far zeroed. When the plan trips a fake, the discovered assignment's
-    own config joins the ban set, which leaves the planner exactly the plans
-    of the graph regenerated without that assignment.
+    so far zeroed, and walks the plan's steps through the configs each one
+    requires (`AttackPlan.step_configs`); the graph's adjacency is not read.
+    When the plan trips a fake, the discovered assignment's own config joins
+    the ban set, which leaves the planner exactly the plans of the graph
+    regenerated without that assignment.
 
     A real attack path (goal derivable from real configs only) must exist.
     The loop raises Unreachable("no real attack path exists") if and only if
@@ -122,17 +124,17 @@ def simulate_attack(graph: AttackGraph, banned_configs: Iterable[str] = ()) -> S
         except Unreachable:
             raise Unreachable("no real attack path exists") from None
         effort += stats
-        # configs of the exploits run before the first one needing a fake
+        # configs of the steps run before the first one needing a fake
         before: set[str] = set()
         fake_reqs: list[str] = []
-        for exploit in plan.exec_order:
-            configs = graph.requirements[exploit][1]
+        for configs in plan.step_configs:
             fake_reqs = [c for c in configs if graph.fake_flag.get(c, False)]
             if fake_reqs:
                 break
             before.update(configs)
         if not fake_reqs:
-            paid = math.fsum(working[c] for c in plan.node_set & graph.config_nodes)
+            # every step ran, so `before` holds all the plan's configs
+            paid = math.fsum(working[c] for c in before)
             total += paid
             iterations.append(AttackIteration(plan, paid, None, frozenset()))
             break

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -317,12 +316,16 @@ def default_catalog() -> Catalog:
     }
 
 
+# Share of generated hosts in the DMZ, Internal and Secured layers.
+_LAYER_FRACTIONS = (0.2, 0.5, 0.3)
+# Installed vulnerabilities per generated host: uniform on this range, capped by the OS's pool.
+_VULNS_PER_HOST = (1, 3)
+
+
 def generate_network(
     n_hosts: int,
     catalog: Catalog,
     seed: int,
-    layer_fractions: tuple[float, float, float] = (0.2, 0.5, 0.3),
-    vulns_per_host_range: tuple[int, int] = (1, 3),
     dead_hosts: int = 0,
 ) -> NetworkModel:
     """Build a three-layer synthetic network, deterministic for a fixed seed.
@@ -335,11 +338,6 @@ def generate_network(
     """
     if n_hosts < 3:
         raise ConfigurationError("n_hosts too small to populate all three layers")
-    if not math.isclose(sum(layer_fractions), 1.0, abs_tol=1e-9):
-        raise ConfigurationError("layer fractions must sum to 1")
-    lo, hi = vulns_per_host_range
-    if not 1 <= lo <= hi:
-        raise ConfigurationError("vulns_per_host_range must satisfy 1 <= lo <= hi")
     if not 0 <= dead_hosts < n_hosts:
         raise ConfigurationError("dead_hosts must be in [0, n_hosts)")
 
@@ -351,8 +349,8 @@ def generate_network(
     if not usable_os:
         raise ConfigurationError("catalog contains no usable OS")
 
-    n_dmz = max(1, round(layer_fractions[0] * n_hosts))
-    n_sec = max(1, round(layer_fractions[2] * n_hosts))
+    n_dmz = max(1, round(_LAYER_FRACTIONS[0] * n_hosts))
+    n_sec = max(1, round(_LAYER_FRACTIONS[2] * n_hosts))
     n_int = n_hosts - n_dmz - n_sec
     if n_int < 1:
         raise ConfigurationError("n_hosts too small to populate all three layers")
@@ -379,7 +377,7 @@ def generate_network(
             installed: frozenset[str] = frozenset()
         else:
             pool = by_os[os_name]
-            count = min(rng.randint(lo, hi), len(pool))
+            count = min(rng.randint(*_VULNS_PER_HOST), len(pool))
             installed = frozenset(rng.sample(pool, count))
         hosts[host_id] = Host(host_id=host_id, os=os_name, installed_vulns=installed, layer=layer)
 

@@ -15,6 +15,9 @@ from .aggraph import AttackGraph, apply_assignments
 from .errors import ConfigurationError
 from .netmodel import Assignment, NetworkModel, compatible_vulns, normalize_cost
 
+# A fake is drawn with weight 1 / (cost + _WEIGHT_EPSILON), so a free one stays finite.
+_WEIGHT_EPSILON = 0.01
+
 
 def _weighted_sample(pool: list, count: int, rng: random.Random, weights: dict) -> list:
     remaining = list(pool)
@@ -43,21 +46,20 @@ def draw_placement(
     network: NetworkModel,
     fraction_or_count: float | int,
     seed: int,
-    weight_epsilon: float = 0.01,
 ) -> frozenset[Assignment]:
     """Fakes on a random subset of hosts.
 
     `fraction_or_count` is either a fraction of hosts (float in [0, 1],
     rounded up) or an absolute host count. Per chosen host the number of
     fakes is uniform on 0..#compatible, and the fakes themselves are drawn
-    with probability proportional to 1 / (cost + weight_epsilon).
+    with probability proportional to 1 / (cost + _WEIGHT_EPSILON).
     """
     rng = random.Random(seed)
     host_ids = sorted(network.hosts)
     count = _resolve_host_count(fraction_or_count, len(host_ids))
     chosen_hosts = rng.sample(host_ids, count)
     weights = {
-        vuln_id: 1.0 / (normalize_cost(rec) + weight_epsilon)
+        vuln_id: 1.0 / (normalize_cost(rec) + _WEIGHT_EPSILON)
         for vuln_id, rec in network.catalog.items()
     }
     assignments: set[Assignment] = set()
@@ -75,7 +77,6 @@ def draw_budget_placement(
     network: NetworkModel,
     budget: int,
     seed: int,
-    weight_epsilon: float = 0.01,
 ) -> frozenset[Assignment]:
     """Exactly min(budget, #compatible pairs) fakes network-wide.
 
@@ -93,7 +94,7 @@ def draw_budget_placement(
         for vuln_id in compatible_vulns(network.catalog, host):
             pair = (host_id, vuln_id)
             pool.append(pair)
-            weights[pair] = 1.0 / (normalize_cost(network.catalog[vuln_id]) + weight_epsilon)
+            weights[pair] = 1.0 / (normalize_cost(network.catalog[vuln_id]) + _WEIGHT_EPSILON)
     picked = _weighted_sample(pool, min(budget, len(pool)), rng, weights)
     return frozenset(Assignment(host_id=host_id, vuln_id=vuln_id) for host_id, vuln_id in picked)
 
@@ -102,13 +103,12 @@ def random_placement(
     network: NetworkModel,
     fraction_or_count: float | int,
     seed: int,
-    weight_epsilon: float = 0.01,
 ) -> tuple[frozenset[Assignment], AttackGraph]:
     """Place fakes on a random subset of hosts, returning (placement, graph).
 
     The placement is `draw_placement`'s, and the graph has it applied.
     """
-    placement = draw_placement(network, fraction_or_count, seed, weight_epsilon)
+    placement = draw_placement(network, fraction_or_count, seed)
     return placement, apply_assignments(network, placement)
 
 
@@ -116,11 +116,10 @@ def random_budget_placement(
     network: NetworkModel,
     budget: int,
     seed: int,
-    weight_epsilon: float = 0.01,
 ) -> tuple[frozenset[Assignment], AttackGraph]:
     """Place fakes network-wide, returning (placement, graph).
 
     The placement is `draw_budget_placement`'s, and the graph has it applied.
     """
-    placement = draw_budget_placement(network, budget, seed, weight_epsilon)
+    placement = draw_budget_placement(network, budget, seed)
     return placement, apply_assignments(network, placement)

@@ -395,8 +395,7 @@ class PlacementProblem:
     Together: a set holding an untrippable candidate has the value of the
     smaller set without it, so under the smaller-set tie-break it is never the
     answer, and dfbnb and astar search the trippable candidates only.
-    `exhaustive_best`, the oracle, enumerates all of `candidates`. On graphs
-    without an integer view (not unit-rule) every candidate is kept.
+    `exhaustive_best`, the oracle, enumerates all of `candidates`.
 
     The memo maps each valued set S to (value, reach). The reach R(S) is
     the largest plan_i.cost + Z_i over the rounds i of S's attack, where Z_i
@@ -415,7 +414,7 @@ class PlacementProblem:
     Dijkstra may pick the chain through a. Singleton utilities inherit from
     the empty set the same way. `exhaustive_best` simulates every set it
     does not find memoized, so on a fresh problem it stays an independent
-    oracle. Graphs without an integer view never inherit.
+    oracle.
     """
 
     def __init__(self, network: NetworkModel):
@@ -436,7 +435,7 @@ class PlacementProblem:
         Inherited from a memoized parent where Lemma C allows, else simulated.
         """
         chains = self.chain_costs
-        if chains is not None and assignments not in self._memo:
+        if assignments not in self._memo:
             for a in assignments:
                 parent = self._memo.get(assignments - {a})
                 if parent is not None and chains[_fake_config(a)] > parent[1] * (1.0 + _TRIP_SLACK) + _TRIP_SLACK:
@@ -461,9 +460,8 @@ class PlacementProblem:
         """
         kept = self._trippable.get(budget)
         if kept is None:
-            chains = self.chain_costs
             limit = budget * self.baseline_cost * (1.0 + _TRIP_SLACK) + _TRIP_SLACK
-            kept = [c for c in self.candidates if chains is None or chains[_fake_config(c.assignment)] <= limit]
+            kept = [c for c in self.candidates if self.chain_costs[_fake_config(c.assignment)] <= limit]
             self.value(frozenset())
             singletons = {frozenset({c.assignment}): self.value(frozenset({c.assignment})) for c in kept}
             kept = self._trippable[budget] = tuple(
@@ -492,17 +490,14 @@ def _reach(trace: SimulationTrace, face_costs: dict[str, float]) -> float:
     return reach
 
 
-def _chain_costs(graph: AttackGraph) -> dict[str, float] | None:
+def _chain_costs(graph: AttackGraph) -> dict[str, float]:
     """Per fake config, the cheapest face-value source-to-goal chain through it.
 
     One Dijkstra forward from the source and one backward from the goal, on
     the graph's integer view at face costs with nothing banned. A fake whose
-    chain cannot reach the goal gets inf. None when the graph has no integer
-    view.
+    chain cannot reach the goal gets inf.
     """
     view = graph.indexed
-    if view is None:
-        return None
     costs = graph.config_cost
     forward: list[list[tuple[int, float]]] = [[] for _ in view.privileges]
     backward: list[list[tuple[int, float]]] = [[] for _ in view.privileges]

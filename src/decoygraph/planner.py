@@ -59,7 +59,8 @@ class AttackPlan:
     node_set: frozenset[str]
     exec_order: tuple[str, ...]
     cost: float
-    endpoints: tuple[str, str]
+    # per exploit of exec_order, the configs it requires, sorted
+    step_configs: tuple[tuple[str, ...], ...]
 
     def to_dict(self) -> dict:
         return {
@@ -199,7 +200,7 @@ def _assemble_plan(
         node_set=node_set,
         exec_order=exec_order,
         cost=cost,
-        endpoints=(graph.source, graph.goal),
+        step_configs=tuple(graph.requirements[e][1] for e in exec_order),
     )
 
 
@@ -208,7 +209,7 @@ def _empty_plan(graph: AttackGraph) -> AttackPlan:
         node_set=frozenset({graph.source}),
         exec_order=(),
         cost=0.0,
-        endpoints=(graph.source, graph.goal),
+        step_configs=(),
     )
 
 
@@ -267,7 +268,7 @@ def _dijkstra_plan(
         node_set=frozenset(exec_order) | configs | privs,
         exec_order=exec_order,
         cost=math.fsum(costs[c] for c in configs),
-        endpoints=(graph.source, graph.goal),
+        step_configs=tuple((view.config[e],) for e in chain),
     )
     return plan, expanded
 

@@ -22,7 +22,7 @@ from decoygraph.aggraph import (
     save_graph,
     validate_graph,
 )
-from decoygraph.errors import ValidationError
+from decoygraph.errors import Unreachable, ValidationError
 from decoygraph.netmodel import (
     EXTERNAL,
     Assignment,
@@ -34,6 +34,7 @@ from decoygraph.netmodel import (
     generate_network,
 )
 from decoygraph.placement_random import random_placement
+from decoygraph.planner import _bestfirst_plan, _dijkstra_plan
 from helpers import (
     COST_PALETTE,
     CVSS3_PALETTE,
@@ -293,27 +294,56 @@ def _scanned_adjacency(graph):
     return requirements, {e: tuple(sorted(g)) for e, g in grants.items()}
 
 
+def _steps_match_requirements(graph, max_bestfirst_exploits=120):
+    """Assert that each engine's plan lists, per step, the configs `requirements` gives its exploit.
+
+    Dijkstra runs on unit-rule graphs only. Best-first search is exponential
+    in the worst case, so it runs on graphs of at most `max_bestfirst_exploits`
+    exploits. Returns the number of plans checked; an unreachable goal has none.
+    """
+    engines = [_dijkstra_plan] if graph.unit_rule else []
+    if len(graph.exploit_nodes) <= max_bestfirst_exploits:
+        engines.append(_bestfirst_plan)
+    checked = 0
+    for engine in engines:
+        try:
+            plan = engine(graph, graph.config_cost, frozenset())[0]
+        except Unreachable:
+            continue
+        assert plan.step_configs == tuple(graph.requirements[e][1] for e in plan.exec_order)
+        checked += 1
+    return checked
+
+
 class TestAdjacency:
     def test_generated_graphs(self):
+        checked = 0
         for net in _pinned_networks():
             for graph in (build_attack_graph(net), apply_assignments(net, _every_candidate(net))):
                 assert graph.indexed is not None
                 assert (graph.requirements, graph.grants) == _scanned_adjacency(graph)
+                checked += _steps_match_requirements(graph)
+        assert checked == 19
 
     def test_random_unit_rule_graphs(self):
+        checked = 0
         for seed in range(60):
             palette = CVSS3_PALETTE if seed % 2 else COST_PALETTE
             graph = random_unit_rule_graph(random.Random(seed), palette=palette)
             assert graph.indexed is not None
             assert (graph.requirements, graph.grants) == _scanned_adjacency(graph)
+            checked += _steps_match_requirements(graph)
+        assert checked > 60
 
     def test_graphs_without_an_integer_view_are_scanned(self):
-        checked = 0
+        scanned = checked = 0
         for seed in range(60):
             graph = random_attack_graph(random.Random(seed))
             if graph.indexed is None:
-                checked += 1
+                scanned += 1
                 assert (graph.requirements, graph.grants) == _scanned_adjacency(graph)
+            checked += _steps_match_requirements(graph)
+        assert scanned > 30
         assert checked > 30
 
 

@@ -194,6 +194,19 @@ class TestCaching:
         assert a.p1 == b.p1
 
 
+def test_simulation_reads_only_the_plans_steps():
+    """Each round walks its plan's step configs, so a generated graph derives
+    no string-keyed adjacency while it is attacked, fakes tripped or not."""
+    replanned = 0
+    for seed in range(20):
+        net = small_network(random.Random(9000 + seed))
+        _, graph = random_placement(net, 1.0, seed=seed)
+        trace = simulate_attack(graph)
+        assert not {"requirements", "grants", "edges"} & graph.__dict__.keys(), f"seed {seed}"
+        replanned += trace.recalculations > 1
+    assert replanned >= 5
+
+
 class TestBanSetOracle:
     """Evaluation by ban set on one graph against graphs regenerated from the
     network with exactly the planted fakes, which stay the reference."""
