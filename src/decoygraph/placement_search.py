@@ -8,9 +8,12 @@ candidates could still add. Engines: depth-first branch and bound, best-first
 (A*-style) search, and brute-force subset enumeration as the ground truth on
 small instances. Each engine compiles the network into a PlacementProblem,
 or takes one via `problem=` so that searches on one network share it.
-Branch and bound and best-first search branch only on the candidates the
-budget can trip (`PlacementProblem.trippable`, whose docstring holds the
-proof that this loses nothing); subset enumeration scores every candidate.
+Branch and bound and best-first search branch only on the candidates that
+pass both trippability filters (`PlacementProblem.trippable`): a fake's
+cheapest chain must fit the budget (Lemma A), and the fake must cost no more
+than the undefended attack and the real route to its host (Lemma D). The
+class docstring holds the proofs that this loses nothing; subset enumeration
+scores every candidate.
 """
 
 from __future__ import annotations
@@ -39,11 +42,12 @@ _EXPLOIT_SHAPE = "remote:priv+config"
 # Bound on planner calls during path-pool construction, per unit of pool size.
 _POOL_CALL_FACTOR = 40
 
-# Relative and absolute slack on the chain-cost tests: the trippability limit
-# k*b and the reach of Lemma C. Chain costs are float sums taken in another
-# order than the attacker's, so a chain of exactly k*b may read a few ulps
-# high; keeping an extra candidate or simulating an extra set is always sound,
-# dropping a trippable candidate or inheriting a wrong value is not.
+# Relative and absolute slack on the cost tests: the trippability limit k*b,
+# Lemma D's real-route limit and the reach of Lemma C. Chain costs are float
+# sums taken in another order than the attacker's, so a chain of exactly k*b
+# may read a few ulps high; keeping an extra candidate or simulating an extra
+# set is always sound, dropping a trippable candidate or inheriting a wrong
+# value is not.
 _TRIP_SLACK = 1e-9
 
 
@@ -376,7 +380,10 @@ class PlacementProblem:
 
     `trippable(k)` drops candidates that no attack on at most k planted fakes
     can trip. Let L(a) be the cheapest face-value source-to-goal chain through
-    fake a on the planted graph, with nothing banned (`chain_costs`).
+    fake a on the planted graph, with nothing banned (`chain_costs`). Let c(a)
+    be a's face cost, and hr(a) the face-cost distance from the source to the
+    privilege a's exploit grants, dst(a), over real configs only
+    (`real_routes`).
 
     Lemma A. If a appears in some round's plan against a set S with |S| <= k,
     then L(a) <= k*b. The round's plan costs at most b: only fakes are ever
@@ -392,9 +399,23 @@ class PlacementProblem:
     that config. `TestTrippableFilter` checks both lemmas on every subset of
     at most three candidates of small networks, on dyadic and CVSS v3 costs.
 
-    Together: a set holding an untrippable candidate has the value of the
-    smaller set without it, so under the smaller-set tie-break it is never the
-    answer, and dfbnb and astar search the trippable candidates only.
+    Lemma D. If a appears in some round's plan, then c(a) <= min(b, hr(a)).
+    Fakes are never zeroed, so any plan through a costs at least c(a), and a
+    round's plan costs at most b (as in Lemma A). The planner's Dijkstra
+    chain reaches dst(a) along a shortest working-cost path. The real face
+    path to dst(a) is never banned, and working costs never exceed face
+    costs, so that prefix costs at most hr(a). It ends in a's exploit, so it
+    costs at least c(a). The argument relies on each exploit granting one
+    privilege, which holds on generated graphs; where an exploit grants
+    several, hr(a) is the largest of their distances. The test carries
+    `_TRIP_SLACK`, and ties are kept: Dijkstra changes a predecessor only on
+    a strictly smaller distance, so on a tie it may keep a's exploit.
+    `TestRealRouteFilter` checks it the way `TestTrippableFilter` checks A.
+
+    Together: a set holding a candidate that fails Lemma A or D has the value
+    of the smaller set without it (Lemma B), so under the smaller-set
+    tie-break it is never the answer, and dfbnb and astar search the
+    candidates that pass both only.
     `exhaustive_best`, the oracle, enumerates all of `candidates`.
 
     The memo maps each valued set S to (value, reach). The reach R(S) is
@@ -424,7 +445,7 @@ class PlacementProblem:
         self.fake_configs = self.graph.fake_configs()
         self.baseline_cost = optimal_plan(self.graph, banned_configs=self.fake_configs).cost
         self.candidates = tuple(c for c in candidates if _fake_config(c.assignment) in self.fake_configs)
-        self.chain_costs = _chain_costs(self.graph)
+        self.chain_costs, self.real_routes = _fake_bounds(self.graph)
         self._memo: dict[frozenset[Assignment], tuple[float, float]] = {}
         self._trippable: dict[int, tuple[Candidate, ...]] = {}
         self._indexes: dict[int, PathIndex] = {}
@@ -438,7 +459,7 @@ class PlacementProblem:
         if assignments not in self._memo:
             for a in assignments:
                 parent = self._memo.get(assignments - {a})
-                if parent is not None and chains[_fake_config(a)] > parent[1] * (1.0 + _TRIP_SLACK) + _TRIP_SLACK:
+                if parent is not None and not _within(chains[_fake_config(a)], parent[1]):
                     self._memo[assignments] = parent
                     break
         return self._simulated_value(assignments)
@@ -454,14 +475,21 @@ class PlacementProblem:
     def trippable(self, budget: int) -> tuple[Candidate, ...]:
         """The candidates some placement of at most `budget` fakes can trip.
 
-        Those with L(a) <= budget * baseline_cost (Lemma A), in `candidates`
-        order and with their singleton utilities; memoized per budget. The
-        empty set is valued first, so singletons can inherit from it.
+        Those with L(a) <= budget * baseline_cost (Lemma A) and
+        c(a) <= min(baseline_cost, hr(a)) (Lemma D), in `candidates` order and
+        with their singleton utilities; memoized per budget. The empty set is
+        valued first, so singletons can inherit from it.
         """
         kept = self._trippable.get(budget)
         if kept is None:
-            limit = budget * self.baseline_cost * (1.0 + _TRIP_SLACK) + _TRIP_SLACK
-            kept = [c for c in self.candidates if self.chain_costs[_fake_config(c.assignment)] <= limit]
+            b = self.baseline_cost
+            kept = []
+            for c in self.candidates:
+                config = _fake_config(c.assignment)
+                if _within(self.chain_costs[config], budget * b) and _within(
+                    self.graph.config_cost[config], min(b, self.real_routes[config])
+                ):
+                    kept.append(c)
             self.value(frozenset())
             singletons = {frozenset({c.assignment}): self.value(frozenset({c.assignment})) for c in kept}
             kept = self._trippable[budget] = tuple(
@@ -477,6 +505,11 @@ class PlacementProblem:
         return index
 
 
+def _within(cost: float, limit: float) -> bool:
+    """cost <= limit, up to `_TRIP_SLACK`."""
+    return cost <= limit * (1.0 + _TRIP_SLACK) + _TRIP_SLACK
+
+
 def _reach(trace: SimulationTrace, face_costs: dict[str, float]) -> float:
     """R of Lemma C: the largest plan cost plus face cost zeroed before its round."""
     reach = 0.0
@@ -490,35 +523,47 @@ def _reach(trace: SimulationTrace, face_costs: dict[str, float]) -> float:
     return reach
 
 
-def _chain_costs(graph: AttackGraph) -> dict[str, float]:
-    """Per fake config, the cheapest face-value source-to-goal chain through it.
+def _fake_bounds(graph: AttackGraph) -> tuple[dict[str, float], dict[str, float]]:
+    """Per fake config: its chain cost L and the real route to the host it grants.
 
-    One Dijkstra forward from the source and one backward from the goal, on
-    the graph's integer view at face costs with nothing banned. A fake whose
-    chain cannot reach the goal gets inf.
+    L is the cheapest face-value source-to-goal chain through the config, from
+    one Dijkstra forward from the source and one backward from the goal on the
+    graph's integer view, with nothing banned; a fake whose chain cannot reach
+    the goal gets inf. The real route is the largest, over the privileges the
+    config's exploits grant, of their face-cost distance from the source with
+    every fake config skipped (hr of Lemma D); inf where no real route exists.
     """
     view = graph.indexed
     costs = graph.config_cost
-    forward: list[list[tuple[int, float]]] = [[] for _ in view.privileges]
-    backward: list[list[tuple[int, float]]] = [[] for _ in view.privileges]
+    fakes = graph.fake_flag
+    forward: list[list[tuple[int, float, bool]]] = [[] for _ in view.privileges]
+    backward: list[list[tuple[int, float, bool]]] = [[] for _ in view.privileges]
+    fake_exploits: list[tuple[int, str, tuple[int, ...]]] = []
     for p, consumers in enumerate(view.consumers):
         for _, config, grants in consumers:
+            fake = fakes.get(config, False)
+            if fake:
+                fake_exploits.append((p, config, grants))
             for q in grants:
-                forward[p].append((q, costs[config]))
-                backward[q].append((p, costs[config]))
+                forward[p].append((q, costs[config], fake))
+                backward[q].append((p, costs[config], fake))
     head = _distances(forward, view.source)
+    real = _distances(forward, view.source, skip_fakes=True)
     tail = _distances(backward, view.goal)
     chains: dict[str, float] = {}
-    for p, consumers in enumerate(view.consumers):
-        for _, config, grants in consumers:
-            if graph.fake_flag.get(config, False):
-                through = head[p] + costs[config] + min((tail[q] for q in grants), default=math.inf)
-                chains[config] = min(chains.get(config, math.inf), through)
-    return chains
+    routes: dict[str, float] = {}
+    for p, config, grants in fake_exploits:
+        through = head[p] + costs[config] + min((tail[q] for q in grants), default=math.inf)
+        chains[config] = min(chains.get(config, math.inf), through)
+        routes[config] = max([routes.get(config, -math.inf)] + [real[q] for q in grants])
+    return chains, routes
 
 
-def _distances(adjacency: list[list[tuple[int, float]]], start: int) -> list[float]:
-    """Single-source shortest distances over weighted integer adjacency lists."""
+def _distances(adjacency: list[list[tuple[int, float, bool]]], start: int, skip_fakes: bool = False) -> list[float]:
+    """Single-source shortest distances over weighted integer adjacency lists.
+
+    Each entry is (head, weight, fake); `skip_fakes` leaves out the fake ones.
+    """
     dist = [math.inf] * len(adjacency)
     dist[start] = 0.0
     heap = [(0.0, start)]
@@ -526,7 +571,9 @@ def _distances(adjacency: list[list[tuple[int, float]]], start: int) -> list[flo
         d, p = heapq.heappop(heap)
         if d > dist[p]:
             continue
-        for q, w in adjacency[p]:
+        for q, w, fake in adjacency[p]:
+            if fake and skip_fakes:
+                continue
             if d + w < dist[q]:
                 dist[q] = d + w
                 heapq.heappush(heap, (d + w, q))
