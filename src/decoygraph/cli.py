@@ -13,7 +13,8 @@ import functools
 import io
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -87,6 +88,17 @@ def _catalog_from_option(catalog_path: str | None) -> Catalog:
     return default_catalog()
 
 
+@contextmanager
+def _malformed(path: str, what: str) -> Iterator[None]:
+    """Turn a KeyError, TypeError or ValueError from reading `path` into a ValidationError naming it."""
+    try:
+        yield
+    except (ValidationError, ConfigurationError):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed {what} file ({type(exc).__name__}: {exc})") from None
+
+
 def _load_network_file(path: str, catalog_path: str | None) -> NetworkModel:
     """Read a network JSON, either bare or bundled with its catalog."""
     data = json.loads(Path(path).read_text())
@@ -94,13 +106,17 @@ def _load_network_file(path: str, catalog_path: str | None) -> NetworkModel:
         if catalog_path:
             catalog = load_catalog(catalog_path)
         else:
-            catalog = {
-                rec["vuln_id"]: VulnerabilityRecord.from_dict(rec) for rec in data.get("catalog", [])
-            }
+            with _malformed(path, "network"):
+                catalog = {
+                    rec["vuln_id"]: VulnerabilityRecord.from_dict(rec) for rec in data.get("catalog", [])
+                }
             if not catalog:
                 catalog = default_catalog()
-        return NetworkModel.from_dict(data["network"], catalog)
-    return NetworkModel.from_dict(data, _catalog_from_option(catalog_path))
+        data = data["network"]
+    else:
+        catalog = _catalog_from_option(catalog_path)
+    with _malformed(path, "network"):
+        return NetworkModel.from_dict(data, catalog)
 
 
 def _network_bundle(network: NetworkModel) -> dict:
@@ -114,7 +130,8 @@ def _load_assignments(path: str) -> tuple[Assignment, ...]:
     data = json.loads(Path(path).read_text())
     if isinstance(data, dict):
         data = data.get("assignments", [])
-    return tuple(sorted(Assignment.from_dict(item) for item in data))
+    with _malformed(path, "assignments"):
+        return tuple(sorted(Assignment.from_dict(item) for item in data))
 
 
 def _assignments_payload(assignments) -> list[dict]:
@@ -391,6 +408,20 @@ def _spec_int(value, name: str) -> int:
     return value
 
 
+def _spec_list(value, name: str) -> list:
+    """A sweep spec field that must be a JSON array."""
+    if not isinstance(value, list):
+        raise ConfigurationError(f"sweep spec {name} must be a list, got {value!r}")
+    return value
+
+
+def _spec_object(value, name: str) -> dict:
+    """A sweep spec entry that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"sweep spec {name} must be an object, got {value!r}")
+    return value
+
+
 def _spec_str(value, name: str) -> str:
     """A sweep spec field that must be a JSON string."""
     if not isinstance(value, str):
@@ -534,14 +565,20 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
     base_seed; trial seeds are base_seed + trial index. Every search cell on
     a network shares one PlacementProblem, built when the first one needs it.
     """
-    spec = json.loads(Path(spec_path).read_text())
+    spec = _spec_object(json.loads(Path(spec_path).read_text()), "file")
     catalog_path = spec.get("catalog")
-    budgets = [_spec_int(budget, "budget") for budget in spec.get("budgets", [1])]
-    approaches = spec.get("approaches", [{"name": "random"}])
+    networks = [
+        _spec_object(net_spec, "network") for net_spec in _spec_list(spec.get("networks", []), "networks")
+    ]
+    budgets = [_spec_int(budget, "budget") for budget in _spec_list(spec.get("budgets", [1]), "budgets")]
+    approaches = [
+        _spec_object(approach, "approach")
+        for approach in _spec_list(spec.get("approaches", [{"name": "random"}]), "approaches")
+    ]
     trials = _spec_int(spec.get("trials", 1), "trials")
     base_seed = _spec_int(spec.get("base_seed", 0), "base_seed")
     rows: list[dict] = []
-    for net_spec in spec.get("networks", []):
+    for net_spec in networks:
         if "path" in net_spec:
             network = _load_network_file(net_spec["path"], catalog_path)
             network_id = net_spec.get("id", Path(net_spec["path"]).stem)

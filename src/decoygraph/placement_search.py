@@ -23,21 +23,17 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .aggraph import AttackGraph, apply_assignments, config_id
 from .attacker import SimulationTrace, simulate_attack
-from .errors import ConfigurationError, Unreachable, ValidationError
+from .errors import ConfigurationError, Unreachable
 from .netmodel import Assignment, NetworkModel, compatible_vulns, normalize_cost
 from .planner import optimal_plan
 
 ORDERINGS = ("utility", "shortest_path", "random")
 HEURISTICS = ("h1", "h2")
-
-# Structure tag of the one exploit shape the graph rules produce. Candidates
-# on the same host with equal cost and shape are interchangeable lures.
-_EXPLOIT_SHAPE = "remote:priv+config"
 
 # Bound on planner calls during path-pool construction, per unit of pool size.
 _POOL_CALL_FACTOR = 40
@@ -53,8 +49,10 @@ _TRIP_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class Candidate:
+    """An open candidate of a search tree and its value planted alone."""
+
     assignment: Assignment
-    singleton_utility: float | None = None
+    singleton_utility: float
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,6 @@ class PathRecord:
     path_id: int
     cost: float
     assignments: frozenset[Assignment]
-    config_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -113,52 +110,25 @@ class PathIndex:
     by_assignment: dict[Assignment, tuple[int, ...]]
 
 
-def enumerate_candidates(network: NetworkModel) -> list[Candidate]:
+def enumerate_candidates(network: NetworkModel) -> list[Assignment]:
     """List plantable (host, vulnerability) pairs, one per equivalence class.
 
     Two candidates on the same host with the same config cost produce
-    interchangeable graph structure, so only the one with the smallest
-    vulnerability id is kept. Order is deterministic: by host, then vuln id.
+    interchangeable graph structure (the graph rules give every exploit one
+    shape), so only the one with the smallest vulnerability id is kept.
+    Order is deterministic: by host, then vuln id.
     """
     catalog = network.catalog
-    seen: set[tuple] = set()
-    out: list[Candidate] = []
+    seen: set[tuple[str, float]] = set()
+    out: list[Assignment] = []
     for host_id in sorted(network.hosts):
         host = network.hosts[host_id]
         for vuln_id in compatible_vulns(catalog, host):
-            key = (host_id, normalize_cost(catalog[vuln_id]), _EXPLOIT_SHAPE)
+            key = (host_id, normalize_cost(catalog[vuln_id]))
             if key in seen:
                 continue
             seen.add(key)
-            out.append(Candidate(assignment=Assignment(host_id=host_id, vuln_id=vuln_id)))
-    return out
-
-
-def compute_singleton_utilities(
-    graph: AttackGraph,
-    candidates: list[Candidate],
-    utility_cache: dict | None = None,
-) -> list[Candidate]:
-    """Attach to each candidate the attacker cost if it were planted alone.
-
-    `graph` has every candidate planted, and each singleton is simulated on
-    it with the other candidates' fake configs banned. A candidate whose
-    config is not a fake config of `graph` raises ValidationError, since it
-    would otherwise score as the undefended attack.
-    """
-    cache = {} if utility_cache is None else utility_cache
-    fake_configs = graph.fake_configs()
-    out: list[Candidate] = []
-    for cand in candidates:
-        a = cand.assignment
-        if _fake_config(a) not in fake_configs:
-            raise ValidationError(f"candidate ({a.host_id}, {a.vuln_id}) is not planted in the graph")
-        singleton = frozenset({a})
-        value = cache.get(singleton)
-        if value is None:
-            value = simulate_attack(graph, banned_configs=_unplanted(fake_configs, singleton)).total_cost
-            cache[singleton] = value
-        out.append(replace(cand, singleton_utility=value))
+            out.append(Assignment(host_id=host_id, vuln_id=vuln_id))
     return out
 
 
@@ -166,20 +136,10 @@ def _fake_config(assignment: Assignment) -> str:
     return config_id(assignment.host_id, assignment.vuln_id)
 
 
-def _unplanted(fake_configs: frozenset[str], planted: frozenset[Assignment]) -> frozenset[str]:
-    """Fake configs of a graph with every candidate planted, less those of `planted`."""
-    return fake_configs - {_fake_config(a) for a in planted}
-
-
 def _top_utility_sum(candidates: tuple[Candidate, ...], slots: int) -> float:
     if slots <= 0:
         return 0.0
-    utilities = []
-    for c in candidates:
-        if c.singleton_utility is None:
-            raise ValidationError("candidate is missing its singleton utility")
-        utilities.append(c.singleton_utility)
-    return sum(heapq.nlargest(slots, utilities))
+    return sum(heapq.nlargest(slots, [c.singleton_utility for c in candidates]))
 
 
 def h1(node: SearchNode) -> float:
@@ -210,9 +170,6 @@ def order_candidates(
     """
     mode = mode.replace("-", "_")
     if mode == "utility":
-        for c in node.remaining:
-            if c.singleton_utility is None:
-                raise ValidationError("candidate is missing its singleton utility")
         return tuple(sorted(node.remaining, key=lambda c: (-c.singleton_utility, c.assignment)))
     if mode == "random":
         rng = random.Random(seed)
@@ -254,7 +211,7 @@ def _rank_by_paths(
     on_path = [c for c in remaining if c.assignment in best_key]
     on_path.sort(key=lambda c: (best_key[c.assignment], c.assignment))
     off_path = [c for c in remaining if c.assignment not in best_key]
-    off_path.sort(key=lambda c: (-(c.singleton_utility or 0.0), c.assignment))
+    off_path.sort(key=lambda c: (-c.singleton_utility, c.assignment))
     return tuple(on_path + off_path)
 
 
@@ -300,14 +257,7 @@ def build_path_index(full: AttackGraph, pool_size: int = 100) -> PathIndex:
         seen_cfg.add(cfgs)
         fakes = frozenset(full.provenance[c] for c in cfgs if full.fake_flag.get(c, False))
         if fakes:
-            records.append(
-                PathRecord(
-                    path_id=len(records),
-                    cost=cost,
-                    assignments=fakes,
-                    config_ids=tuple(sorted(cfgs)),
-                )
-            )
+            records.append(PathRecord(path_id=len(records), cost=cost, assignments=fakes))
         for c in sorted(cfgs):
             push(banned | {c})
 
@@ -370,13 +320,14 @@ class PlacementProblem:
 
     Holds one attack graph of the network with every candidate planted, its
     fake configs, the undefended attack cost `baseline_cost` (b), and the
-    reachable candidates. A subset is evaluated on that graph by banning the
-    fake configs of the candidates outside it. Candidates the attacker can
-    never reach leave no fake config in that graph; they cannot change any
-    subset's value, so `candidates` leaves them out. Subset values, the
-    candidates a budget can trip (with singleton utilities) and path indexes
-    (by pool size) are memoized, so every search on the network can share one
-    problem; a search refuses a problem compiled from another network.
+    reachable candidates as plain assignments. A subset is evaluated on that
+    graph by banning the fake configs of the candidates outside it.
+    Candidates the attacker can never reach leave no fake config in that
+    graph; they cannot change any subset's value, so `candidates` leaves them
+    out. Subset values, the candidates a budget can trip (as `Candidate`s with
+    their singleton utilities) and path indexes (by pool size) are memoized,
+    so every search on the network can share one problem; a search refuses a
+    problem compiled from another network.
 
     `trippable(k)` drops candidates that no attack on at most k planted fakes
     can trip. Let L(a) be the cheapest face-value source-to-goal chain through
@@ -441,10 +392,10 @@ class PlacementProblem:
     def __init__(self, network: NetworkModel):
         self.network = network
         candidates = enumerate_candidates(network)
-        self.graph = apply_assignments(network, [c.assignment for c in candidates])
+        self.graph = apply_assignments(network, candidates)
         self.fake_configs = self.graph.fake_configs()
         self.baseline_cost = optimal_plan(self.graph, banned_configs=self.fake_configs).cost
-        self.candidates = tuple(c for c in candidates if _fake_config(c.assignment) in self.fake_configs)
+        self.candidates = tuple(a for a in candidates if _fake_config(a) in self.fake_configs)
         self.chain_costs, self.real_routes = _fake_bounds(self.graph)
         self._memo: dict[frozenset[Assignment], tuple[float, float]] = {}
         self._trippable: dict[int, tuple[Candidate, ...]] = {}
@@ -468,7 +419,8 @@ class PlacementProblem:
         """`value` without inheritance: a set not memoized yet is simulated."""
         entry = self._memo.get(assignments)
         if entry is None:
-            trace = simulate_attack(self.graph, banned_configs=_unplanted(self.fake_configs, assignments))
+            banned = self.fake_configs - {_fake_config(a) for a in assignments}
+            trace = simulate_attack(self.graph, banned_configs=banned)
             entry = self._memo[assignments] = (trace.total_cost, _reach(trace, self.graph.config_cost))
         return entry[0]
 
@@ -476,25 +428,22 @@ class PlacementProblem:
         """The candidates some placement of at most `budget` fakes can trip.
 
         Those with L(a) <= budget * baseline_cost (Lemma A) and
-        c(a) <= min(baseline_cost, hr(a)) (Lemma D), in `candidates` order and
-        with their singleton utilities; memoized per budget. The empty set is
+        c(a) <= min(baseline_cost, hr(a)) (Lemma D), in `candidates` order,
+        each with its singleton utility; memoized per budget. The empty set is
         valued first, so singletons can inherit from it.
         """
         kept = self._trippable.get(budget)
         if kept is None:
             b = self.baseline_cost
+            self.value(frozenset())
             kept = []
-            for c in self.candidates:
-                config = _fake_config(c.assignment)
+            for a in self.candidates:
+                config = _fake_config(a)
                 if _within(self.chain_costs[config], budget * b) and _within(
                     self.graph.config_cost[config], min(b, self.real_routes[config])
                 ):
-                    kept.append(c)
-            self.value(frozenset())
-            singletons = {frozenset({c.assignment}): self.value(frozenset({c.assignment})) for c in kept}
-            kept = self._trippable[budget] = tuple(
-                compute_singleton_utilities(self.graph, kept, utility_cache=singletons)
-            )
+                    kept.append(Candidate(a, self.value(frozenset({a}))))
+            kept = self._trippable[budget] = tuple(kept)
         return kept
 
     def path_index(self, pool_size: int) -> PathIndex:
@@ -752,7 +701,7 @@ def exhaustive_best(
     ctx = _SearchContext(network, budget, "utility", "h2", 0, 0, problem)
     # the oracle simulates every set it does not find memoized (no Lemma C)
     ctx.lookup = ctx.problem._simulated_value
-    assignments = sorted(c.assignment for c in ctx.problem.candidates)
+    assignments = sorted(ctx.problem.candidates)
     total = sum(math.comb(len(assignments), size) for size in range(ctx.budget + 1))
     if total > max_subsets:
         raise ConfigurationError(

@@ -28,10 +28,10 @@ from decoygraph.fixtures import build_h1_counterexample, build_searchspace_k2
 from decoygraph.netmodel import Assignment, default_catalog, generate_network
 from decoygraph.placement_random import random_budget_placement, random_placement
 from decoygraph.placement_search import (
+    Candidate,
     PlacementProblem,
     SearchNode,
     astar,
-    compute_singleton_utilities,
     dfbnb,
     enumerate_candidates,
     exhaustive_best,
@@ -53,11 +53,6 @@ LURE_FAKES = (
     Assignment(host_id="f1", vuln_id="fv-1"),
     Assignment(host_id="f2", vuln_id="fv-2"),
 )
-
-
-def _planted(net):
-    """The graph of `net` with every search candidate planted."""
-    return apply_assignments(net, [c.assignment for c in enumerate_candidates(net)])
 
 
 class _Instance:
@@ -122,7 +117,7 @@ def test_criterion_2_lure_fixture_worked_values():
     assert optimal_cost(decorated) == 9.0
     actual = simulate_attack(decorated).total_cost
     assert actual == 22.0
-    candidates = tuple(compute_singleton_utilities(_planted(net), enumerate_candidates(net)))
+    candidates = PlacementProblem(net).trippable(2)
     root = SearchNode(
         chosen=(),
         remaining=candidates,
@@ -189,9 +184,7 @@ def _full_tree_heuristic_violations(net, budget, trippable=False):
         problem = PlacementProblem(net)
         candidates = problem.trippable(min(budget, len(problem.candidates)))
     else:
-        candidates = compute_singleton_utilities(
-            _planted(net), enumerate_candidates(net), utility_cache=ucache
-        )
+        candidates = [Candidate(a, utility({a})) for a in enumerate_candidates(net)]
     budget = min(budget, len(candidates))
     ordered = tuple(sorted(candidates, key=lambda c: (-c.singleton_utility, c.assignment)))
     root = SearchNode(

@@ -218,7 +218,7 @@ class TestBanSetOracle:
             net = small_network(random.Random(7000 + seed), catalog=catalog)
             problem = PlacementProblem(net)
             exhaustive_best(net, budget=2, problem=problem)
-            assignments = sorted(c.assignment for c in problem.candidates)
+            assignments = sorted(problem.candidates)
             for size in range(3):
                 for combo in combinations(assignments, size):
                     subset = frozenset(combo)

@@ -299,6 +299,33 @@ class TestExitCodes:
                 assert res.exit_code == 2, (command, path.name, res.output)
                 assert "error:" in res.output and violation in res.output
 
+    @pytest.mark.parametrize("assignments", [[{"host_id": "h01"}], 5], ids=["no-vuln-id", "not-a-list"])
+    def test_malformed_assignments_file(self, tmp_path, runner, chain_bundle, assignments):
+        path = tmp_path / "fakes.json"
+        path.write_text(json.dumps(assignments))
+        res = runner.invoke(main, ["evaluate", "--network", str(chain_bundle), "--assignments", str(path)])
+        assert res.exit_code == 2, res.output
+        assert f"error: {path}: malformed assignments file" in res.output
+
+    @pytest.mark.parametrize(
+        "breakage", ["no-hosts", "host-without-os", "one-element-pair", "catalog-entry-without-os"]
+    )
+    def test_malformed_network_file(self, tmp_path, runner, chain_bundle, breakage):
+        bundle = json.loads(chain_bundle.read_text())
+        if breakage == "no-hosts":
+            bundle = {"network": {}}
+        elif breakage == "host-without-os":
+            del bundle["network"]["hosts"][0]["os"]
+        elif breakage == "one-element-pair":
+            bundle["network"]["reachability"][0] = bundle["network"]["reachability"][0][:1]
+        else:
+            del bundle["catalog"][0]["affected_os"]
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(bundle))
+        res = runner.invoke(main, ["build-graph", "--network", str(path)])
+        assert res.exit_code == 2, res.output
+        assert f"error: {path}: malformed network file" in res.output
+
     def test_unreachable_goal(self, tmp_path, runner):
         path = _write_cut_network(tmp_path)
         res = runner.invoke(main, ["simulate", "--network", str(path)])
@@ -477,6 +504,29 @@ class TestSweep:
         res, out = self._sweep(tmp_path, runner, spec)
         assert res.exit_code == 2, res.output
         assert "budget must be an integer" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("budgets", 2, "budgets must be a list"),
+            ("networks", [5], "network must be an object"),
+            ("approaches", ["random"], "approach must be an object"),
+            ("approaches", {"name": "random"}, "approaches must be a list"),
+        ],
+        ids=["budgets-int", "network-int", "approach-string", "approaches-object"],
+    )
+    def test_wrongly_typed_spec_field_is_a_configuration_error(self, tmp_path, runner, field, value, message):
+        spec = {"networks": [{"hosts": 4, "seed": 1}], field: value}
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 2, res.output
+        assert f"error: sweep spec {message}" in res.output
+        assert not out.exists()
+
+    def test_spec_that_is_not_an_object_is_a_configuration_error(self, tmp_path, runner):
+        res, out = self._sweep(tmp_path, runner, [{"hosts": 4, "seed": 1}])
+        assert res.exit_code == 2, res.output
+        assert "error: sweep spec file must be an object" in res.output
         assert not out.exists()
 
     def test_non_integer_pool_size_becomes_an_error_row(self, tmp_path, runner):

@@ -10,7 +10,7 @@ import pytest
 from decoygraph import placement_search
 from decoygraph.aggraph import apply_assignments, config_id
 from decoygraph.attacker import simulate_attack
-from decoygraph.errors import ConfigurationError, ValidationError
+from decoygraph.errors import ConfigurationError
 from decoygraph.netmodel import (
     EXTERNAL,
     Assignment,
@@ -24,14 +24,12 @@ from decoygraph.netmodel import (
     generate_network,
 )
 from decoygraph.placement_search import (
-    Candidate,
     PlacementProblem,
     SearchNode,
     _rank_by_paths,
     _SearchContext,
     astar,
     build_path_index,
-    compute_singleton_utilities,
     dfbnb,
     enumerate_candidates,
     exhaustive_best,
@@ -49,7 +47,7 @@ W3 = Assignment(host_id="h3", vuln_id="w3")
 
 def _planted(net):
     """The graph of `net` with every search candidate planted."""
-    return apply_assignments(net, [c.assignment for c in enumerate_candidates(net)])
+    return apply_assignments(net, enumerate_candidates(net))
 
 
 def _result_key(res):
@@ -87,27 +85,20 @@ def _one_host_net(extra_records):
 
 class TestCandidates:
     def test_chain_candidates_in_order(self, chain_net):
-        cands = enumerate_candidates(chain_net)
-        assert [c.assignment for c in cands] == [W1, W2, W3]
+        assert enumerate_candidates(chain_net) == [W1, W2, W3]
 
     def test_equal_cost_same_host_collapses(self):
         net = _one_host_net([_vuln("w-b", "os-t", 5.0), _vuln("w-a", "os-t", 5.0)])
-        cands = enumerate_candidates(net)
-        assert [c.assignment.vuln_id for c in cands] == ["w-a"]
+        assert [a.vuln_id for a in enumerate_candidates(net)] == ["w-a"]
 
     def test_distinct_costs_both_survive(self):
         net = _one_host_net([_vuln("w-a", "os-t", 5.0), _vuln("w-b", "os-t", 2.5)])
-        cands = enumerate_candidates(net)
-        assert [c.assignment.vuln_id for c in cands] == ["w-a", "w-b"]
+        assert [a.vuln_id for a in enumerate_candidates(net)] == ["w-a", "w-b"]
 
     def test_singleton_utilities(self, chain_net):
-        cands = compute_singleton_utilities(_planted(chain_net), enumerate_candidates(chain_net))
+        cands = PlacementProblem(chain_net).trippable(3)
+        assert [c.assignment for c in cands] == [W1, W2, W3]
         assert [c.singleton_utility for c in cands] == [3.5, 3.5, 3.5]
-
-    def test_rejects_graph_missing_a_candidate(self, chain_net, chain_graph):
-        # the baseline graph plants nothing, so every candidate would score as the baseline
-        with pytest.raises(ValidationError):
-            compute_singleton_utilities(chain_graph, enumerate_candidates(chain_net))
 
 
 def _node(chosen, remaining, budget, baseline, utility=0.0):
@@ -123,7 +114,7 @@ def _node(chosen, remaining, budget, baseline, utility=0.0):
 
 @pytest.fixture
 def chain_candidates(chain_net):
-    return tuple(compute_singleton_utilities(_planted(chain_net), enumerate_candidates(chain_net)))
+    return PlacementProblem(chain_net).trippable(3)
 
 
 class TestHeuristics:
@@ -142,16 +133,10 @@ class TestHeuristics:
         assert h1(node) == 0.0
         assert h2(node) == 3.0
 
-    def test_missing_utilities_rejected(self, chain_net):
-        raw = tuple(enumerate_candidates(chain_net))
-        node = _node((), raw, 2, 3.0)
-        with pytest.raises(ValidationError):
-            h1(node)
-
     def test_lure_root_bounds(self, lure_net):
         # the optimistic estimate undershoots the best pair here (20 < 22)
         # while the sound bound stays above it (30 >= 22)
-        cands = tuple(compute_singleton_utilities(_planted(lure_net), enumerate_candidates(lure_net)))
+        cands = PlacementProblem(lure_net).trippable(2)
         node = _node((), cands, 2, 10.0)
         assert h1(node) == 20.0
         assert h2(node) == 30.0
@@ -203,7 +188,6 @@ class TestPathPool:
         for p in idx.paths:
             assert p.cost < 3.0
             assert p.assignments
-            assert p.config_ids == tuple(sorted(p.config_ids))
         for a, ids in idx.by_assignment.items():
             for pid in ids:
                 assert a in idx.paths[pid].assignments
@@ -417,7 +401,7 @@ class TestEngines:
             hosts={**chain_net.hosts, "h4": isolated},
             reachability=chain_net.reachability | {("h4", "h3")},
         )
-        assert {c.assignment.host_id for c in enumerate_candidates(net)} == {"h1", "h2", "h3", "h4"}
+        assert {a.host_id for a in enumerate_candidates(net)} == {"h1", "h2", "h3", "h4"}
         for engine in (dfbnb, astar, exhaustive_best):
             assert _result_key(engine(net, budget=2)) == _result_key(engine(chain_net, budget=2))
 
@@ -481,7 +465,7 @@ class TestTrippableFilter:
         for seed in range(20):
             net = small_network(random.Random(9300 + seed), max_hosts=8, catalog=catalog)
             problem = PlacementProblem(net)
-            assignments = sorted(c.assignment for c in problem.candidates)
+            assignments = sorted(problem.candidates)
             for budget in (1, 2, 3):
                 kept = {c.assignment for c in problem.trippable(budget)}
                 dropped += len(assignments) - len(kept)
@@ -571,7 +555,7 @@ class TestRealRouteFilter:
         for seed in range(20):
             net = small_network(random.Random(9500 + seed), max_hosts=8, catalog=catalog)
             problem = PlacementProblem(net)
-            assignments = sorted(c.assignment for c in problem.candidates)
+            assignments = sorted(problem.candidates)
             for budget in (1, 2, 3):
                 kept = {c.assignment for c in problem.trippable(budget)}
                 by_route += sum(
@@ -599,7 +583,7 @@ class TestRealRouteFilter:
         assert lure_cost == problem.real_routes[config_id("d", "a")] == problem.real_routes[config_id("d", "b")]
         assert lure_cost < problem.graph.config_cost[config_id("d", "b")]
         assert problem.chain_costs[config_id("d", "b")] <= 2 * problem.baseline_cost
-        assert [c.assignment for c in problem.candidates] == [lure, dear]
+        assert problem.candidates == (lure, dear)
         assert [c.assignment for c in problem.trippable(2)] == [lure]
         trace = simulate_attack(problem.graph)
         assert [it.discovered_fake for it in trace.iterations] == [lure, None]
@@ -627,7 +611,7 @@ class TestValueInheritance:
         for seed in range(20):
             net = small_network(random.Random(9700 + seed), max_hosts=8, catalog=catalog)
             problem = PlacementProblem(net)
-            assignments = sorted(c.assignment for c in problem.candidates)
+            assignments = sorted(problem.candidates)
             for size in range(4):  # parents first
                 for combo in combinations(assignments, size):
                     expected = simulate_attack(apply_assignments(net, combo)).total_cost

@@ -284,7 +284,7 @@ class TestPinnedOutputs:
         dyadic, cvss3 = default_catalog(), cvss3_catalog()
         for hosts, seed, catalog in ((8, 1, dyadic), (12, 7, dyadic), (20, 11, dyadic), (30, 3, dyadic), (10, 2, cvss3)):
             net = generate_network(hosts, catalog, seed=seed)
-            g = apply_assignments(net, [c.assignment for c in enumerate_candidates(net)])
+            g = apply_assignments(net, enumerate_candidates(net))
             assert g.unit_rule
             fakes = sorted(g.fake_configs())
             rng = random.Random(seed)

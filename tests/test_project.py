@@ -1,0 +1,51 @@
+"""Checks on the project as shipped: the README's example runs as documented,
+and no package module imports a name it never uses."""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "decoygraph"
+
+
+def _readme_python_block() -> str:
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1, f"expected one python block in README.md, found {len(blocks)}"
+    return blocks[0]
+
+
+def test_readme_example_prints_the_counts_its_comment_states():
+    source = _readme_python_block()
+    stated = re.search(r"^# .*: (\d+) and (\d+)\nprint\(len\(problem\.candidates\)", source, flags=re.MULTILINE)
+    assert stated is not None, "the comment above the candidate counts no longer states them"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(source, "README.md", "exec"), {"__name__": "readme_example"})
+    assert out.getvalue().splitlines()[0] == f"{stated.group(1)} {stated.group(2)}"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 8
+    unused = [entry for path in modules for entry in _unused_imports(path)]
+    assert unused == []
