@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 import json
 
 from .errors import ValidationError
-from .netmodel import Assignment, NetworkModel, check_assignment, normalize_cost
+from .netmodel import Assignment, NetworkModel, check_placement, normalize_cost
 
 
 class NodeKind:
@@ -288,18 +288,10 @@ def apply_assignments(network: NetworkModel, assignments: Iterable[Assignment]) 
     Nodes absent from the baseline graph carry provenance pointing at the
     assignment that first enabled them; configs matching an assignment's own
     (host, vuln) are flagged fake. apply_assignments(network, ()) equals
-    build_attack_graph(network). Each assignment must pass `check_assignment`,
-    and no two may name the same (host, vuln).
+    build_attack_graph(network). The assignments must pass `check_placement`:
+    each passes `check_assignment`, and no two name the same (host, vuln).
     """
-    planted: dict[tuple[str, str], Assignment] = {}
-    # Assignment's own order, by a tuple key: cheaper than Assignment.__lt__
-    for a in sorted(set(assignments), key=lambda a: (a.host_id, a.vuln_id, a.fake)):
-        check_assignment(network, a)
-        pair = (a.host_id, a.vuln_id)
-        if pair in planted:
-            raise ValidationError(f"two assignments name ({a.host_id}, {a.vuln_id})")
-        planted[pair] = a
-    return _generate(network, planted)
+    return _generate(network, check_placement(network, assignments))
 
 
 def _generate(network: NetworkModel, planted: Mapping[tuple[str, str], Assignment]) -> AttackGraph:
@@ -366,7 +358,7 @@ def _generate(network: NetworkModel, planted: Mapping[tuple[str, str], Assignmen
         fakes: dict[str, list[str]] = {}
         for host, vuln in planted:
             fakes.setdefault(host, []).append(vuln)
-        # check_assignment keeps planted vulns off the installed lists, so no duplicates
+        # check_placement keeps planted vulns off the installed lists, so no duplicates
         every = {**real, **{h: sorted(real[h] + vulns) for h, vulns in fakes.items()}}
         frontier = wave(sorted(host_cause), fakes)
         while frontier:

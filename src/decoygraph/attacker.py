@@ -77,6 +77,33 @@ class EvaluationReport:
     seed: int
     trace: SimulationTrace
 
+    @classmethod
+    def from_trace(
+        cls, trace: SimulationTrace, n_assignments: int, baseline_cost: float, seed: int
+    ) -> "EvaluationReport":
+        """The measures of an attack, traced against `n_assignments` planted fakes.
+
+        An empty placement reports p4 = 1.0 by convention, flagged.
+        """
+        p1 = trace.recalculations
+        if baseline_cost == 0:
+            p3 = 1.0 if trace.total_cost == 0 else math.inf
+        else:
+            p3 = trace.total_cost / baseline_cost
+        by_convention = not n_assignments
+        return cls(
+            p1=p1,
+            p2=trace.planning_effort,
+            p3=p3,
+            p4=1.0 if by_convention else (p1 - 1) / n_assignments,
+            p4_by_convention=by_convention,
+            n_assignments=n_assignments,
+            baseline_cost=baseline_cost,
+            total_cost=trace.total_cost,
+            seed=seed,
+            trace=trace,
+        )
+
     def to_dict(self) -> dict:
         return {
             "p1": self.p1,
@@ -162,35 +189,14 @@ def evaluate_placement(
 ) -> EvaluationReport:
     """Simulate the attacker against a placement and compute the measures.
 
-    The seed is recorded for reporting only; the simulation itself is
-    deterministic. An empty placement reports p4 = 1.0 by convention, flagged.
-    The deception-free optimum is planned on the decorated graph with every
-    fake banned, which leaves exactly the plans of the undecorated graph.
+    Builds the graph with the placement planted. The seed is recorded for
+    reporting only; the simulation itself is deterministic. The
+    deception-free optimum is planned on the decorated graph with every fake
+    banned, which leaves exactly the plans of the undecorated graph.
+    `PlacementProblem.evaluate` gives the same report from a graph compiled
+    once per network.
     """
     placement = frozenset(assignments)
     graph = apply_assignments(network, placement)
     baseline_cost = optimal_plan(graph, banned_configs=graph.fake_configs()).cost
-    trace = simulate_attack(graph)
-    p1 = trace.recalculations
-    if baseline_cost == 0:
-        p3 = 1.0 if trace.total_cost == 0 else math.inf
-    else:
-        p3 = trace.total_cost / baseline_cost
-    if placement:
-        p4 = (p1 - 1) / len(placement)
-        by_convention = False
-    else:
-        p4 = 1.0
-        by_convention = True
-    return EvaluationReport(
-        p1=p1,
-        p2=trace.planning_effort,
-        p3=p3,
-        p4=p4,
-        p4_by_convention=by_convention,
-        n_assignments=len(placement),
-        baseline_cost=baseline_cost,
-        total_cost=trace.total_cost,
-        seed=seed,
-        trace=trace,
-    )
+    return EvaluationReport.from_trace(simulate_attack(graph), len(placement), baseline_cost, seed)

@@ -13,8 +13,7 @@ import functools
 import io
 import json
 import sys
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
 from pathlib import Path
 
 import click
@@ -31,6 +30,7 @@ from .netmodel import (
     default_catalog,
     generate_network,
     load_catalog,
+    malformed,
 )
 from .placement_random import draw_budget_placement, draw_placement, random_budget_placement, random_placement
 from .placement_search import PlacementProblem, SearchResult, astar, dfbnb, exhaustive_best
@@ -88,17 +88,6 @@ def _catalog_from_option(catalog_path: str | None) -> Catalog:
     return default_catalog()
 
 
-@contextmanager
-def _malformed(path: str, what: str) -> Iterator[None]:
-    """Turn a KeyError, TypeError or ValueError from reading `path` into a ValidationError naming it."""
-    try:
-        yield
-    except (ValidationError, ConfigurationError):
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed {what} file ({type(exc).__name__}: {exc})") from None
-
-
 def _load_network_file(path: str, catalog_path: str | None) -> NetworkModel:
     """Read a network JSON, either bare or bundled with its catalog."""
     data = json.loads(Path(path).read_text())
@@ -106,7 +95,7 @@ def _load_network_file(path: str, catalog_path: str | None) -> NetworkModel:
         if catalog_path:
             catalog = load_catalog(catalog_path)
         else:
-            with _malformed(path, "network"):
+            with malformed(path, "network"):
                 catalog = {
                     rec["vuln_id"]: VulnerabilityRecord.from_dict(rec) for rec in data.get("catalog", [])
                 }
@@ -115,7 +104,7 @@ def _load_network_file(path: str, catalog_path: str | None) -> NetworkModel:
         data = data["network"]
     else:
         catalog = _catalog_from_option(catalog_path)
-    with _malformed(path, "network"):
+    with malformed(path, "network"):
         return NetworkModel.from_dict(data, catalog)
 
 
@@ -130,7 +119,7 @@ def _load_assignments(path: str) -> tuple[Assignment, ...]:
     data = json.loads(Path(path).read_text())
     if isinstance(data, dict):
         data = data.get("assignments", [])
-    with _malformed(path, "assignments"):
+    with malformed(path, "assignments"):
         return tuple(sorted(Assignment.from_dict(item) for item in data))
 
 
@@ -429,6 +418,17 @@ def _spec_str(value, name: str) -> str:
     return value
 
 
+def _network_spec(value) -> dict:
+    """A sweep spec network entry: a path or hosts, and string path and id where given."""
+    net_spec = _spec_object(value, "network")
+    if "path" not in net_spec and "hosts" not in net_spec:
+        raise ConfigurationError(f"network spec {net_spec!r} needs a path or hosts")
+    for name in ("path", "id"):
+        if name in net_spec:
+            _spec_str(net_spec[name], f"network {name}")
+    return net_spec
+
+
 def _approach_label(approach: dict) -> str:
     """The row's approach column; any field value prints, valid or not."""
     name = approach.get("name", "")
@@ -496,7 +496,7 @@ def _sweep_cell(
             assignments = result.best_assignments
         else:
             raise ConfigurationError(f"unknown approach {name!r}")
-        report = evaluate_placement(network, assignments, seed=seed)
+        report = problem().evaluate(assignments, seed=seed)
         row.update(
             {
                 "n_assignments": report.n_assignments,
@@ -562,14 +562,15 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
 
     The spec JSON carries: networks (generator specs {hosts, seed} or file
     refs {path}), optional catalog path, budgets, approaches, trials, and
-    base_seed; trial seeds are base_seed + trial index. Every search cell on
-    a network shares one PlacementProblem, built when the first one needs it.
+    base_seed; trial seeds are base_seed + trial index. Every cell on a
+    network shares one PlacementProblem, built when the first one needs it:
+    the searches run on it, and every row is evaluated on it.
     """
     spec = _spec_object(json.loads(Path(spec_path).read_text()), "file")
     catalog_path = spec.get("catalog")
-    networks = [
-        _spec_object(net_spec, "network") for net_spec in _spec_list(spec.get("networks", []), "networks")
-    ]
+    if catalog_path is not None:
+        _spec_str(catalog_path, "catalog")
+    networks = [_network_spec(net_spec) for net_spec in _spec_list(spec.get("networks", []), "networks")]
     budgets = [_spec_int(budget, "budget") for budget in _spec_list(spec.get("budgets", [1]), "budgets")]
     approaches = [
         _spec_object(approach, "approach")
@@ -582,8 +583,6 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
         if "path" in net_spec:
             network = _load_network_file(net_spec["path"], catalog_path)
             network_id = net_spec.get("id", Path(net_spec["path"]).stem)
-        elif "hosts" not in net_spec:
-            raise ConfigurationError(f"network spec {net_spec!r} needs a path or hosts")
         else:
             catalog = _catalog_from_option(catalog_path)
             network = generate_network(

@@ -12,10 +12,11 @@ import csv
 import io
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ConfigurationError, ValidationError
 
@@ -279,6 +280,23 @@ def check_assignment(network: NetworkModel, assignment: Assignment) -> None:
         )
 
 
+def check_placement(network: NetworkModel, assignments: Iterable[Assignment]) -> dict[tuple[str, str], Assignment]:
+    """The distinct assignments keyed by (host, vuln), in sorted order.
+
+    Raises ValidationError on the first assignment, in sorted order, that
+    fails `check_assignment`, and when two assignments name the same pair.
+    """
+    planted: dict[tuple[str, str], Assignment] = {}
+    # Assignment's own order, by a tuple key: cheaper than Assignment.__lt__
+    for a in sorted(set(assignments), key=lambda a: (a.host_id, a.vuln_id, a.fake)):
+        check_assignment(network, a)
+        pair = (a.host_id, a.vuln_id)
+        if pair in planted:
+            raise ValidationError(f"two assignments name ({a.host_id}, {a.vuln_id})")
+        planted[pair] = a
+    return planted
+
+
 def default_catalog() -> Catalog:
     """A small built-in catalog for demos and generated networks.
 
@@ -410,6 +428,17 @@ def generate_network(
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def malformed(path: str | Path, what: str) -> Iterator[None]:
+    """Turn a KeyError, TypeError or ValueError from reading `path` into a ValidationError naming it."""
+    try:
+        yield
+    except (ValidationError, ConfigurationError):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed {what} file ({type(exc).__name__}: {exc})") from None
+
+
 def catalog_to_json(catalog: Catalog) -> str:
     records = [catalog[v].to_dict() for v in sorted(catalog)]
     return json.dumps(records, indent=2) + "\n"
@@ -425,19 +454,23 @@ def load_catalog(path: str | Path) -> Catalog:
     text = path.read_text()
     if path.suffix.lower() == ".csv":
         records = []
-        for row in csv.DictReader(io.StringIO(text)):
-            records.append(
-                VulnerabilityRecord(
-                    vuln_id=row["vuln_id"].strip(),
-                    cvss_version=CvssVersion(row["cvss_version"].strip()),
-                    exploitability_subscore=float(row["exploitability_subscore"]),
-                    affected_os=frozenset(
-                        os_name.strip() for os_name in row["affected_os"].split(";") if os_name.strip()
-                    ),
+        # a short row reads "" for its missing fields, which the checks below reject
+        with malformed(path, "catalog"):
+            for row in csv.DictReader(io.StringIO(text), restval=""):
+                records.append(
+                    VulnerabilityRecord(
+                        vuln_id=row["vuln_id"].strip(),
+                        cvss_version=CvssVersion(row["cvss_version"].strip()),
+                        exploitability_subscore=float(row["exploitability_subscore"]),
+                        affected_os=frozenset(
+                            os_name.strip() for os_name in row["affected_os"].split(";") if os_name.strip()
+                        ),
+                    )
                 )
-            )
     else:
-        records = [VulnerabilityRecord.from_dict(entry) for entry in json.loads(text)]
+        entries = json.loads(text)
+        with malformed(path, "catalog"):
+            records = [VulnerabilityRecord.from_dict(entry) for entry in entries]
     catalog: Catalog = {}
     for record in records:
         if record.vuln_id in catalog:

@@ -23,13 +23,14 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable, Iterable
 
 from .aggraph import AttackGraph, apply_assignments, config_id
-from .attacker import SimulationTrace, simulate_attack
+from .attacker import EvaluationReport, SimulationTrace, simulate_attack
 from .errors import ConfigurationError, Unreachable
-from .netmodel import Assignment, NetworkModel, compatible_vulns, normalize_cost
+from .netmodel import Assignment, NetworkModel, check_placement, compatible_vulns, normalize_cost
 from .planner import optimal_plan
 
 ORDERINGS = ("utility", "shortest_path", "random")
@@ -387,6 +388,11 @@ class PlacementProblem:
     the empty set the same way. `exhaustive_best` simulates every set it
     does not find memoized, so on a fresh problem it stays an independent
     oracle.
+
+    `evaluate` reports on any valid placement, candidate or not. It simulates
+    on a second graph, built on first use, with every compatible pair
+    planted, banning the fake configs of the pairs outside the placement.
+    The searches never read that graph.
     """
 
     def __init__(self, network: NetworkModel):
@@ -423,6 +429,35 @@ class PlacementProblem:
             trace = simulate_attack(self.graph, banned_configs=banned)
             entry = self._memo[assignments] = (trace.total_cost, _reach(trace, self.graph.config_cost))
         return entry[0]
+
+    def evaluate(self, assignments: Iterable[Assignment], seed: int = 0) -> EvaluationReport:
+        """`evaluate_placement`'s report on the placement, from the shared evaluation graph.
+
+        The assignments are checked as `apply_assignments` checks them, and
+        the baseline is `baseline_cost`. A discovered fake is reported as the
+        placement's own assignment for its config.
+        """
+        own = {_fake_config(a): a for a in check_placement(self.network, assignments).values()}
+        graph, fakes = self._evaluation_graph
+        trace = simulate_attack(graph, banned_configs=fakes - own.keys())
+        iterations = tuple(
+            it if it.discovered_fake is None else replace(it, discovered_fake=own[_fake_config(it.discovered_fake)])
+            for it in trace.iterations
+        )
+        trace = replace(trace, iterations=iterations)
+        return EvaluationReport.from_trace(trace, len(own), self.baseline_cost, seed)
+
+    @cached_property
+    def _evaluation_graph(self) -> tuple[AttackGraph, frozenset[str]]:
+        """The graph with every compatible (host, vuln) pair planted, and its fake configs."""
+        network = self.network
+        pairs = [
+            Assignment(host_id, vuln_id)
+            for host_id in sorted(network.hosts)
+            for vuln_id in compatible_vulns(network.catalog, network.hosts[host_id])
+        ]
+        graph = apply_assignments(network, pairs)
+        return graph, graph.fake_configs()
 
     def trippable(self, budget: int) -> tuple[Candidate, ...]:
         """The candidates some placement of at most `budget` fakes can trip.

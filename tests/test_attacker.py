@@ -10,9 +10,10 @@ from decoygraph import attacker
 from decoygraph.aggraph import AttackGraph, apply_assignments, build_attack_graph
 from decoygraph.attacker import evaluate_placement, simulate_attack
 from decoygraph.errors import Unreachable, ValidationError
-from decoygraph.netmodel import Assignment
-from decoygraph.placement_random import random_placement
-from decoygraph.placement_search import PlacementProblem, exhaustive_best
+from decoygraph import placement_search
+from decoygraph.netmodel import Assignment, compatible_vulns, default_catalog, generate_network
+from decoygraph.placement_random import draw_budget_placement, draw_placement, random_placement
+from decoygraph.placement_search import PlacementProblem, dfbnb, enumerate_candidates, exhaustive_best
 from decoygraph.planner import optimal_cost, plan_with_stats
 from helpers import cvss3_catalog, small_network
 
@@ -256,3 +257,84 @@ class TestBanSetOracle:
                 zeroed |= it.zeroed_configs
             replanned += trace.recalculations > 1
         assert replanned >= 10
+
+
+def _report_without_timings(report) -> dict:
+    payload = report.to_dict()
+    payload.pop("p2_ms")
+    payload["trace"]["planning_effort"].pop("elapsed_ms")
+    return payload
+
+
+class TestSharedEvaluation:
+    """PlacementProblem.evaluate, by ban set on one graph per network, against
+    evaluate_placement, which builds a graph per placement and stays the reference."""
+
+    NETWORKS = ((8, 3), (12, 7), (20, 11), (30, 3))
+
+    @CATALOGS
+    def test_reports_match_evaluate_placement(self, catalog):
+        compared = outside = discovered = 0
+        for hosts, net_seed in self.NETWORKS:
+            net = generate_network(hosts, catalog or default_catalog(), net_seed)
+            problem = PlacementProblem(net)
+            classes = set(enumerate_candidates(net))
+            placements = [frozenset()]
+            for seed in range(8):
+                placements.append(draw_budget_placement(net, 1 + seed % 4, seed))
+                placements.append(draw_placement(net, 0.5, seed))
+            # the same pairs planted by assignments that say fake=False
+            placements += [frozenset(Assignment(a.host_id, a.vuln_id, False) for a in p) for p in placements[1:4]]
+            for seed, placement in enumerate(placements):
+                report = problem.evaluate(placement, seed=seed)
+                reference = evaluate_placement(net, placement, seed=seed)
+                assert _report_without_timings(report) == _report_without_timings(reference), (hosts, seed)
+                for it in report.trace.iterations:
+                    if it.discovered_fake is not None:
+                        # the placement's own assignment, fake flag included
+                        assert it.discovered_fake in placement
+                        discovered += 1
+                outside += bool(placement - classes)
+                compared += 1
+        assert compared == len(self.NETWORKS) * 20
+        assert outside >= 10 and discovered >= 10, (outside, discovered)
+
+    def test_invalid_placements_raise_the_same_errors(self):
+        net = generate_network(12, default_catalog(), seed=7)
+        problem = PlacementProblem(net)
+        host = net.hosts["h03"]
+        installed = sorted(host.installed_vulns)[0]
+        compatible = compatible_vulns(net.catalog, host)[0]
+        incompatible = next(v for v in sorted(net.catalog) if host.os not in net.catalog[v].affected_os)
+        valid = draw_budget_placement(net, 2, seed=1)
+        for placement in (
+            [Assignment("h03", incompatible)],
+            [Assignment("nowhere", compatible)],
+            [Assignment("h03", "CVE-0000-0000")],
+            [Assignment("h03", installed)],
+            [Assignment("h03", compatible), Assignment("h03", compatible, fake=False)],
+            [*valid, Assignment("h03", installed), Assignment("h03", incompatible)],
+        ):
+            with pytest.raises(ValidationError) as reference:
+                evaluate_placement(net, placement)
+            with pytest.raises(ValidationError) as shared:
+                problem.evaluate(placement)
+            assert str(shared.value) == str(reference.value)
+
+    def test_one_evaluation_graph_per_problem(self, monkeypatch):
+        net = generate_network(12, default_catalog(), seed=7)
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return apply_assignments(*args, **kwargs)
+
+        monkeypatch.setattr(placement_search, "apply_assignments", counted)
+        problem = PlacementProblem(net)
+        searched = dfbnb(net, budget=2, problem=problem)
+        assert len(builds) == 1  # the searches read the candidates graph only
+        for seed in range(5):
+            problem.evaluate(draw_budget_placement(net, 3, seed))
+        problem.evaluate(searched.best_assignments)
+        assert len(builds) == 2
+        assert problem.evaluate(searched.best_assignments).total_cost == searched.best_utility

@@ -8,6 +8,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from decoygraph import cli
 from decoygraph.cli import _network_bundle, main
 from decoygraph.netmodel import (
     EXTERNAL,
@@ -326,6 +327,24 @@ class TestExitCodes:
         assert res.exit_code == 2, res.output
         assert f"error: {path}: malformed network file" in res.output
 
+    @pytest.mark.parametrize(
+        "name, text, error",
+        [
+            ("cat.json", '[{"vuln_id": "x"}]', "KeyError: 'cvss_version'"),
+            ("cat.csv", "vuln_id,exploitability_subscore,affected_os\nx,1.0,linux\n", "KeyError: 'cvss_version'"),
+            ("short.csv", "vuln_id,cvss_version,exploitability_subscore,affected_os\nx,V2\n", "ValueError"),
+        ],
+        ids=["json-missing-field", "csv-missing-column", "csv-short-row"],
+    )
+    def test_malformed_catalog_file(self, tmp_path, runner, name, text, error):
+        network = tmp_path / "n4.json"
+        assert runner.invoke(main, ["generate", "--hosts", "4", "--seed", "1", "--out", str(network)]).exit_code == 0
+        path = tmp_path / name
+        path.write_text(text)
+        res = runner.invoke(main, ["build-graph", "--network", str(network), "--catalog", str(path)])
+        assert res.exit_code == 2, res.output
+        assert f"error: {path}: malformed catalog file ({error}" in res.output
+
     def test_unreachable_goal(self, tmp_path, runner):
         path = _write_cut_network(tmp_path)
         res = runner.invoke(main, ["simulate", "--network", str(path)])
@@ -559,6 +578,49 @@ class TestSweep:
         rows = _rows(out.read_text())
         assert len(rows) == 4
         assert all(row["error"].startswith("Unreachable") for row in rows)
+
+    def test_unreachable_network_rows_are_pinned(self, tmp_path, runner):
+        labels = ["random", "random-hosts:1.0", "search:dfbnb:h2:utility", "search:astar:h2:shortest-path"]
+        spec = {
+            "networks": [{"path": str(_write_cut_network(tmp_path))}],
+            "budgets": [0, 1],
+            "approaches": [
+                {"name": "random"},
+                {"name": "random-hosts", "fraction": 1.0},
+                {"name": "search", "algorithm": "dfbnb"},
+                {"name": "search", "algorithm": "astar", "ordering": "shortest-path"},
+            ],
+        }
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 0, res.output
+        assert out.read_text().splitlines()[1:] == [
+            f"cut,2,{label},{budget},,,,,,,0,0,,,,,Unreachable: goal p|h:t is not derivable"
+            for label in labels
+            for budget in (0, 1)
+        ]
+
+    def test_non_string_catalog_is_a_configuration_error(self, tmp_path, runner):
+        res, out = self._sweep(tmp_path, runner, {"networks": [{"hosts": 4, "seed": 1}], "catalog": 5})
+        assert res.exit_code == 2, res.output
+        assert "error: sweep spec catalog must be a string, got 5" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "network, message",
+        [
+            ({"hosts": 4, "seed": 2, "id": ["a"]}, "sweep spec network id must be a string, got ['a']"),
+            ({"path": 3}, "sweep spec network path must be a string, got 3"),
+            ({"seed": 2}, "network spec {'seed': 2} needs a path or hosts"),
+        ],
+        ids=["id-list", "path-int", "no-path-or-hosts"],
+    )
+    def test_malformed_network_spec_fails_before_any_row(self, tmp_path, runner, monkeypatch, network, message):
+        cells = []
+        monkeypatch.setattr(cli, "_sweep_cell", lambda *args: cells.append(args))
+        res, out = self._sweep(tmp_path, runner, {"networks": [{"hosts": 4, "seed": 1}, network]})
+        assert res.exit_code == 2, res.output
+        assert f"error: {message}" in res.output
+        assert cells == [] and not out.exists()
 
     def test_path_index_is_kept_per_pool_size(self):
         network = generate_network(12, default_catalog(), seed=7)
