@@ -124,11 +124,12 @@ def simulate_attack(graph: AttackGraph, banned_configs: Iterable[str] = ()) -> S
     """Run the plan/fail/replan loop to completion and return the trace.
 
     Everything happens on the one graph given. `banned_configs` takes configs
-    out of play from the start; a search passes the fake configs of the
-    candidates it did not plant, so one graph with every candidate planted
-    serves every subset. Each round plans at face value with the configs paid
-    so far zeroed, and walks the plan's steps through the configs each one
-    requires (`AttackPlan.step_configs`); the graph's adjacency is not read.
+    out of play from the start; `PlacementProblem` passes the fake configs of
+    the pairs a placement does not plant, so one graph with every compatible
+    pair planted serves every placement. Each round plans at face value with
+    the configs paid so far zeroed, and walks the plan's steps through the
+    configs each one requires (`AttackPlan.step_configs`); the graph's
+    adjacency is not read.
     When the plan trips a fake, the discovered assignment's own config joins
     the ban set, which leaves the planner exactly the plans of the graph
     regenerated without that assignment.
@@ -193,8 +194,8 @@ def evaluate_placement(
     reporting only; the simulation itself is deterministic. The
     deception-free optimum is planned on the decorated graph with every fake
     banned, which leaves exactly the plans of the undecorated graph.
-    `PlacementProblem.evaluate` gives the same report from a graph compiled
-    once per network.
+    `PlacementProblem.evaluate` gives the same report by ban set on the one
+    graph its problem compiles per network, the graph its searches run on.
     """
     placement = frozenset(assignments)
     graph = apply_assignments(network, placement)

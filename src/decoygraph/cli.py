@@ -135,6 +135,18 @@ def _report_payload(report: EvaluationReport, timings: bool) -> dict:
     return payload
 
 
+def _report_columns(report: EvaluationReport, timings: bool) -> dict:
+    """The CSV columns that come from an evaluation report."""
+    return {
+        "n_assignments": report.n_assignments,
+        "p1": report.p1,
+        "p2_states": report.p2.expanded_states,
+        "p2_ms": report.p2.elapsed_ms if timings else "",
+        "p3": report.p3,
+        "p4": report.p4,
+    }
+
+
 def _search_payload(result: SearchResult, timings: bool) -> dict:
     payload = result.to_dict()
     if not timings:
@@ -369,12 +381,7 @@ def evaluate(
         "network_id": Path(network_path).stem,
         "n_hosts": network.n_hosts,
         "approach": "evaluate",
-        "n_assignments": report.n_assignments,
-        "p1": report.p1,
-        "p2_states": report.p2.expanded_states,
-        "p2_ms": report.p2.elapsed_ms if timings else "",
-        "p3": report.p3,
-        "p4": report.p4,
+        **_report_columns(report, timings),
         "seed": seed,
         "trial": 0,
     }
@@ -442,6 +449,28 @@ def _approach_label(approach: dict) -> str:
     return name
 
 
+# Errors that turn a sweep row into an error row instead of ending the sweep.
+_ROW_ERRORS = (ValidationError, ConfigurationError, Unreachable)
+
+
+def _problem_once(network: NetworkModel) -> Callable[[], PlacementProblem]:
+    """The network's PlacementProblem, built on the first call; later calls
+    return it or raise its build's row error again (an unreachable goal)."""
+    built: list[PlacementProblem | Exception] = []
+
+    def problem() -> PlacementProblem:
+        if not built:
+            try:
+                built.append(PlacementProblem(network))
+            except _ROW_ERRORS as exc:
+                built.append(exc)
+        if isinstance(built[0], Exception):
+            raise built[0].with_traceback(None)
+        return built[0]
+
+    return problem
+
+
 def _sweep_cell(
     network_id: str,
     network: NetworkModel,
@@ -497,23 +526,14 @@ def _sweep_cell(
         else:
             raise ConfigurationError(f"unknown approach {name!r}")
         report = problem().evaluate(assignments, seed=seed)
-        row.update(
-            {
-                "n_assignments": report.n_assignments,
-                "p1": report.p1,
-                "p2_states": report.p2.expanded_states,
-                "p2_ms": report.p2.elapsed_ms if timings else "",
-                "p3": report.p3,
-                "p4": report.p4,
-            }
-        )
+        row.update(_report_columns(report, timings))
         if budget:
             row["p4_budget"] = (report.p1 - 1) / budget
         if result is not None:
             row["expanded_nodes"] = result.expanded_nodes
             row["budget_used"] = result.budget_used
             row["search_ms"] = result.elapsed_ms if timings else ""
-    except (ValidationError, ConfigurationError, Unreachable) as exc:
+    except _ROW_ERRORS as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -563,8 +583,9 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
     The spec JSON carries: networks (generator specs {hosts, seed} or file
     refs {path}), optional catalog path, budgets, approaches, trials, and
     base_seed; trial seeds are base_seed + trial index. Every cell on a
-    network shares one PlacementProblem, built when the first one needs it:
-    the searches run on it, and every row is evaluated on it.
+    network shares one PlacementProblem, built once, when the first one needs
+    it: the searches run on it, and every row is evaluated on it. A network
+    whose problem cannot be built gives an error row per cell.
     """
     spec = _spec_object(json.loads(Path(spec_path).read_text()), "file")
     catalog_path = spec.get("catalog")
@@ -592,7 +613,7 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
                 dead_hosts=_spec_int(net_spec.get("dead_hosts", 0), "dead_hosts"),
             )
             network_id = net_spec.get("id", f"gen-{net_spec['hosts']}-{net_spec.get('seed', 0)}")
-        problem = functools.cache(functools.partial(PlacementProblem, network))
+        problem = _problem_once(network)
         for approach in approaches:
             for budget in budgets:
                 for trial in range(trials):

@@ -261,6 +261,15 @@ def compatible_vulns(catalog: Catalog, host: Host) -> list[str]:
     )
 
 
+def compatible_pairs(network: NetworkModel) -> list[Assignment]:
+    """Every plantable (host, vulnerability) pair: by host id, then vuln id."""
+    return [
+        Assignment(host_id, vuln_id)
+        for host_id in sorted(network.hosts)
+        for vuln_id in compatible_vulns(network.catalog, network.hosts[host_id])
+    ]
+
+
 def check_assignment(network: NetworkModel, assignment: Assignment) -> None:
     """Raise unless the assignment is OS-compatible and not a duplicate."""
     host = network.hosts.get(assignment.host_id)

@@ -13,7 +13,7 @@ import random
 
 from .aggraph import AttackGraph, apply_assignments
 from .errors import ConfigurationError
-from .netmodel import Assignment, NetworkModel, compatible_vulns, normalize_cost
+from .netmodel import Assignment, NetworkModel, compatible_pairs, compatible_vulns, normalize_cost
 
 # A fake is drawn with weight 1 / (cost + _WEIGHT_EPSILON), so a free one stays finite.
 _WEIGHT_EPSILON = 0.01
@@ -87,16 +87,9 @@ def draw_budget_placement(
     if budget < 0:
         raise ConfigurationError(f"budget must be non-negative, got {budget}")
     rng = random.Random(seed)
-    pool: list[tuple[str, str]] = []
-    weights: dict[tuple[str, str], float] = {}
-    for host_id in sorted(network.hosts):
-        host = network.hosts[host_id]
-        for vuln_id in compatible_vulns(network.catalog, host):
-            pair = (host_id, vuln_id)
-            pool.append(pair)
-            weights[pair] = 1.0 / (normalize_cost(network.catalog[vuln_id]) + _WEIGHT_EPSILON)
-    picked = _weighted_sample(pool, min(budget, len(pool)), rng, weights)
-    return frozenset(Assignment(host_id=host_id, vuln_id=vuln_id) for host_id, vuln_id in picked)
+    pool = compatible_pairs(network)
+    weights = {a: 1.0 / (normalize_cost(network.catalog[a.vuln_id]) + _WEIGHT_EPSILON) for a in pool}
+    return frozenset(_weighted_sample(pool, min(budget, len(pool)), rng, weights))
 
 
 def random_placement(

@@ -24,13 +24,12 @@ import math
 import random
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Iterable
 
 from .aggraph import AttackGraph, apply_assignments, config_id
 from .attacker import EvaluationReport, SimulationTrace, simulate_attack
 from .errors import ConfigurationError, Unreachable
-from .netmodel import Assignment, NetworkModel, check_placement, compatible_vulns, normalize_cost
+from .netmodel import Assignment, NetworkModel, check_placement, compatible_pairs, normalize_cost
 from .planner import optimal_plan
 
 ORDERINGS = ("utility", "shortest_path", "random")
@@ -119,18 +118,10 @@ def enumerate_candidates(network: NetworkModel) -> list[Assignment]:
     shape), so only the one with the smallest vulnerability id is kept.
     Order is deterministic: by host, then vuln id.
     """
-    catalog = network.catalog
-    seen: set[tuple[str, float]] = set()
-    out: list[Assignment] = []
-    for host_id in sorted(network.hosts):
-        host = network.hosts[host_id]
-        for vuln_id in compatible_vulns(catalog, host):
-            key = (host_id, normalize_cost(catalog[vuln_id]))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(Assignment(host_id=host_id, vuln_id=vuln_id))
-    return out
+    first: dict[tuple[str, float], Assignment] = {}
+    for a in compatible_pairs(network):
+        first.setdefault((a.host_id, normalize_cost(network.catalog[a.vuln_id])), a)
+    return list(first.values())
 
 
 def _fake_config(assignment: Assignment) -> str:
@@ -216,25 +207,25 @@ def _rank_by_paths(
     return tuple(on_path + off_path)
 
 
-def build_path_index(full: AttackGraph, pool_size: int = 100) -> PathIndex:
-    """Enumerate cheap fake-using plans on the graph with every candidate planted.
+def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathIndex:
+    """Enumerate cheap fake-using plans on the problem's graph with every candidate planted.
 
-    Plans are enumerated cheapest first by banning one config per branch;
-    only plans strictly cheaper than the deception-free optimum (the plan with
-    every fake banned) are kept, since costlier ones cannot lure a
-    cost-minimizing attacker off the real path. Dedup is by config set.
+    Plans are enumerated cheapest first by banning one config per branch,
+    starting from the fakes that are not candidates banned; only plans
+    strictly cheaper than the deception-free optimum `baseline_cost` are
+    kept, since costlier ones cannot lure a cost-minimizing attacker off the
+    real path. Dedup is by config set.
     """
-    baseline_cost = optimal_plan(full, banned_configs=full.fake_configs()).cost
+    full = problem.graph
     records: list[PathRecord] = []
     seen_cfg: set[frozenset[str]] = set()
-    heap: list[tuple[float, int, frozenset[str]]] = []
-    plans: dict[int, object] = {}
-    seq = 0
+    # (cost, call number, ban set, plan): the call number breaks cost ties in push order
+    heap: list[tuple] = []
     calls = 0
     call_cap = max(_POOL_CALL_FACTOR * pool_size, 200)
 
     def push(banned: frozenset[str]) -> None:
-        nonlocal seq, calls
+        nonlocal calls
         if calls >= call_cap:
             return
         calls += 1
@@ -242,16 +233,12 @@ def build_path_index(full: AttackGraph, pool_size: int = 100) -> PathIndex:
             plan = optimal_plan(full, banned_configs=banned)
         except Unreachable:
             return
-        if plan.cost >= baseline_cost:
-            return
-        plans[seq] = plan
-        heapq.heappush(heap, (plan.cost, seq, banned))
-        seq += 1
+        if plan.cost < problem.baseline_cost:
+            heapq.heappush(heap, (plan.cost, calls, banned, plan))
 
-    push(frozenset())
+    push(problem.fake_configs - {_fake_config(a) for a in problem.candidates})
     while heap and len(records) < pool_size:
-        cost, entry, banned = heapq.heappop(heap)
-        plan = plans.pop(entry)
+        cost, _, banned, plan = heapq.heappop(heap)
         cfgs = frozenset(plan.node_set & full.config_nodes)
         if cfgs in seen_cfg:
             continue
@@ -319,23 +306,28 @@ def expand(
 class PlacementProblem:
     """The placement problem of one network, compiled once and shared.
 
-    Holds one attack graph of the network with every candidate planted, its
-    fake configs, the undefended attack cost `baseline_cost` (b), and the
-    reachable candidates as plain assignments. A subset is evaluated on that
-    graph by banning the fake configs of the candidates outside it.
-    Candidates the attacker can never reach leave no fake config in that
-    graph; they cannot change any subset's value, so `candidates` leaves them
-    out. Subset values, the candidates a budget can trip (as `Candidate`s with
-    their singleton utilities) and path indexes (by pool size) are memoized,
-    so every search on the network can share one problem; a search refuses a
-    problem compiled from another network.
+    Holds one attack graph of the network with every compatible (host, vuln)
+    pair planted, its fake configs, the undefended attack cost `baseline_cost`
+    (b), and the reachable candidates as plain assignments. A set of pairs is
+    evaluated on that graph by banning the fake configs of the pairs outside
+    it, so every search simulation bans the pairs `enumerate_candidates`
+    folds away. Candidates the attacker can never reach leave no fake config
+    in that graph; they cannot change any subset's value, so `candidates`
+    leaves them out. Subset values, the candidates a budget can trip (as
+    `Candidate`s with their singleton utilities) and path indexes (by pool
+    size) are memoized, so every search on the network can share one problem;
+    a search refuses a problem compiled from another network. `evaluate`
+    reports on any valid placement, candidate or not, on the same graph.
 
     `trippable(k)` drops candidates that no attack on at most k planted fakes
     can trip. Let L(a) be the cheapest face-value source-to-goal chain through
     fake a on the planted graph, with nothing banned (`chain_costs`). Let c(a)
     be a's face cost, and hr(a) the face-cost distance from the source to the
     privilege a's exploit grants, dst(a), over real configs only
-    (`real_routes`).
+    (`real_routes`). A folded pair has the host, cost and exploit shape of
+    the candidate kept for its (host, cost) class, so its edges run parallel
+    to that candidate's, and L and hr are what they are with the candidates
+    alone planted. A lower L would only keep more candidates, which is sound.
 
     Lemma A. If a appears in some round's plan against a set S with |S| <= k,
     then L(a) <= k*b. The round's plan costs at most b: only fakes are ever
@@ -388,20 +380,14 @@ class PlacementProblem:
     the empty set the same way. `exhaustive_best` simulates every set it
     does not find memoized, so on a fresh problem it stays an independent
     oracle.
-
-    `evaluate` reports on any valid placement, candidate or not. It simulates
-    on a second graph, built on first use, with every compatible pair
-    planted, banning the fake configs of the pairs outside the placement.
-    The searches never read that graph.
     """
 
     def __init__(self, network: NetworkModel):
         self.network = network
-        candidates = enumerate_candidates(network)
-        self.graph = apply_assignments(network, candidates)
+        self.graph = apply_assignments(network, compatible_pairs(network))
         self.fake_configs = self.graph.fake_configs()
         self.baseline_cost = optimal_plan(self.graph, banned_configs=self.fake_configs).cost
-        self.candidates = tuple(a for a in candidates if _fake_config(a) in self.fake_configs)
+        self.candidates = tuple(a for a in enumerate_candidates(network) if _fake_config(a) in self.fake_configs)
         self.chain_costs, self.real_routes = _fake_bounds(self.graph)
         self._memo: dict[frozenset[Assignment], tuple[float, float]] = {}
         self._trippable: dict[int, tuple[Candidate, ...]] = {}
@@ -431,33 +417,20 @@ class PlacementProblem:
         return entry[0]
 
     def evaluate(self, assignments: Iterable[Assignment], seed: int = 0) -> EvaluationReport:
-        """`evaluate_placement`'s report on the placement, from the shared evaluation graph.
+        """`evaluate_placement`'s report on the placement, by ban set on the problem's graph.
 
         The assignments are checked as `apply_assignments` checks them, and
         the baseline is `baseline_cost`. A discovered fake is reported as the
         placement's own assignment for its config.
         """
         own = {_fake_config(a): a for a in check_placement(self.network, assignments).values()}
-        graph, fakes = self._evaluation_graph
-        trace = simulate_attack(graph, banned_configs=fakes - own.keys())
+        trace = simulate_attack(self.graph, banned_configs=self.fake_configs - own.keys())
         iterations = tuple(
             it if it.discovered_fake is None else replace(it, discovered_fake=own[_fake_config(it.discovered_fake)])
             for it in trace.iterations
         )
         trace = replace(trace, iterations=iterations)
         return EvaluationReport.from_trace(trace, len(own), self.baseline_cost, seed)
-
-    @cached_property
-    def _evaluation_graph(self) -> tuple[AttackGraph, frozenset[str]]:
-        """The graph with every compatible (host, vuln) pair planted, and its fake configs."""
-        network = self.network
-        pairs = [
-            Assignment(host_id, vuln_id)
-            for host_id in sorted(network.hosts)
-            for vuln_id in compatible_vulns(network.catalog, network.hosts[host_id])
-        ]
-        graph = apply_assignments(network, pairs)
-        return graph, graph.fake_configs()
 
     def trippable(self, budget: int) -> tuple[Candidate, ...]:
         """The candidates some placement of at most `budget` fakes can trip.
@@ -485,7 +458,7 @@ class PlacementProblem:
         """The pool of up to `pool_size` cheap fake-using paths, built once per size."""
         index = self._indexes.get(pool_size)
         if index is None:
-            index = self._indexes[pool_size] = build_path_index(self.graph, pool_size=pool_size)
+            index = self._indexes[pool_size] = build_path_index(self, pool_size=pool_size)
         return index
 
 

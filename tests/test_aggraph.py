@@ -29,7 +29,7 @@ from decoygraph.netmodel import (
     Goal,
     Host,
     NetworkModel,
-    compatible_vulns,
+    compatible_pairs,
     default_catalog,
     generate_network,
 )
@@ -188,14 +188,6 @@ def test_apply_then_remove_all_is_identity(seed):
     assert apply_assignments(net, ()) == baseline
 
 
-def _every_candidate(net):
-    return [
-        Assignment(host_id, vuln_id)
-        for host_id, host in sorted(net.hosts.items())
-        for vuln_id in compatible_vulns(net.catalog, host)
-    ]
-
-
 def _pinned_networks():
     for hosts, seed in ((8, 1), (12, 7), (20, 11), (30, 3), (60, 1)):
         yield generate_network(hosts, default_catalog(), seed=seed)
@@ -215,7 +207,7 @@ def test_generated_graphs_are_pinned():
         for seed in range(6):
             _, graph = random_placement(net, (0.25, 0.5, 1.0)[seed % 3], seed)
             digest.update(graph.to_json().encode())
-        digest.update(apply_assignments(net, _every_candidate(net)).to_json().encode())
+        digest.update(apply_assignments(net, compatible_pairs(net)).to_json().encode())
     assert digest.hexdigest() == "b070f60c19fe0a9ff15bfd0bc44254f737f78367af93e0c9338aca28f3c68ccd"
 
 
@@ -245,7 +237,7 @@ def test_generated_and_loaded_graphs_agree():
     ):
         assert first < second and {first, second} <= baseline_exploits
     for net in (*_pinned_networks(), prefix_net):
-        graphs = [build_attack_graph(net), apply_assignments(net, _every_candidate(net))]
+        graphs = [build_attack_graph(net), apply_assignments(net, compatible_pairs(net))]
         graphs += [random_placement(net, (0.25, 0.5, 1.0)[seed % 3], seed)[1] for seed in range(6)]
         for graph in graphs:
             born = graph.__dict__["indexed"]
@@ -319,7 +311,7 @@ class TestAdjacency:
     def test_generated_graphs(self):
         checked = 0
         for net in _pinned_networks():
-            for graph in (build_attack_graph(net), apply_assignments(net, _every_candidate(net))):
+            for graph in (build_attack_graph(net), apply_assignments(net, compatible_pairs(net))):
                 assert graph.indexed is not None
                 assert (graph.requirements, graph.grants) == _scanned_adjacency(graph)
                 checked += _steps_match_requirements(graph)

@@ -13,8 +13,15 @@ from decoygraph.errors import Unreachable, ValidationError
 from decoygraph import placement_search
 from decoygraph.netmodel import Assignment, compatible_vulns, default_catalog, generate_network
 from decoygraph.placement_random import draw_budget_placement, draw_placement, random_placement
-from decoygraph.placement_search import PlacementProblem, dfbnb, enumerate_candidates, exhaustive_best
-from decoygraph.planner import optimal_cost, plan_with_stats
+from decoygraph.placement_search import (
+    PlacementProblem,
+    astar,
+    build_path_index,
+    dfbnb,
+    enumerate_candidates,
+    exhaustive_best,
+)
+from decoygraph.planner import optimal_cost, optimal_plan, plan_with_stats
 from helpers import cvss3_catalog, small_network
 
 CATALOGS = pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
@@ -321,20 +328,32 @@ class TestSharedEvaluation:
                 problem.evaluate(placement)
             assert str(shared.value) == str(reference.value)
 
-    def test_one_evaluation_graph_per_problem(self, monkeypatch):
+    def test_one_graph_per_problem(self, monkeypatch):
+        # searches, the path index and every evaluation share the problem's
+        # graph and its undefended plan
         net = generate_network(12, default_catalog(), seed=7)
-        builds = []
+        builds, baselines, indexes = [], [], []
 
-        def counted(*args, **kwargs):
+        def counted_build(*args, **kwargs):
             builds.append(args)
             return apply_assignments(*args, **kwargs)
 
-        monkeypatch.setattr(placement_search, "apply_assignments", counted)
+        def counted_plan(graph, banned_configs=frozenset()):
+            if banned_configs == graph.fake_configs():
+                baselines.append(graph)
+            return optimal_plan(graph, banned_configs=banned_configs)
+
+        def counted_index(*args, **kwargs):
+            indexes.append(args)
+            return build_path_index(*args, **kwargs)
+
+        monkeypatch.setattr(placement_search, "apply_assignments", counted_build)
+        monkeypatch.setattr(placement_search, "optimal_plan", counted_plan)
+        monkeypatch.setattr(placement_search, "build_path_index", counted_index)
         problem = PlacementProblem(net)
         searched = dfbnb(net, budget=2, problem=problem)
-        assert len(builds) == 1  # the searches read the candidates graph only
+        assert astar(net, budget=2, ordering="shortest_path", problem=problem).best_utility == searched.best_utility
         for seed in range(5):
             problem.evaluate(draw_budget_placement(net, 3, seed))
-        problem.evaluate(searched.best_assignments)
-        assert len(builds) == 2
         assert problem.evaluate(searched.best_assignments).total_cost == searched.best_utility
+        assert (len(builds), len(baselines), len(indexes)) == (1, 1, 1)

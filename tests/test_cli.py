@@ -599,6 +599,32 @@ class TestSweep:
             for budget in (0, 1)
         ]
 
+    def test_each_network_builds_its_problem_once(self, tmp_path, runner, monkeypatch):
+        # a failed build is remembered too: each cut-network row re-raises its error
+        builds = []
+
+        def counted(network):
+            builds.append(network.n_hosts)
+            return PlacementProblem(network)
+
+        monkeypatch.setattr(cli, "PlacementProblem", counted)
+        spec = {
+            "networks": [{"path": str(_write_cut_network(tmp_path))}, {"hosts": 6, "seed": 1}],
+            "budgets": [1, 2],
+            "approaches": [
+                {"name": "random"},
+                {"name": "random-hosts", "fraction": 0.5},
+                {"name": "search", "algorithm": "dfbnb"},
+                {"name": "search", "algorithm": "astar", "ordering": "shortest-path"},
+                {"name": "search", "algorithm": "exhaustive"},
+            ],
+        }
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 0, res.output
+        rows = _rows(out.read_text())
+        assert [row["error"].startswith("Unreachable") for row in rows] == [True] * 10 + [False] * 10
+        assert builds == [2, 6]
+
     def test_non_string_catalog_is_a_configuration_error(self, tmp_path, runner):
         res, out = self._sweep(tmp_path, runner, {"networks": [{"hosts": 4, "seed": 1}], "catalog": 5})
         assert res.exit_code == 2, res.output
@@ -626,4 +652,4 @@ class TestSweep:
         network = generate_network(12, default_catalog(), seed=7)
         problem = PlacementProblem(network)
         assert len(problem.path_index(1).paths) == 1
-        assert len(problem.path_index(100).paths) == len(build_path_index(problem.graph, 100).paths) == 17
+        assert len(problem.path_index(100).paths) == len(build_path_index(problem, 100).paths) == 17

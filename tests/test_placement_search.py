@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -20,8 +22,10 @@ from decoygraph.netmodel import (
     Layer,
     NetworkModel,
     VulnerabilityRecord,
+    compatible_vulns,
     default_catalog,
     generate_network,
+    normalize_cost,
 )
 from decoygraph.placement_search import (
     PlacementProblem,
@@ -43,11 +47,6 @@ from helpers import cvss3_catalog, small_network
 W1 = Assignment(host_id="h1", vuln_id="w1")
 W2 = Assignment(host_id="h2", vuln_id="w2")
 W3 = Assignment(host_id="h3", vuln_id="w3")
-
-
-def _planted(net):
-    """The graph of `net` with every search candidate planted."""
-    return apply_assignments(net, enumerate_candidates(net))
 
 
 def _result_key(res):
@@ -99,6 +98,67 @@ class TestCandidates:
         cands = PlacementProblem(chain_net).trippable(3)
         assert [c.assignment for c in cands] == [W1, W2, W3]
         assert [c.singleton_utility for c in cands] == [3.5, 3.5, 3.5]
+
+
+def _search_inputs(problem: PlacementProblem) -> str:
+    """What the searches read from a problem, as JSON: the candidates, their
+    chain costs and real routes, the trippable candidates with their singleton
+    utilities for budgets 1 to 3, and the path index of pool size 100."""
+    configs = [config_id(a.host_id, a.vuln_id) for a in problem.candidates]
+    return json.dumps(
+        {
+            "candidates": [a.to_dict() for a in problem.candidates],
+            "chain_costs": [problem.chain_costs[c] for c in configs],
+            "real_routes": [problem.real_routes[c] for c in configs],
+            "trippable": [
+                [[c.assignment.to_dict(), c.singleton_utility] for c in problem.trippable(budget)]
+                for budget in (1, 2, 3)
+            ],
+            "paths": [
+                [p.path_id, p.cost, [a.to_dict() for a in sorted(p.assignments)]]
+                for p in problem.path_index(100).paths
+            ],
+        }
+    )
+
+
+class TestPinnedSearchInputs:
+    """The search inputs of generated networks, pinned to digests recorded
+    while the searches ran on a graph with the candidates planted only.
+
+    Every network has compatible pairs that `enumerate_candidates` folds into
+    a reachable candidate of the same host and cost. Planting those pairs too
+    must leave every search input unchanged.
+    """
+
+    @pytest.mark.parametrize(
+        "hosts, seed, catalog, counts, digest",
+        [
+            (12, 7, None, (33, 17), "49301cd5afb69002788d1c3f2016007d27f25a8f05cd2d894bf954978357fc6c"),
+            (20, 11, None, (53, 10), "79bee0cd913117ae2600b8cc2693da8efbaeaa944af19a2fc5dbfc6b07615ab5"),
+            (30, 1, None, (72, 75), "24627999fdf25f76742e6abc3b25c43b1e90b6453daaf6d9f9ff3454296bb37b"),
+            (30, 3, None, (78, 0), "b4d9d40152fec09e3f6156380632db520963a146142350faec0dd2f2519e3ae8"),
+            (10, 2, cvss3_catalog(), (28, 100), "45b63d100461dec6c916e235872f1590c18e0c9a73f51ba0543edab20ce97604"),
+            (12, 3, cvss3_catalog(), (29, 16), "06ae1d4a0f95d4b437d99427620d0c17bdeb36fe510841a21a7ccea9c1da6fc7"),
+            (20, 1, cvss3_catalog(), (50, 64), "56b32ba3e4828cedd53dcd6d3a7a6a7f0ed002f3d9912ad650fc942e499995be"),
+            (20, 6, cvss3_catalog(), (37, 5), "6d0e2c9524788c50573cf7a79d8a0e3ea4f2cf3987aa3b90a6a2ab213e49633b"),
+        ],
+        ids=["12h7", "20h11", "30h1", "30h3", "10h2-cvss3", "12h3-cvss3", "20h1-cvss3", "20h6-cvss3"],
+    )
+    def test_search_inputs_are_pinned(self, hosts, seed, catalog, counts, digest):
+        net = generate_network(hosts, catalog or default_catalog(), seed=seed)
+        problem = PlacementProblem(net)
+        classes = {(a.host_id, normalize_cost(net.catalog[a.vuln_id])) for a in problem.candidates}
+        folded = [
+            (host_id, vuln_id)
+            for host_id in sorted(net.hosts)
+            for vuln_id in compatible_vulns(net.catalog, net.hosts[host_id])
+            if Assignment(host_id, vuln_id) not in problem.candidates
+            and (host_id, normalize_cost(net.catalog[vuln_id])) in classes
+        ]
+        assert folded, "no pair duplicates a reachable candidate"
+        assert (len(problem.candidates), len(problem.path_index(100).paths)) == counts
+        assert hashlib.sha256(_search_inputs(problem).encode()).hexdigest() == digest
 
 
 def _node(chosen, remaining, budget, baseline, utility=0.0):
@@ -166,7 +226,7 @@ class TestOrdering:
             order_candidates(node, "shortest_path")
 
     def test_hyphen_alias(self, chain_net, chain_candidates):
-        idx = build_path_index(_planted(chain_net))
+        idx = build_path_index(PlacementProblem(chain_net))
         node = _node((), chain_candidates, 2, 3.0)
         ordered = order_candidates(node, "shortest-path", index=idx)
         assert [c.assignment for c in ordered] == [W3, W2, W1]
@@ -179,7 +239,7 @@ class TestOrdering:
 
 class TestPathPool:
     def test_chain_pool_contents(self, chain_net):
-        idx = build_path_index(_planted(chain_net))
+        idx = build_path_index(PlacementProblem(chain_net))
         assert len(idx.paths) == 7
         costs = [p.cost for p in idx.paths]
         assert costs == sorted(costs)
@@ -193,14 +253,14 @@ class TestPathPool:
                 assert a in idx.paths[pid].assignments
 
     def test_pool_size_keeps_the_cheapest(self, chain_net):
-        idx = build_path_index(_planted(chain_net), pool_size=3)
+        idx = build_path_index(PlacementProblem(chain_net), pool_size=3)
         assert [p.cost for p in idx.paths] == [1.5, 2.0, 2.0]
 
     def test_pool_is_deterministic(self, chain_net):
-        assert build_path_index(_planted(chain_net)) == build_path_index(_planted(chain_net))
+        assert build_path_index(PlacementProblem(chain_net)) == build_path_index(PlacementProblem(chain_net))
 
     def test_lure_pool_is_a_single_record(self, lure_net):
-        idx = build_path_index(_planted(lure_net))
+        idx = build_path_index(PlacementProblem(lure_net))
         assert len(idx.paths) == 1
         assert idx.paths[0].cost == 9.0
         assert {a.host_id for a in idx.paths[0].assignments} == {"f1", "f2"}
@@ -208,18 +268,18 @@ class TestPathPool:
 
 class TestRanking:
     def test_singleton_paths_rank_first_at_the_root(self, chain_net, chain_candidates):
-        idx = build_path_index(_planted(chain_net))
+        idx = build_path_index(PlacementProblem(chain_net))
         ranked = _rank_by_paths(idx, chain_candidates, frozenset(), 2)
         # each lure closes a one-assignment path; ties break on cost then id
         assert [c.assignment for c in ranked] == [W3, W2, W1]
 
     def test_partial_choice_prefers_path_completion(self, chain_net, chain_candidates):
-        idx = build_path_index(_planted(chain_net))
+        idx = build_path_index(PlacementProblem(chain_net))
         ranked = _rank_by_paths(idx, chain_candidates[1:], frozenset({W1}), 2)
         assert [c.assignment for c in ranked] == [W3, W2]
 
     def test_off_pool_candidates_fall_back_to_utility(self, chain_net, chain_candidates):
-        idx = build_path_index(_planted(chain_net), pool_size=1)
+        idx = build_path_index(PlacementProblem(chain_net), pool_size=1)
         # only the all-three path survives; no candidate fits one open slot
         ranked = _rank_by_paths(idx, chain_candidates[1:], frozenset({W1}), 2)
         assert [c.assignment for c in ranked] == [W2, W3]
@@ -377,7 +437,7 @@ class TestEngines:
     def test_prebuilt_path_index_is_honored(self, chain_net, monkeypatch):
         problem = PlacementProblem(chain_net)
         idx = problem.path_index(100)
-        assert idx == build_path_index(_planted(chain_net))
+        assert idx == build_path_index(PlacementProblem(chain_net))
 
         def no_index(*args, **kwargs):
             raise AssertionError("the problem's path index is rebuilt")
