@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -64,21 +65,28 @@ def config_owner(node_id: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class IndexedView:
-    """A unit-rule graph's privileges and exploits as integers.
+    """A unit-rule graph's privileges, exploits and configs as integers.
 
-    Both are numbered in sorted id order, so comparing two indices compares
-    their ids. Configs keep their ids: cost tables and ban sets are keyed by them.
+    Privileges and exploits are numbered in sorted id order, so comparing two
+    indices compares their ids. Configs are numbered in order of first use
+    along the exploits, then those no exploit requires, in sorted id order;
+    the costs and fake flags are listed by that number. Per privilege, the
+    arcs are (exploit, config, granted privilege) for each exploit requiring
+    it, one per privilege the exploit grants, in exploit order and then in
+    privilege order. The planner's Dijkstra scans these arcs and never reads
+    a config id. Its plans keep their chain of arcs and this view, and read
+    their exploit, config and privilege ids off the view on first use.
     """
 
     privileges: tuple[str, ...]
     exploits: tuple[str, ...]
+    configs: tuple[str, ...]
     source: int
     goal: int
-    # per privilege: (exploit, config, granted privileges) of each exploit requiring it, by exploit
-    consumers: tuple[tuple[tuple[int, str, tuple[int, ...]], ...], ...]
-    # per exploit: its one required privilege and its one config
-    required: tuple[int, ...]
-    config: tuple[str, ...]
+    arcs: tuple[tuple[tuple[int, int, int], ...], ...]
+    # per config: its face cost and whether it is fake
+    cost: tuple[float, ...]
+    fake: tuple[bool, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +140,11 @@ class AttackGraph:
         """Integer-indexed view for the Dijkstra planner; None unless the graph is unit-rule.
 
         Unit-rule means every exploit requires exactly one privilege and one
-        config. Generated graphs are born with it; other graphs build it in
-        one pass over the edges. `requirements` and `grants` are not read off
-        it: they scan the edges, for the general planner and the oracles.
+        config node. Generated graphs are born with it; other graphs build it
+        in one pass over the edges, numbering their configs by the same rule,
+        so a loaded copy of a generated graph has the view it was born with.
+        `requirements` and `grants` are not read off it: they scan the edges,
+        for the general planner and the oracles.
         """
         privileges = tuple(sorted(self.privilege_nodes))
         exploits = tuple(sorted(self.exploit_nodes))
@@ -159,19 +169,26 @@ class AttackGraph:
                 if config[e] is not None:
                     return None
                 config[e] = b
-        if None in required or None in config:
+        if None in required or None in config or not self.config_nodes.issuperset(config):
             return None
-        consumers: list[list[tuple[int, str, tuple[int, ...]]]] = [[] for _ in privileges]
+        c_index: dict[str, int] = {}
+        for c in config:
+            c_index.setdefault(c, len(c_index))
+        for c in sorted(self.config_nodes - c_index.keys()):
+            c_index[c] = len(c_index)
+        configs = tuple(c_index)
+        arcs: list[list[tuple[int, int, int]]] = [[] for _ in privileges]
         for e, p in enumerate(required):
-            consumers[p].append((e, config[e], tuple(sorted(grants[e]))))
+            arcs[p].extend((e, c_index[config[e]], q) for q in sorted(grants[e]))
         return IndexedView(
             privileges=privileges,
             exploits=exploits,
+            configs=configs,
             source=p_index[self.source],
             goal=p_index[self.goal],
-            consumers=tuple(tuple(c) for c in consumers),
-            required=tuple(required),
-            config=tuple(config),
+            arcs=tuple(map(tuple, arcs)),
+            cost=tuple(self.config_cost[c] for c in configs),
+            fake=tuple(self.fake_flag.get(c, False) for c in configs),
         )
 
     @property
@@ -184,7 +201,8 @@ class AttackGraph:
         return self.privilege_nodes | self.exploit_nodes | self.config_nodes
 
     def fake_configs(self) -> frozenset[str]:
-        return frozenset(c for c in self.config_nodes if self.fake_flag.get(c, False))
+        """The configs flagged fake (`validate_graph` checks that `fake_flag` covers exactly the configs)."""
+        return frozenset(compress(self.fake_flag, self.fake_flag.values()))
 
     # -- serialization --------------------------------------------------------
 
@@ -374,21 +392,21 @@ def _generate(network: NetworkModel, planted: Mapping[tuple[str, str], Assignmen
     # privilege ids share the prefix "p|h:", so they sort as their hosts do
     hosts = sorted(host_cause)
     p_index = {h: i for i, h in enumerate(hosts)}
-    granted = [(i,) for i in range(len(hosts))]
-    consumers: list[list[tuple[int, str, tuple[int, ...]]]] = [[] for _ in hosts]
-    required: list[int] = []
+    # configs numbered in order of first use along the sorted exploits
+    c_index: dict[str, int] = {}
+    arcs: list[list[tuple[int, int, int]]] = [[] for _ in hosts]
     for e, (_, x, dst, cid, _) in enumerate(rows):
-        p = p_index[x]
-        required.append(p)
-        consumers[p].append((e, cid, granted[p_index[dst]]))
+        arcs[p_index[x]].append((e, c_index.setdefault(cid, len(c_index)), p_index[dst]))
+    configs = tuple(c_index)
     view = IndexedView(
-        privileges=tuple(priv_id(h) for h in hosts),
-        exploits=tuple(row[0] for row in rows),
+        privileges=tuple(map(priv_id, hosts)),
+        exploits=tuple(map(itemgetter(0), rows)),
+        configs=configs,
         source=p_index[entry],
         goal=p_index[goal_host],
-        consumers=tuple(map(tuple, consumers)),
-        required=tuple(required),
-        config=tuple(row[3] for row in rows),
+        arcs=tuple(map(tuple, arcs)),
+        cost=tuple(map(cost.__getitem__, configs)),
+        fake=tuple(map(fake.__getitem__, configs)),
     )
     return _GeneratedGraph._born(view, cost, fake, rows, host_cause, config_cause)
 
@@ -396,8 +414,8 @@ def _generate(network: NetworkModel, planted: Mapping[tuple[str, str], Assignmen
 class _GeneratedGraph(AttackGraph):
     """A graph from `_generate`, born with its integer view.
 
-    The planner and the attacker read only the view, the costs, the fake
-    flags and, when a fake is discovered, the provenance. The string-keyed
+    The planner and the attacker read only the view (costs and fake flags
+    included) and, when a fake is discovered, the provenance. The string-keyed
     fields are derived on first read, and `requirements` and `grants`, which
     only the general planner and the oracles read, are scanned from the
     derived edges. `dataclasses.replace` builds a copy through

@@ -20,7 +20,7 @@ from typing import Iterable
 from .aggraph import AttackGraph, apply_assignments
 from .errors import Unreachable
 from .netmodel import Assignment, NetworkModel
-from .planner import AttackPlan, PlannerStats, optimal_plan, plan_with_stats
+from .planner import AttackPlan, PlannerStats, PlanningState, optimal_plan, plan_with_stats
 
 
 @dataclass(frozen=True)
@@ -120,19 +120,29 @@ class EvaluationReport:
         }
 
 
-def simulate_attack(graph: AttackGraph, banned_configs: Iterable[str] = ()) -> SimulationTrace:
+def simulate_attack(
+    graph: AttackGraph, banned_configs: Iterable[str] | PlanningState = ()
+) -> SimulationTrace:
     """Run the plan/fail/replan loop to completion and return the trace.
 
     Everything happens on the one graph given. `banned_configs` takes configs
-    out of play from the start; `PlacementProblem` passes the fake configs of
+    out of play from the start; `PlacementProblem` bans the fake configs of
     the pairs a placement does not plant, so one graph with every compatible
-    pair planted serves every placement. Each round plans at face value with
-    the configs paid so far zeroed, and walks the plan's steps through the
-    configs each one requires (`AttackPlan.step_configs`); the graph's
-    adjacency is not read.
-    When the plan trips a fake, the discovered assignment's own config joins
-    the ban set, which leaves the planner exactly the plans of the graph
-    regenerated without that assignment.
+    pair planted serves every placement. The loop keeps its state by config
+    number (`PlanningState`): each round plans at face value with the configs
+    paid so far zeroed, and walks the plan's steps through the configs each
+    one requires; the graph's adjacency is not read, and config ids are only
+    looked up for the trace. When the plan trips a fake, the discovered
+    assignment's own config is banned, which leaves the planner exactly the
+    plans of the graph regenerated without that assignment.
+
+    A caller may pass a fresh `PlanningState` instead of ids, as
+    `PlacementProblem` does, whose arcs leave out those of the configs
+    banned from the start. That is exact: bans only grow within a
+    simulation, so those arcs would be skipped in every round anyway, and
+    the arcs kept come in the view's order, so Dijkstra relaxes the same
+    arcs in the same order. A fake discovered later keeps its arcs and is
+    skipped by its ban flag.
 
     A real attack path (goal derivable from real configs only) must exist.
     The loop raises Unreachable("no real attack path exists") if and only if
@@ -141,22 +151,25 @@ def simulate_attack(graph: AttackGraph, banned_configs: Iterable[str] = ()) -> S
     round bans a fake it had not banned before, and once none is left the
     planner raises.
     """
-    banned = frozenset(banned_configs)
-    working: dict[str, float] = dict(graph.config_cost)
+    if isinstance(banned_configs, PlanningState):
+        state = banned_configs
+    else:
+        state = PlanningState.of(graph, banned_configs=banned_configs)
+    names, fake, working = state.names, state.fake, state.costs
     iterations: list[AttackIteration] = []
     effort = PlannerStats()
     total = 0.0
     while True:
         try:
-            plan, stats = plan_with_stats(graph, costs=working, banned_configs=banned)
+            plan, stats = plan_with_stats(graph, costs=state)
         except Unreachable:
             raise Unreachable("no real attack path exists") from None
         effort += stats
         # configs of the steps run before the first one needing a fake
-        before: set[str] = set()
-        fake_reqs: list[str] = []
-        for configs in plan.step_configs:
-            fake_reqs = [c for c in configs if graph.fake_flag.get(c, False)]
+        before: set[int] = set()
+        fake_reqs: list[int] = []
+        for configs in plan.numbered_steps(state):
+            fake_reqs = [c for c in configs if fake[c]]
             if fake_reqs:
                 break
             before.update(configs)
@@ -169,13 +182,13 @@ def simulate_attack(graph: AttackGraph, banned_configs: Iterable[str] = ()) -> S
         paid = math.fsum(working[c] for c in before.union(configs))
         # Several fakes on one exploit: the attacker learns the one whose
         # config node id sorts first. Generated graphs never hit this case.
-        discovered_config = min(fake_reqs)
-        discovered = graph.provenance[discovered_config]
+        discovered_config = min(fake_reqs, key=names.__getitem__)
+        discovered = graph.provenance[names[discovered_config]]
         total += paid
-        iterations.append(AttackIteration(plan, paid, discovered, frozenset(before)))
+        iterations.append(AttackIteration(plan, paid, discovered, frozenset(map(names.__getitem__, before))))
         for c in before:
             working[c] = 0.0
-        banned = banned | {discovered_config}
+        state.banned[discovered_config] = 1
     return SimulationTrace(
         iterations=tuple(iterations),
         total_cost=total,
@@ -200,4 +213,8 @@ def evaluate_placement(
     placement = frozenset(assignments)
     graph = apply_assignments(network, placement)
     baseline_cost = optimal_plan(graph, banned_configs=graph.fake_configs()).cost
-    return EvaluationReport.from_trace(simulate_attack(graph), len(placement), baseline_cost, seed)
+    trace = simulate_attack(graph)
+    # the graph is built for this call; the report's plans must not keep it alive
+    for it in trace.iterations:
+        it.plan.detach()
+    return EvaluationReport.from_trace(trace, len(placement), baseline_cost, seed)

@@ -14,25 +14,37 @@ shared configs across required branches) go through admissible best-first
 search over achieved-fact sets. A brute-force subset enumerator serves as the
 oracle for both.
 
-Dijkstra runs on the graph's cached integer view (`AttackGraph.indexed`):
-privileges and exploits numbered in sorted id order, so heap ties between
-equal distances still break by privilege id, and per privilege the
-(exploit, config, granted privileges) of each exploit requiring it. Configs
-stay named, since the cost table and the ban set are keyed by name. The plan
-is read off the predecessor chain from the goal back to the source, and the
-chain in order is the execution order: each chain exploit's required
-privilege first appears in the grants of the exploit before it. It appears
-there because that exploit is its predecessor. It appears no earlier: an
-earlier chain exploit granting it was relaxed first, since chain privileges
-settle in chain order, and offered it a distance no larger than the
-predecessor's, since settled distances never decrease and costs are not
+Both engines read a `PlanningState`: costs, ban flags and fake flags listed
+by config number. `plan_with_stats` numbers id-keyed costs and bans once per
+call; the attacker keeps one state per simulation instead. Dijkstra runs on
+the graph's integer view (`AttackGraph.indexed`): privileges and exploits
+numbered in sorted id order, so heap ties between equal distances still break
+by privilege id, configs numbered in order of first use along the exploits,
+and per privilege the arcs (exploit, config, granted privilege) of the
+exploits requiring it, in exploit order. It scans the state's arcs, which may
+leave out arcs of configs banned for the whole simulation, and skips the
+arcs of banned configs; neither changes which arcs it relaxes, or in which
+order. Best-first search turns the state back into an id-keyed cost table and
+ban set at its entry.
+
+The Dijkstra plan is read off the predecessor chain from the goal back to the
+source, and the chain in order is the execution order: each chain exploit's
+required privilege first appears in the grants of the exploit before it. It
+appears there because that exploit is its predecessor. It appears no earlier:
+an earlier chain exploit granting it was relaxed first, since chain
+privileges settle in chain order, and offered it a distance no larger than
+the predecessor's, since settled distances never decrease and costs are not
 negative. A predecessor is only replaced by a strictly smaller distance, so
-the recorded one would then be that earlier exploit. (The first chain exploit
-requires the source, held from the start.) So earliest-enabled-first
+the recorded one would then be that earlier exploit. (The first chain
+exploit requires the source, held from the start.) So earliest-enabled-first
 execution, the order `_exec_waves` gives the other engines' plans, enables
 exactly one chain exploit at a time, in chain order. The plan's nodes are the
 chain's exploits, their configs, their required privileges and the goal; its
-cost is the `math.fsum` of those configs, each counted once.
+cost is the `math.fsum` of those configs, each counted once. The plan keeps
+its cost and its chain of arcs; its execution order, node set and step
+configs are assembled from the view on first read, so the attacker's rounds
+in a search never build them. A plan assembled on read
+equals, and hashes as, the eager plan of the same fields.
 
 Plan cost is the correctly rounded sum (`math.fsum`) of its config costs, so
 the same cost multiset yields the same float no matter which engine found it
@@ -46,21 +58,47 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
-from .aggraph import AttackGraph
+from .aggraph import AttackGraph, IndexedView
 from .errors import ConfigurationError, Unreachable, ValidationError
 
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackPlan:
+    """A plan; plans are equal, and hash alike, when their four fields are equal."""
+
     node_set: frozenset[str]
     exec_order: tuple[str, ...]
     cost: float
     # per exploit of exec_order, the configs it requires, sorted
     step_configs: tuple[tuple[str, ...], ...]
+
+    def _fields(self) -> tuple:
+        return self.node_set, self.exec_order, self.cost, self.step_configs
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AttackPlan):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def numbered_steps(self, state: "PlanningState") -> Iterable[tuple[int, ...]]:
+        """Per step, the numbers of the configs it requires, in `state`'s numbering."""
+        number = state.number
+        return (tuple(number[c] for c in configs) for configs in self.step_configs)
+
+    def detach(self) -> None:
+        """Hold every field, so that the plan keeps no part of its graph alive.
+
+        Only a plan assembled on read holds part of its graph, its integer
+        view, and only until a field is first read.
+        """
 
     def to_dict(self) -> dict:
         return {
@@ -68,6 +106,44 @@ class AttackPlan:
             "exec_order": list(self.exec_order),
             "node_set": sorted(self.node_set),
         }
+
+
+class _ChainPlan(AttackPlan):
+    """A Dijkstra plan: its cost and its chain of arcs, on an integer view.
+
+    The id-keyed fields are assembled from the view, all three together, on
+    the first read of any of them, so a search that reads only the cost and
+    the steps' configs never builds them. The view is dropped then.
+    """
+
+    def __init__(self, view: IndexedView, chain: tuple[tuple[int, int, int], ...], cost: float):
+        vars(self).update(cost=cost, _view=view, _chain=chain)
+
+    def __getattr__(self, name: str):
+        # called only for attributes not set yet
+        if name not in ("node_set", "exec_order", "step_configs"):
+            raise AttributeError(name)
+        self.detach()
+        return vars(self)[name]
+
+    def numbered_steps(self, state: "PlanningState") -> Iterable[tuple[int, ...]]:
+        return ((c,) for _, c, _ in self._chain)
+
+    def detach(self) -> None:
+        view = vars(self).pop("_view", None)
+        if view is None:
+            return
+        chain = self._chain
+        exec_order = tuple(view.exploits[e] for e, _, _ in chain)
+        configs = [view.configs[c] for _, c, _ in chain]
+        # each step requires the privilege the step before it grants, the first the source
+        privileges = [view.privileges[q] for _, _, q in chain]
+        privileges += (view.privileges[view.source], view.privileges[view.goal])
+        vars(self).update(
+            node_set=frozenset(exec_order).union(configs, privileges),
+            exec_order=exec_order,
+            step_configs=tuple(zip(configs)),
+        )
 
 
 @dataclass(frozen=True)
@@ -89,6 +165,56 @@ class PlannerStats:
             "heuristic_evals": self.heuristic_evals,
             "elapsed_ms": self.elapsed_ms,
         }
+
+
+@dataclass(eq=False)
+class PlanningState:
+    """A graph's planning inputs by config number, the form the engines read.
+
+    `names[i]` is config i's id: the numbering of the graph's `IndexedView`
+    on unit-rule graphs, sorted ids elsewhere. `fake[i]` is its fake flag,
+    `costs[i]` its cost and `banned[i]` true while it is banned. `arcs` are
+    the arcs Dijkstra scans out of each privilege (None on other graphs):
+    the view's, or the view's without some whose configs stay banned for as
+    long as the state is used. The attacker keeps one state per simulation
+    and zeroes costs and sets bans in it between rounds.
+    """
+
+    names: tuple[str, ...]
+    fake: Sequence[bool]
+    costs: list[float]
+    banned: bytearray
+    arcs: Sequence[Sequence[tuple[int, int, int]]] | None
+
+    @classmethod
+    def of(
+        cls,
+        graph: AttackGraph,
+        costs: Mapping[str, float] | None = None,
+        banned_configs: Iterable[str] = (),
+    ) -> "PlanningState":
+        """The state for id-keyed `costs` (None: the face costs) and `banned_configs`."""
+        view = graph.indexed
+        if view is None:
+            names = tuple(sorted(graph.config_nodes))
+            face = [graph.config_cost[c] for c in names]
+            fake = tuple(graph.fake_flag.get(c, False) for c in names)
+            arcs = None
+        else:
+            names, face, fake, arcs = view.configs, view.cost, view.fake, view.arcs
+        banned = frozenset(banned_configs)
+        return cls(
+            names,
+            fake,
+            list(face) if costs is None else [costs[c] for c in names],
+            bytearray(map(banned.__contains__, names)) if banned else bytearray(len(names)),
+            arcs,
+        )
+
+    @cached_property
+    def number(self) -> dict[str, int]:
+        """config id -> number"""
+        return {c: i for i, c in enumerate(self.names)}
 
 
 # ---------------------------------------------------------------------------
@@ -218,59 +344,48 @@ def _empty_plan(graph: AttackGraph) -> AttackPlan:
 # ---------------------------------------------------------------------------
 
 
-def _dijkstra_plan(
-    graph: AttackGraph,
-    costs: Mapping[str, float],
-    banned: frozenset[str],
-) -> tuple[AttackPlan, int]:
+def _dijkstra_plan(graph: AttackGraph, state: PlanningState) -> tuple[AttackPlan, int]:
     view = graph.indexed
-    consumers, source, goal = view.consumers, view.source, view.goal
+    arcs, costs, banned = state.arcs, state.costs, state.banned
+    source, goal = view.source, view.goal
     n = len(view.privileges)
     dist = [_INF] * n
     dist[source] = 0.0
-    pred = [-1] * n  # privilege -> exploit that reaches it on the best chain
-    done = [False] * n
+    # privilege -> the arc that reaches it on the best chain, and the privilege that arc leaves
+    pred: list[tuple[int, int, int] | None] = [None] * n
+    via = [-1] * n
     heap: list[tuple[float, int]] = [(0.0, source)]
     pop, push = heapq.heappop, heapq.heappush
     expanded = 0
     while heap:
         d, p = pop(heap)
-        if done[p] or d > dist[p]:
+        # a distance is only ever lowered strictly, so the one entry at dist[p] settles p
+        if d > dist[p]:
             continue
-        done[p] = True
         expanded += 1
         if p == goal:
             break
-        for e, config, grants in consumers[p]:
-            if config in banned:
+        for arc in arcs[p]:
+            _, c, q = arc
+            if banned[c]:
                 continue
-            nd = d + costs[config]
-            for q in grants:
-                if nd < dist[q]:
-                    dist[q] = nd
-                    pred[q] = e
-                    push(heap, (nd, q))
-    if not done[goal]:
+            nd = d + costs[c]
+            if nd < dist[q]:
+                dist[q] = nd
+                pred[q] = arc
+                via[q] = p
+                push(heap, (nd, q))
+    if dist[goal] == _INF:
         raise Unreachable(f"goal {graph.goal} is not derivable")
-    chain: list[int] = []
+    chain = []
     p = goal
     while p != source:
-        e = pred[p]
-        chain.append(e)
-        p = view.required[e]
+        chain.append(pred[p])
+        p = via[p]
     chain.reverse()
     # chain order is execution order; the argument is in the module docstring
-    exec_order = tuple(view.exploits[e] for e in chain)
-    configs = {view.config[e] for e in chain}
-    privs = {view.privileges[view.required[e]] for e in chain}
-    privs.add(graph.goal)
-    plan = AttackPlan(
-        node_set=frozenset(exec_order) | configs | privs,
-        exec_order=exec_order,
-        cost=math.fsum(costs[c] for c in configs),
-        step_configs=tuple((view.config[e],) for e in chain),
-    )
-    return plan, expanded
+    cost = math.fsum(costs[c] for c in {c for _, c, _ in chain})
+    return _ChainPlan(view, tuple(chain), cost), expanded
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +439,9 @@ def _hmax(
     return best.get(graph.goal, _INF)
 
 
-def _bestfirst_plan(
-    graph: AttackGraph,
-    costs: Mapping[str, float],
-    banned: frozenset[str],
-) -> tuple[AttackPlan, int, int]:
+def _bestfirst_plan(graph: AttackGraph, state: PlanningState) -> tuple[AttackPlan, int, int]:
+    costs = dict(zip(state.names, state.costs))
+    banned = frozenset(itertools.compress(state.names, state.banned))
     start = frozenset({graph.source})
     if graph.goal in start:
         return _empty_plan(graph), 0, 0
@@ -400,28 +513,30 @@ def _bestfirst_plan(
 
 def plan_with_stats(
     graph: AttackGraph,
-    costs: Mapping[str, float] | None = None,
+    costs: Mapping[str, float] | PlanningState | None = None,
     banned_configs: Iterable[str] = (),
 ) -> tuple[AttackPlan, PlannerStats]:
     """Optimal plan plus search-effort counters.
 
     `costs` is a full config -> cost table (the simulator's, with paid
     configs zeroed) and defaults to `graph.config_cost`; `banned_configs`
-    removes configs from consideration entirely.
+    removes configs from consideration entirely. Both are numbered once, into
+    a `PlanningState`, which the engines read. A caller that plans many times
+    on one graph passes its own state as `costs` instead, and `banned_configs`
+    is then not read.
     Raises Unreachable when no plan exists. The engines raise it themselves,
     with the same message: Dijkstra when it never settles the goal, best-first
     when the goal's max-cost relaxation from the start state is infinite or
     its frontier runs dry. Both happen exactly when the goal is not derivable
     from the unbanned configs, so no separate derivability check runs first.
     """
-    banned = frozenset(banned_configs)
-    costs = graph.config_cost if costs is None else costs
+    state = costs if isinstance(costs, PlanningState) else PlanningState.of(graph, costs, banned_configs)
     started = time.perf_counter()
     if graph.unit_rule:
-        plan, expanded = _dijkstra_plan(graph, costs, banned)
+        plan, expanded = _dijkstra_plan(graph, state)
         heuristic_evals = 0
     else:
-        plan, expanded, heuristic_evals = _bestfirst_plan(graph, costs, banned)
+        plan, expanded, heuristic_evals = _bestfirst_plan(graph, state)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return plan, PlannerStats(expanded, heuristic_evals, elapsed_ms)
 

@@ -34,7 +34,7 @@ from decoygraph.netmodel import (
     generate_network,
 )
 from decoygraph.placement_random import random_placement
-from decoygraph.planner import _bestfirst_plan, _dijkstra_plan
+from decoygraph.planner import PlanningState, _bestfirst_plan, _dijkstra_plan
 from helpers import (
     COST_PALETTE,
     CVSS3_PALETTE,
@@ -299,7 +299,7 @@ def _steps_match_requirements(graph, max_bestfirst_exploits=120):
     checked = 0
     for engine in engines:
         try:
-            plan = engine(graph, graph.config_cost, frozenset())[0]
+            plan = engine(graph, PlanningState.of(graph))[0]
         except Unreachable:
             continue
         assert plan.step_configs == tuple(graph.requirements[e][1] for e in plan.exec_order)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -357,3 +360,81 @@ class TestSharedEvaluation:
             problem.evaluate(draw_budget_placement(net, 3, seed))
         assert problem.evaluate(searched.best_assignments).total_cost == searched.best_utility
         assert (len(builds), len(baselines), len(indexes)) == (1, 1, 1)
+
+
+def test_reports_do_not_keep_their_graph_alive(monkeypatch):
+    # evaluate_placement builds a graph for the call; plans assembled on read
+    # hold its integer view, so the report must hold detached plans
+    views = []
+
+    def recording_build(*args):
+        graph = apply_assignments(*args)
+        views.append(weakref.ref(graph.indexed))
+        return graph
+
+    monkeypatch.setattr(attacker, "apply_assignments", recording_build)
+    net = generate_network(20, default_catalog(), 11)
+    reports = [evaluate_placement(net, draw_budget_placement(net, 3, seed)) for seed in range(4)]
+    gc.collect()
+    assert sum(r.trace.recalculations for r in reports) > len(reports)
+    assert [view() for view in views] == [None] * len(reports)
+
+
+def _trace_line(trace) -> str:
+    payload = trace.to_dict()
+    payload["planning_effort"].pop("elapsed_ms")
+    return json.dumps(payload, sort_keys=True)
+
+
+class TestPinnedTraces:
+    """Exact simulation traces, pinned to digests recorded before the attacker
+    and the planner moved to numbered configs.
+
+    Each digest covers, on generated networks over both catalogs, the traces
+    of random placements on their own graphs, of random ban sets of up to
+    three candidates on the problem's graph (through the path `value`
+    simulates by), and the reports of `PlacementProblem.evaluate`; wall
+    times are left out.
+    """
+
+    NETWORKS = ((8, 3), (12, 7), (20, 11), (30, 1))
+
+    @pytest.mark.parametrize(
+        "catalog, digest",
+        [
+            (None, "c532069fd51e8deb83e24892cf271b524b60f3ec213ec5bb903a657170bd2ba2"),
+            (cvss3_catalog(), "cffe874d756cd8f470cba2d96f8900a3a7e8ecab530462ad4cd37c223b430fa2"),
+        ],
+        ids=["dyadic", "cvss3"],
+    )
+    def test_traces(self, catalog, digest, monkeypatch):
+        lines: list[str] = []
+
+        def recording(*args, **kwargs):
+            trace = simulate_attack(*args, **kwargs)
+            lines.append(_trace_line(trace))
+            return trace
+
+        for hosts, net_seed in self.NETWORKS:
+            net = generate_network(hosts, catalog or default_catalog(), net_seed)
+            placements = []
+            for seed in range(6):
+                placements.append(draw_placement(net, (0.25, 0.5, 1.0)[seed % 3], seed))
+                placements.append(draw_budget_placement(net, 1 + seed % 4, seed))
+            for placement in placements:
+                lines.append(_trace_line(simulate_attack(apply_assignments(net, placement))))
+            problem = PlacementProblem(net)
+            rng = random.Random(f"pinned:{hosts}:{net_seed}")
+            assignments = sorted(problem.candidates)
+            subsets = {frozenset()} | {
+                frozenset(rng.sample(assignments, rng.randint(1, min(3, len(assignments))))) for _ in range(30)
+            }
+            with monkeypatch.context() as patched:
+                patched.setattr(placement_search, "simulate_attack", recording)
+                for subset in sorted(subsets, key=sorted):
+                    problem._simulated_value(subset)
+            for seed, placement in enumerate(placements):
+                lines.append(json.dumps(_report_without_timings(problem.evaluate(placement, seed=seed)), sort_keys=True))
+        replanned = sum(line.count('"discovered_fake": {') > 0 for line in lines)
+        assert len(lines) > len(self.NETWORKS) * 50 and replanned > len(lines) // 4, (len(lines), replanned)
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest

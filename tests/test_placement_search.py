@@ -11,7 +11,7 @@ import pytest
 
 from decoygraph import placement_search
 from decoygraph.aggraph import apply_assignments, config_id
-from decoygraph.attacker import simulate_attack
+from decoygraph.attacker import evaluate_placement, simulate_attack
 from decoygraph.errors import ConfigurationError
 from decoygraph.netmodel import (
     EXTERNAL,
@@ -464,6 +464,10 @@ class TestEngines:
         assert {a.host_id for a in enumerate_candidates(net)} == {"h1", "h2", "h3", "h4"}
         for engine in (dfbnb, astar, exhaustive_best):
             assert _result_key(engine(net, budget=2)) == _result_key(engine(chain_net, budget=2))
+        # a placement may still plant there
+        placement = [Assignment("h4", compatible_vulns(net.catalog, isolated)[0]), W1]
+        report = PlacementProblem(net).evaluate(placement)
+        assert report.total_cost == evaluate_placement(net, placement).total_cost == 3.5
 
     def test_search_context_needs_no_cycle_collection(self, chain_net):
         # a reorder closure over the context would keep it, and its planted

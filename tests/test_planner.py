@@ -10,7 +10,9 @@ from decoygraph.aggraph import AttackGraph, apply_assignments
 from decoygraph.errors import ConfigurationError, Unreachable
 from decoygraph.netmodel import default_catalog, generate_network
 from decoygraph.planner import (
+    AttackPlan,
     PlannerStats,
+    PlanningState,
     brute_force_plan,
     derivable,
     derivable_facts,
@@ -292,3 +294,61 @@ class TestPinnedOutputs:
             for _ in range(60):
                 calls.append((g, *_perturbed(rng, g, fakes)))
         assert _outputs_digest(calls) == "ffe181051e7b161d51c3eb08ff4690fdb5f5f1ce92eecbabf0e834a125940244"
+
+
+class TestNumberedInputs:
+    """`plan_with_stats` on a `PlanningState`, the attacker's form, against
+    its id-keyed form, on random unit-rule graphs with multi-grant exploits
+    and cycles, random zeroed costs and random ban sets."""
+
+    @pytest.mark.parametrize("palette", [COST_PALETTE, CVSS3_PALETTE], ids=["dyadic", "cvss3"])
+    def test_numbered_and_id_keyed_inputs_agree(self, palette):
+        compared = unreachable = pruned = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            g = random_unit_rule_graph(rng, palette=palette)
+            view = g.indexed
+            configs = sorted(g.config_nodes)
+            for round_ in range(3):
+                costs, banned = _perturbed(rng, g, configs)
+                state = PlanningState.of(g)
+                for i, c in enumerate(state.names):
+                    state.costs[i] = costs[c]
+                    state.banned[i] = c in banned
+                if round_ % 2:
+                    # the arcs of the banned configs left out, as the attacker may
+                    state.arcs = [tuple(arc for arc in arcs if not state.banned[arc[1]]) for arcs in view.arcs]
+                    pruned += state.arcs != list(view.arcs)
+                try:
+                    expected, expected_stats = plan_with_stats(g, costs=costs, banned_configs=banned)
+                except Unreachable as exc:
+                    with pytest.raises(Unreachable, match=str(exc)):
+                        plan_with_stats(g, costs=state)
+                    unreachable += 1
+                    continue
+                plan, stats = plan_with_stats(g, costs=state)
+                assert plan.to_dict() == expected.to_dict(), f"seed {seed}"
+                assert plan.step_configs == expected.step_configs, f"seed {seed}"
+                assert stats.expanded_states == expected_stats.expanded_states, f"seed {seed}"
+                compared += 1
+        assert compared > 600 and unreachable > 50 and pruned > 100, (compared, unreachable, pruned)
+
+    def test_plans_assembled_on_read_equal_eager_plans(self):
+        checked = 0
+        for seed in range(200):
+            g = random_unit_rule_graph(random.Random(seed))
+            try:
+                plan = optimal_plan(g)
+            except Unreachable:
+                continue
+            assert type(plan) is not AttackPlan
+            digest = hash(plan)  # before any field is read
+            eager = AttackPlan(plan.node_set, plan.exec_order, plan.cost, plan.step_configs)
+            assert plan == eager and eager == plan and digest == hash(eager)
+            assert len({plan, eager, optimal_plan(g)}) == 1
+            assert plan != AttackPlan(plan.node_set, plan.exec_order, plan.cost + 1.0, plan.step_configs)
+            plan.detach()
+            assert "_view" not in vars(plan) and plan == eager and hash(plan) == digest
+            assert plan_violations(g, plan) == []
+            checked += 1
+        assert checked > 100
