@@ -157,14 +157,18 @@ def simulate_attack(
         state = PlanningState.of(graph, banned_configs=banned_configs)
     names, fake, working = state.names, state.fake, state.costs
     iterations: list[AttackIteration] = []
-    effort = PlannerStats()
+    # the planner's effort, summed in round order as `PlannerStats.__add__` sums it
+    expanded = heuristic_evals = 0
+    elapsed_ms = 0.0
     total = 0.0
     while True:
         try:
             plan, stats = plan_with_stats(graph, costs=state)
         except Unreachable:
             raise Unreachable("no real attack path exists") from None
-        effort += stats
+        expanded += stats.expanded_states
+        heuristic_evals += stats.heuristic_evals
+        elapsed_ms += stats.elapsed_ms
         # configs of the steps run before the first one needing a fake
         before: set[int] = set()
         fake_reqs: list[int] = []
@@ -182,7 +186,7 @@ def simulate_attack(
         paid = math.fsum(working[c] for c in before.union(configs))
         # Several fakes on one exploit: the attacker learns the one whose
         # config node id sorts first. Generated graphs never hit this case.
-        discovered_config = min(fake_reqs, key=names.__getitem__)
+        discovered_config = fake_reqs[0] if len(fake_reqs) == 1 else min(fake_reqs, key=names.__getitem__)
         discovered = graph.provenance[names[discovered_config]]
         total += paid
         iterations.append(AttackIteration(plan, paid, discovered, frozenset(map(names.__getitem__, before))))
@@ -192,7 +196,7 @@ def simulate_attack(
     return SimulationTrace(
         iterations=tuple(iterations),
         total_cost=total,
-        planning_effort=effort,
+        planning_effort=PlannerStats(expanded, heuristic_evals, elapsed_ms),
     )
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from .aggraph import AttackGraph, apply_assignments, config_id
-from .attacker import EvaluationReport, SimulationTrace, simulate_attack
+from .attacker import AttackIteration, EvaluationReport, simulate_attack
 from .errors import ConfigurationError, Unreachable
 from .netmodel import Assignment, NetworkModel, check_placement, compatible_pairs, normalize_cost
 from .planner import PlanningState, optimal_plan
@@ -118,8 +118,13 @@ def enumerate_candidates(network: NetworkModel) -> list[Assignment]:
     shape), so only the one with the smallest vulnerability id is kept.
     Order is deterministic: by host, then vuln id.
     """
+    return _fold_pairs(network, compatible_pairs(network))
+
+
+def _fold_pairs(network: NetworkModel, pairs: Iterable[Assignment]) -> list[Assignment]:
+    """The first of `pairs` per (host, config cost) class, in their order."""
     first: dict[tuple[str, float], Assignment] = {}
-    for a in compatible_pairs(network):
+    for a in pairs:
         first.setdefault((a.host_id, normalize_cost(network.catalog[a.vuln_id])), a)
     return list(first.values())
 
@@ -379,17 +384,36 @@ class PlacementProblem:
     each member's memoized parent and inherits its pair instead of
     simulating. The test is strict and carries `_TRIP_SLACK`: on a tie,
     Dijkstra may pick the chain through a. Singleton utilities inherit from
-    the empty set the same way. `exhaustive_best` simulates every set it
-    does not find memoized, so on a fresh problem it stays an independent
-    oracle.
+    the empty set the same way.
+
+    Lemma F (tail reuse). If round 1 of S's attack trips fake f1 at its
+    first step, rounds 2..n are the attack on S - {f1}, so that set has
+    value paid_2 + ... + paid_n and the reach of rounds 2..n. The failing
+    step is the first, so nothing ran before it and no config is zeroed;
+    the only change to the state is the ban on f1. The state entering round
+    2 is then the initial state of the attack on S - {f1}, except that f1's
+    arcs are present and banned. Dijkstra skips a banned arc without
+    touching distances, predecessors or settle order, and the attack is
+    deterministic given its state, so rounds 2..n are that attack. The
+    total is summed from 0.0 in round order, as `simulate_attack` sums it,
+    so non-dyadic costs agree to the bit; the reach counts zeroed configs
+    from round 2 on, and none were zeroed before it. By induction, while
+    rounds 1..i all trip at their first step, S - {f1..fi} has the value
+    and reach of rounds i+1..n. `value` memoizes these sets after each
+    simulation, and never overwrites an entry. `TestTailReuse` compares
+    each such tail with a fresh simulation of the smaller set.
+
+    `exhaustive_best` simulates every set it does not find memoized and
+    memoizes no tails, so on a fresh problem it stays an independent oracle.
     """
 
     def __init__(self, network: NetworkModel):
         self.network = network
-        self.graph = apply_assignments(network, compatible_pairs(network))
+        pairs = compatible_pairs(network)
+        self.graph = apply_assignments(network, pairs)
         self.fake_configs = self.graph.fake_configs()
         self.baseline_cost = optimal_plan(self.graph, banned_configs=self.fake_configs).cost
-        self.candidates = tuple(a for a in enumerate_candidates(network) if _fake_config(a) in self.fake_configs)
+        self.candidates = tuple(a for a in _fold_pairs(network, pairs) if _fake_config(a) in self.fake_configs)
         self.chain_costs, self.real_routes = _fake_bounds(self.graph)
         # A set is simulated on the graph's numbered view: the arcs of real
         # configs and of the set's fakes, the other fakes banned from the start.
@@ -421,12 +445,13 @@ class PlacementProblem:
     def value(self, assignments: frozenset[Assignment]) -> float:
         """The attacker's total cost against exactly `assignments`, a set of `candidates`, planted.
 
-        Inherited from a memoized parent where Lemma C allows, else simulated.
+        Inherited from a memoized parent where Lemma C allows, else simulated;
+        a simulated set's tails are memoized too (Lemma F).
         """
         return self._value(assignments, inherit=True)
 
     def _simulated_value(self, assignments: frozenset[Assignment]) -> float:
-        """`value` without inheritance: a set not memoized yet is simulated."""
+        """`value` without Lemmas C and F: a set not memoized yet is simulated, and only it is memoized."""
         return self._value(assignments, inherit=False)
 
     def _value(self, assignments: frozenset[Assignment], inherit: bool) -> float:
@@ -442,8 +467,27 @@ class PlacementProblem:
                     break
         if entry is None:
             trace = simulate_attack(self.graph, banned_configs=self._state(c for _, c, _ in members))
-            entry = memo[mask] = (trace.total_cost, _reach(trace, self.graph.config_cost))
+            rounds = trace.iterations
+            entry = memo[mask] = (trace.total_cost, _reach(rounds, self.graph.config_cost))
+            if inherit:
+                self._memoize_tails(mask, rounds)
         return entry[0]
+
+    def _memoize_tails(self, mask: int, rounds: tuple[AttackIteration, ...]) -> None:
+        """Lemma F: while round i tripped its fake at the first step, the set
+        without the fakes of rounds 1..i gets the value and reach of rounds i+1..n."""
+        memo = self._memo
+        for i, it in enumerate(rounds[:-1]):
+            if it.zeroed_configs:
+                return
+            mask ^= self._members[it.discovered_fake][0]
+            if mask not in memo:
+                tail = rounds[i + 1 :]
+                # summed as simulate_attack sums it; sum() compensates from Python 3.12 on
+                total = 0.0
+                for later in tail:
+                    total += later.paid_prefix_cost
+                memo[mask] = (total, _reach(tail, self.graph.config_cost))
 
     def _state(self, fakes: Iterable[int]) -> PlanningState:
         """A fresh planning state with the fake configs `fakes` open and every other fake banned.
@@ -512,12 +556,13 @@ def _within(cost: float, limit: float) -> bool:
     return cost <= limit * (1.0 + _TRIP_SLACK) + _TRIP_SLACK
 
 
-def _reach(trace: SimulationTrace, face_costs: dict[str, float]) -> float:
-    """R of Lemma C: the largest plan cost plus face cost zeroed before its round."""
+def _reach(rounds: Iterable[AttackIteration], face_costs: dict[str, float]) -> float:
+    """R of Lemma C over an attack's rounds: the largest plan cost plus face
+    cost zeroed before its round, counting from the first round given."""
     reach = 0.0
     zeroed: set[str] = set()
     zeroed_cost = 0.0
-    for it in trace.iterations:
+    for it in rounds:
         reach = max(reach, it.plan.cost + zeroed_cost)
         if not it.zeroed_configs <= zeroed:
             zeroed |= it.zeroed_configs

@@ -699,7 +699,7 @@ class TestValueInheritance:
             Assignment(host_id="h12", vuln_id="CVE-2020-0601"),
             Assignment(host_id="h12", vuln_id="CVE-2021-34527"),
         )
-        for engine, expanded, generated, simulations in ((dfbnb, 285, 505, 186), (astar, 229, 414, 124)):
+        for engine, expanded, generated, simulations in ((dfbnb, 285, 505, 111), (astar, 229, 414, 115)):
             counts.update(simulations=0, evaluations=0)
             found = engine(net, budget=3)
             assert (found.best_assignments, found.best_utility) == (best, 2.0)
@@ -711,6 +711,64 @@ class TestValueInheritance:
         counts = self._count_simulations(monkeypatch)
         res = exhaustive_best(net, budget=2)
         assert counts["simulations"] == res.expanded_nodes == 1 + 33 + 33 * 32 // 2
+
+
+class TestTailReuse:
+    """Lemma F: after a round that trips its fake at the first step, the rest
+    of the attack is the attack on the set without that fake, so
+    PlacementProblem.value memoizes that set from the trace."""
+
+    @pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
+    def test_tails_are_the_smaller_sets_attacks(self, catalog, monkeypatch):
+        # For every subset S of at most 3 candidates and every tail the rule
+        # takes from S's attack, a fresh simulation of the smaller set plays
+        # S's remaining rounds. Sets are valued largest first, so a smaller
+        # set is asked for only after the tails of the larger ones are taken;
+        # each tail of a simulated set must then be memoized, and worth the
+        # attack's cost on the regenerated graph.
+        counts = TestValueInheritance._count_simulations(monkeypatch)
+        checked = tails = harvested = 0
+        for seed in range(40):
+            net = small_network(random.Random(9900 + seed), max_hosts=8, catalog=catalog)
+            problem = PlacementProblem(net)
+            face = problem.graph.config_cost
+
+            def attack(subset):
+                banned = problem.fake_configs - {config_id(a.host_id, a.vuln_id) for a in subset}
+                return simulate_attack(problem.graph, banned_configs=banned)
+
+            assignments = sorted(problem.candidates)
+            for size in (3, 2, 1, 0):
+                for combo in combinations(assignments, size):
+                    subset = frozenset(combo)
+                    before = counts["simulations"]
+                    problem.value(subset)
+                    simulated = counts["simulations"] > before
+                    rounds = attack(subset).iterations
+                    for i, it in enumerate(rounds[:-1]):
+                        if it.zeroed_configs:
+                            break
+                        subset -= {it.discovered_fake}
+                        tail = attack(subset)
+                        assert tail.iterations == rounds[i + 1 :], f"seed {seed}, {sorted(combo)}, round {i + 1}"
+                        total = 0.0
+                        for later in rounds[i + 1 :]:
+                            total += later.paid_prefix_cost
+                        assert tail.total_cost == total
+                        assert placement_search._reach(tail.iterations, face) == placement_search._reach(
+                            rounds[i + 1 :], face
+                        )
+                        tails += 1
+                        if simulated:
+                            before = counts["simulations"]
+                            expected = simulate_attack(apply_assignments(net, subset)).total_cost
+                            assert problem.value(subset) == expected, f"seed {seed}, {sorted(subset)}"
+                            assert counts["simulations"] == before, "a harvested tail was simulated"
+                            harvested += 1
+                    checked += 1
+        assert checked >= 15_000
+        assert tails >= 2_000
+        assert harvested >= 1_500
 
 
 def test_results_serialize_without_surprises(chain_net):
