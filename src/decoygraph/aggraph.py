@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 import json
 
 from .errors import ValidationError
-from .netmodel import Assignment, NetworkModel, check_placement, normalize_cost
+from .netmodel import Assignment, NetworkModel, check_placement, malformed, normalize_cost
 
 
 class NodeKind:
@@ -297,7 +297,7 @@ class AttackGraph:
 
 def build_attack_graph(network: NetworkModel) -> AttackGraph:
     """Generate the baseline graph (no fake assignments applied)."""
-    return _generate(network, {})
+    return _generate(network, [])
 
 
 def apply_assignments(network: NetworkModel, assignments: Iterable[Assignment]) -> AttackGraph:
@@ -306,18 +306,20 @@ def apply_assignments(network: NetworkModel, assignments: Iterable[Assignment]) 
     Nodes absent from the baseline graph carry provenance pointing at the
     assignment that first enabled them; configs matching an assignment's own
     (host, vuln) are flagged fake. apply_assignments(network, ()) equals
-    build_attack_graph(network). The assignments must pass `check_placement`:
-    each passes `check_assignment`, and no two name the same (host, vuln).
+    build_attack_graph(network). Each distinct assignment must pass
+    `check_assignment`.
     """
     return _generate(network, check_placement(network, assignments))
 
 
-def _generate(network: NetworkModel, planted: Mapping[tuple[str, str], Assignment]) -> AttackGraph:
+def _generate(network: NetworkModel, planted: list[Assignment]) -> AttackGraph:
     """Least fixpoint of the remote rule, real vulns first, then with `planted` added.
 
-    `planted` maps (host, vuln) to its assignment, in sorted order.
+    `planted` holds the distinct assignments, sorted.
     """
     catalog = network.catalog
+    # an assignment is its (host, vuln) pair, so this finds the planted object by pair
+    planted_at = {a: a for a in planted}
     children: dict[str, list[str]] = {}
     for src, dst in sorted(network.reachability):
         children.setdefault(src, []).append(dst)
@@ -342,7 +344,7 @@ def _generate(network: NetworkModel, planted: Mapping[tuple[str, str], Assignmen
             x_cause = host_cause[x]
             for dst in children.get(x, ()):
                 for vuln in vulns.get(dst, ()):
-                    assignment = planted.get((dst, vuln))
+                    assignment = planted_at.get((dst, vuln))
                     cause = x_cause if assignment is None else assignment
                     cid = config_id(dst, vuln)
                     rows.append((exploit_id(dst, vuln, x), x, dst, cid, cause))
@@ -526,14 +528,11 @@ def validate_graph(graph: AttackGraph) -> list[str]:
         violations.append("fake_flag domain differs from the config node set")
     for c in sorted(nc):
         entry = graph.provenance.get(c)
-        own = entry is not None and (entry.host_id, entry.vuln_id) == config_owner(c)
-        if graph.fake_flag.get(c, False) != own:
+        if graph.fake_flag.get(c, False) != (entry is not None and entry == config_owner(c)):
             violations.append(f"config {c}: fake flag and provenance disagree")
-    for node, assignment in sorted(graph.provenance.items()):
+    for node in sorted(graph.provenance):
         if node not in all_nodes:
             violations.append(f"provenance references unknown node {node}")
-        if not assignment.fake:
-            violations.append(f"provenance for {node} carries a non-fake assignment")
     return violations
 
 
@@ -545,10 +544,8 @@ def validate_graph(graph: AttackGraph) -> list[str]:
 def load_graph(path: str | Path) -> AttackGraph:
     """Read a graph file; ValidationError, naming every violation, if it is malformed."""
     data = json.loads(Path(path).read_text())
-    try:
+    with malformed(path, "graph"):
         graph = AttackGraph.from_dict(data)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{path}: malformed graph file ({type(exc).__name__}: {exc})") from None
     violations = validate_graph(graph)
     if violations:
         raise ValidationError(f"{path}: invalid attack graph: " + "; ".join(violations))

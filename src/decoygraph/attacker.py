@@ -157,7 +157,7 @@ def simulate_attack(
         state = PlanningState.of(graph, banned_configs=banned_configs)
     names, fake, working = state.names, state.fake, state.costs
     iterations: list[AttackIteration] = []
-    # the planner's effort, summed in round order as `PlannerStats.__add__` sums it
+    # the planner's effort, each counter summed in round order
     expanded = heuristic_evals = 0
     elapsed_ms = 0.0
     total = 0.0

@@ -32,7 +32,7 @@ from .netmodel import (
     load_catalog,
     malformed,
 )
-from .placement_random import draw_budget_placement, draw_placement, random_budget_placement, random_placement
+from .placement_random import draw_budget_placement, draw_placement
 from .placement_search import PlacementProblem, SearchResult, astar, dfbnb, exhaustive_best
 
 _CSV_COLUMNS = [
@@ -241,11 +241,9 @@ def obfuscate_random_cmd(
     if len(modes) != 1:
         raise ConfigurationError("give exactly one of --fraction, --count, --budget")
     if budget is not None:
-        assignments, graph = random_budget_placement(network, budget, seed)
-    elif count is not None:
-        assignments, graph = random_placement(network, count, seed)
+        assignments = draw_budget_placement(network, budget, seed)
     else:
-        assignments, graph = random_placement(network, fraction, seed)
+        assignments = draw_placement(network, fraction if count is None else count, seed)
     payload = {
         "assignments": _assignments_payload(assignments),
         "n_assignments": len(assignments),
@@ -253,7 +251,7 @@ def obfuscate_random_cmd(
     }
     _emit(_dumps(payload), out)
     if out_graph:
-        Path(out_graph).write_text(graph.to_json())
+        Path(out_graph).write_text(apply_assignments(network, assignments).to_json())
 
 
 @obfuscate.command("search")

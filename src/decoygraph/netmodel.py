@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConfigurationError, ValidationError
 
@@ -138,24 +138,24 @@ class Goal:
         return cls(host_id=data["host_id"], level=data.get("level", "root"))
 
 
-@dataclass(frozen=True, order=True)
-class Assignment:
-    """A (host, vulnerability) pair planted by the defender. Always fake here."""
+class Assignment(NamedTuple):
+    """A fake vulnerability planted by the defender: its (host, vulnerability) pair.
+
+    Files write `"fake": true` with each one, and reading refuses any other value.
+    """
 
     host_id: str
     vuln_id: str
-    fake: bool = True
 
     def to_dict(self) -> dict:
-        return {"host_id": self.host_id, "vuln_id": self.vuln_id, "fake": self.fake}
+        return {"host_id": self.host_id, "vuln_id": self.vuln_id, "fake": True}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Assignment":
-        return cls(
-            host_id=data["host_id"],
-            vuln_id=data["vuln_id"],
-            fake=bool(data.get("fake", True)),
-        )
+        fake = data.get("fake", True)
+        if fake is not True:
+            raise ValueError(f"an assignment's fake must be true (only fakes are planted), got {fake!r}")
+        return cls(data["host_id"], data["vuln_id"])
 
 
 @dataclass(frozen=True)
@@ -289,21 +289,15 @@ def check_assignment(network: NetworkModel, assignment: Assignment) -> None:
         )
 
 
-def check_placement(network: NetworkModel, assignments: Iterable[Assignment]) -> dict[tuple[str, str], Assignment]:
-    """The distinct assignments keyed by (host, vuln), in sorted order.
+def check_placement(network: NetworkModel, assignments: Iterable[Assignment]) -> list[Assignment]:
+    """The distinct assignments, sorted.
 
-    Raises ValidationError on the first assignment, in sorted order, that
-    fails `check_assignment`, and when two assignments name the same pair.
+    Raises ValidationError on the first of them that fails `check_assignment`.
     """
-    planted: dict[tuple[str, str], Assignment] = {}
-    # Assignment's own order, by a tuple key: cheaper than Assignment.__lt__
-    for a in sorted(set(assignments), key=lambda a: (a.host_id, a.vuln_id, a.fake)):
+    placement = sorted(set(assignments))
+    for a in placement:
         check_assignment(network, a)
-        pair = (a.host_id, a.vuln_id)
-        if pair in planted:
-            raise ValidationError(f"two assignments name ({a.host_id}, {a.vuln_id})")
-        planted[pair] = a
-    return planted
+    return placement
 
 
 def default_catalog() -> Catalog:

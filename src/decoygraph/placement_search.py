@@ -23,10 +23,10 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
-from .aggraph import AttackGraph, apply_assignments, config_id
+from .aggraph import IndexedView, apply_assignments, config_id
 from .attacker import AttackIteration, EvaluationReport, simulate_attack
 from .errors import ConfigurationError, Unreachable
 from .netmodel import Assignment, NetworkModel, check_placement, compatible_pairs, normalize_cost
@@ -414,7 +414,6 @@ class PlacementProblem:
         self.fake_configs = self.graph.fake_configs()
         self.baseline_cost = optimal_plan(self.graph, banned_configs=self.fake_configs).cost
         self.candidates = tuple(a for a in _fold_pairs(network, pairs) if _fake_config(a) in self.fake_configs)
-        self.chain_costs, self.real_routes = _fake_bounds(self.graph)
         # A set is simulated on the graph's numbered view: the arcs of real
         # configs and of the set's fakes, the other fakes banned from the start.
         view = self.graph.indexed
@@ -432,6 +431,7 @@ class PlacementProblem:
                     real_arcs[p].append(arc)
         self._real_arcs = tuple(map(tuple, real_arcs))
         self._all_fakes_banned = bytes(view.fake)
+        self.chain_costs, self.real_routes = _fake_bounds(view, self._real_arcs, self._fake_arcs)
         # candidate -> (its bit in a set's mask, its config number, L); the
         # candidates come in sorted order, and so do their bits
         self._members = {}
@@ -507,19 +507,13 @@ class PlacementProblem:
         """`evaluate_placement`'s report on the placement, by ban set on the problem's graph.
 
         The assignments are checked as `apply_assignments` checks them, and
-        the baseline is `baseline_cost`. A discovered fake is reported as the
-        placement's own assignment for its config.
+        the baseline is `baseline_cost`.
         """
-        own = {_fake_config(a): a for a in check_placement(self.network, assignments).values()}
+        placement = check_placement(self.network, assignments)
         # a pair on a host the attacker never reaches has no config to open
-        opened = [self._number[c] for c in own if c in self._number]
+        opened = [self._number[c] for c in map(_fake_config, placement) if c in self._number]
         trace = simulate_attack(self.graph, banned_configs=self._state(opened))
-        iterations = tuple(
-            it if it.discovered_fake is None else replace(it, discovered_fake=own[_fake_config(it.discovered_fake)])
-            for it in trace.iterations
-        )
-        trace = replace(trace, iterations=iterations)
-        return EvaluationReport.from_trace(trace, len(own), self.baseline_cost, seed)
+        return EvaluationReport.from_trace(trace, len(placement), self.baseline_cost, seed)
 
     def trippable(self, budget: int) -> tuple[Candidate, ...]:
         """The candidates some placement of at most `budget` fakes can trip.
@@ -570,57 +564,54 @@ def _reach(rounds: Iterable[AttackIteration], face_costs: dict[str, float]) -> f
     return reach
 
 
-def _fake_bounds(graph: AttackGraph) -> tuple[dict[str, float], dict[str, float]]:
+def _fake_bounds(
+    view: IndexedView,
+    real_arcs: Sequence[Sequence[tuple[int, int, int]]],
+    fake_arcs: dict[int, dict[int, tuple[tuple[int, int, int], ...]]],
+) -> tuple[dict[str, float], dict[str, float]]:
     """Per fake config: its chain cost L and the real route to the host it grants.
 
-    L is the cheapest face-value source-to-goal chain through the config, from
-    one Dijkstra forward from the source and one backward from the goal on the
-    graph's integer view, with nothing banned; a fake whose chain cannot reach
-    the goal gets inf. The real route is the largest, over the privileges the
-    config's exploits grant, of their face-cost distance from the source with
-    every fake config skipped (hr of Lemma D); inf where no real route exists.
+    `real_arcs` and `fake_arcs` split the view's arcs: per privilege, the
+    arcs of real configs, and per fake config, its arcs by the privilege
+    they leave. L is the cheapest face-value source-to-goal chain through the
+    config, from one Dijkstra forward from the source and one backward from
+    the goal over all the view's arcs; a fake whose chain cannot reach the
+    goal gets inf. The real route is the largest, over the privileges the
+    config's exploits grant, of their face-cost distance from the source over
+    the real arcs (hr of Lemma D); inf where no real route exists.
     """
-    view = graph.indexed
-    costs, fakes = view.cost, view.fake
-    forward: list[list[tuple[int, float, bool]]] = [[] for _ in view.privileges]
-    backward: list[list[tuple[int, float, bool]]] = [[] for _ in view.privileges]
-    fake_arcs: list[tuple[int, int, int]] = []
+    costs = view.cost
+    backward: list[list[tuple[int, int, int]]] = [[] for _ in view.privileges]
     for p, arcs in enumerate(view.arcs):
-        for _, c, q in arcs:
-            if fakes[c]:
-                fake_arcs.append((p, c, q))
-            forward[p].append((q, costs[c], fakes[c]))
-            backward[q].append((p, costs[c], fakes[c]))
-    head = _distances(forward, view.source)
-    real = _distances(forward, view.source, skip_fakes=True)
-    tail = _distances(backward, view.goal)
+        for e, c, q in arcs:
+            backward[q].append((e, c, p))
+    head = _distances(view.arcs, costs, view.source)
+    real = _distances(real_arcs, costs, view.source)
+    tail = _distances(backward, costs, view.goal)
     chains: dict[str, float] = {}
     routes: dict[str, float] = {}
-    for p, c, q in fake_arcs:
+    for c, by_privilege in fake_arcs.items():
         config = view.configs[c]
-        chains[config] = min(chains.get(config, math.inf), head[p] + costs[c] + tail[q])
-        routes[config] = max(routes.get(config, -math.inf), real[q])
+        ends = [(p, q) for p, arcs in by_privilege.items() for _, _, q in arcs]
+        chains[config] = min(head[p] + costs[c] + tail[q] for p, q in ends)
+        routes[config] = max(real[q] for _, q in ends)
     return chains, routes
 
 
-def _distances(adjacency: list[list[tuple[int, float, bool]]], start: int, skip_fakes: bool = False) -> list[float]:
-    """Single-source shortest distances over weighted integer adjacency lists.
-
-    Each entry is (head, weight, fake); `skip_fakes` leaves out the fake ones.
-    """
-    dist = [math.inf] * len(adjacency)
+def _distances(arcs: Sequence[Sequence[tuple[int, int, int]]], costs: Sequence[float], start: int) -> list[float]:
+    """Single-source shortest distances over per-privilege (exploit, config, head) arcs, each weighing `costs[config]`."""
+    dist = [math.inf] * len(arcs)
     dist[start] = 0.0
     heap = [(0.0, start)]
     while heap:
         d, p = heapq.heappop(heap)
         if d > dist[p]:
             continue
-        for q, w, fake in adjacency[p]:
-            if fake and skip_fakes:
-                continue
-            if d + w < dist[q]:
-                dist[q] = d + w
-                heapq.heappush(heap, (d + w, q))
+        for _, c, q in arcs[p]:
+            nd = d + costs[c]
+            if nd < dist[q]:
+                dist[q] = nd
+                heapq.heappush(heap, (nd, q))
     return dist
 
 

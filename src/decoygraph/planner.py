@@ -152,13 +152,6 @@ class PlannerStats:
     heuristic_evals: int = 0
     elapsed_ms: float = 0.0
 
-    def __add__(self, other: "PlannerStats") -> "PlannerStats":
-        return PlannerStats(
-            expanded_states=self.expanded_states + other.expanded_states,
-            heuristic_evals=self.heuristic_evals + other.heuristic_evals,
-            elapsed_ms=self.elapsed_ms + other.elapsed_ms,
-        )
-
     def to_dict(self) -> dict:
         return {
             "expanded_states": self.expanded_states,
@@ -276,7 +269,7 @@ def derivable(graph: AttackGraph, usable_configs: Iterable[str] | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _exec_waves(graph: AttackGraph, support: set[str]) -> tuple[str, ...]:
+def _exec_waves(graph: AttackGraph, support: Iterable[str]) -> tuple[str, ...]:
     # Earliest-enabled-first execution, ties inside a wave by exploit id.
     # Configs never gate enablement; the attacker pays them on execution.
     have = {graph.source}
@@ -293,6 +286,15 @@ def _exec_waves(graph: AttackGraph, support: set[str]) -> tuple[str, ...]:
             have.update(graph.grants[e])
         remaining.difference_update(wave)
     return tuple(order)
+
+
+def _earliest_supporters(graph: AttackGraph, order: Iterable[str]) -> dict[str, str]:
+    """privilege -> the first exploit of `order` that grants it"""
+    supporter: dict[str, str] = {}
+    for e in order:
+        for p in graph.grants[e]:
+            supporter.setdefault(p, e)
+    return supporter
 
 
 def _assemble_plan(
@@ -498,11 +500,7 @@ def _bestfirst_plan(graph: AttackGraph, state: PlanningState) -> tuple[AttackPla
         sequence.append(e)
     sequence.reverse()
     # Earliest executed supporter per privilege, then minimal-support walk-back.
-    supporter: dict[str, str] = {}
-    for e in sequence:
-        for p in graph.grants[e]:
-            supporter.setdefault(p, e)
-    plan = _assemble_plan(graph, supporter, costs)
+    plan = _assemble_plan(graph, _earliest_supporters(graph, sequence), costs)
     return plan, expanded, heuristic_evals
 
 
@@ -586,33 +584,11 @@ def brute_force_plan(graph: AttackGraph, max_configs: int = 16) -> AttackPlan:
         derived, fired = derivable_facts(graph, usable)
         if graph.goal not in derived:
             continue
-        plan = _plan_from_closure(graph, fired, costs)
-        if plan is not None and frozenset(plan.node_set & graph.config_nodes) == usable:
+        # minimal support over the fixpoint closure, earliest wave first
+        plan = _assemble_plan(graph, _earliest_supporters(graph, _exec_waves(graph, fired)), costs)
+        if frozenset(plan.node_set & graph.config_nodes) == usable:
             return plan
     raise Unreachable(f"goal {graph.goal} is not derivable")
-
-
-def _plan_from_closure(
-    graph: AttackGraph, fired: frozenset[str], costs: Mapping[str, float]
-) -> AttackPlan | None:
-    """Minimal support over a fixpoint closure, earliest wave first."""
-    have = {graph.source}
-    remaining = set(fired)
-    supporter: dict[str, str] = {}
-    while remaining:
-        wave = sorted(
-            e for e in remaining if all(p in have for p in graph.requirements[e][0])
-        )
-        if not wave:
-            break
-        for e in wave:
-            for p in graph.grants[e]:
-                supporter.setdefault(p, e)
-                have.add(p)
-        remaining.difference_update(wave)
-    if graph.goal not in have:
-        return None
-    return _assemble_plan(graph, supporter, costs)
 
 
 # ---------------------------------------------------------------------------

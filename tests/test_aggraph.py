@@ -119,10 +119,13 @@ class TestApplyAssignments:
         with pytest.raises(ValidationError):
             apply_assignments(lure_net, [Assignment("a01", "fv-1")])
 
-    def test_two_assignments_of_one_pair_rejected(self, lure_net):
-        # they differ only in `fake`, so set() keeps both
-        with pytest.raises(ValidationError):
-            apply_assignments(lure_net, [Assignment("f1", "fv-1"), Assignment("f1", "fv-1", fake=False)])
+    def test_assignment_that_is_not_fake_refused(self):
+        # files write "fake": true; an absent flag reads as true, any other value is refused
+        pair = {"host_id": "f1", "vuln_id": "fv-1"}
+        assert Assignment.from_dict(pair) == Assignment.from_dict({**pair, "fake": True}) == ("f1", "fv-1")
+        for fake in (False, 0, 1, "true", None):
+            with pytest.raises(ValueError, match="fake must be true"):
+                Assignment.from_dict({**pair, "fake": fake})
 
 
 class TestSerialization:

@@ -300,13 +300,34 @@ class TestExitCodes:
                 assert res.exit_code == 2, (command, path.name, res.output)
                 assert "error:" in res.output and violation in res.output
 
-    @pytest.mark.parametrize("assignments", [[{"host_id": "h01"}], 5], ids=["no-vuln-id", "not-a-list"])
+    @pytest.mark.parametrize(
+        "assignments",
+        [[{"host_id": "h01"}], 5, [{"host_id": "h01", "vuln_id": "v", "fake": False}]],
+        ids=["no-vuln-id", "not-a-list", "not-fake"],
+    )
     def test_malformed_assignments_file(self, tmp_path, runner, chain_bundle, assignments):
         path = tmp_path / "fakes.json"
         path.write_text(json.dumps(assignments))
         res = runner.invoke(main, ["evaluate", "--network", str(chain_bundle), "--assignments", str(path)])
         assert res.exit_code == 2, res.output
         assert f"error: {path}: malformed assignments file" in res.output
+
+    def test_graph_whose_provenance_is_not_fake(self, tmp_path, runner, chain_bundle):
+        graph = tmp_path / "decorated.json"
+        res = runner.invoke(
+            main,
+            ["obfuscate", "random", "--network", str(chain_bundle), "--budget", "2", "--out-graph", str(graph)],
+        )
+        assert res.exit_code == 0, res.output
+        data = json.loads(graph.read_text())
+        provenance = [node["provenance"] for node in data["nodes"] if "provenance" in node]
+        assert provenance and all(entry["fake"] is True for entry in provenance)
+        provenance[0]["fake"] = False
+        graph.write_text(json.dumps(data))
+        for command in ("plan", "simulate", "to-dot"):
+            res = runner.invoke(main, [command, "--graph", str(graph)])
+            assert res.exit_code == 2, (command, res.output)
+            assert f"error: {graph}: malformed graph file (ValueError: an assignment's fake must be true" in res.output
 
     @pytest.mark.parametrize(
         "breakage", ["no-hosts", "host-without-os", "one-element-pair", "catalog-entry-without-os"]

@@ -17,6 +17,7 @@ from decoygraph.netmodel import (
     NetworkModel,
     VulnerabilityRecord,
     check_assignment,
+    check_placement,
     compatible_vulns,
     default_catalog,
     generate_network,
@@ -190,6 +191,12 @@ class TestCheckAssignment:
         vuln = compatible_vulns(catalog, net.hosts["a"])[0]
         check_assignment(net, Assignment(host_id="a", vuln_id=vuln))
 
+    def test_placement_keeps_one_entry_per_pair(self, catalog):
+        net = _tiny_network(catalog)
+        first, second = compatible_vulns(catalog, net.hosts["a"])[:2]
+        repeated = [Assignment("a", second), Assignment("a", first), Assignment("a", second), ("a", first)]
+        assert check_placement(net, repeated) == [Assignment("a", first), Assignment("a", second)]
+
 
 class TestGenerateNetwork:
     def test_deterministic(self, catalog):
@@ -277,3 +284,9 @@ class TestAssignment:
     def test_round_trip(self):
         a = Assignment(host_id="x", vuln_id="v")
         assert Assignment.from_dict(a.to_dict()) == a
+
+    def test_is_its_host_vuln_pair(self):
+        a = Assignment("h", "v")
+        assert a == ("h", "v")
+        assert hash(a) == hash(("h", "v"))
+        assert a.to_dict() == {"host_id": "h", "vuln_id": "v", "fake": True}

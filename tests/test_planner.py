@@ -11,7 +11,6 @@ from decoygraph.errors import ConfigurationError, Unreachable
 from decoygraph.netmodel import default_catalog, generate_network
 from decoygraph.planner import (
     AttackPlan,
-    PlannerStats,
     PlanningState,
     brute_force_plan,
     derivable,
@@ -99,14 +98,6 @@ class TestBasics:
         )
         with pytest.raises(Unreachable):
             optimal_plan(cut)
-
-    def test_stats_accumulate(self):
-        a = PlannerStats(expanded_states=2, heuristic_evals=1, elapsed_ms=1.0)
-        b = PlannerStats(expanded_states=3, heuristic_evals=4, elapsed_ms=0.5)
-        total = a + b
-        assert total.expanded_states == 5
-        assert total.heuristic_evals == 5
-        assert total.elapsed_ms == 1.5
 
 
 class TestCostOverride:
