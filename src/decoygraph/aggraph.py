@@ -250,7 +250,7 @@ class AttackGraph:
                 cost[node] = float(entry["cost"])
                 fake[node] = bool(entry.get("fake", False))
             else:
-                raise ValidationError(f"unknown node kind {kind!r}")
+                raise ValueError(f"unknown node kind {kind!r}")
             if "provenance" in entry:
                 provenance[node] = Assignment.from_dict(entry["provenance"])
         return cls(

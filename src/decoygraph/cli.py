@@ -56,6 +56,10 @@ _CSV_COLUMNS = [
 ]
 
 
+# What `obfuscate search` and a sweep's search approach use for a field not given.
+_SEARCH_DEFAULTS = dict(algorithm="dfbnb", ordering="utility", heuristic="h2", pool_size=100, max_subsets=10_000)
+
+
 def _guarded(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -210,6 +214,27 @@ def plan(graph_path: str, fmt: str, out: str | None) -> None:
     _emit("\n".join(lines) + "\n", out)
 
 
+def _search(
+    network: NetworkModel,
+    budget: int,
+    seed: int,
+    problem: Callable[[], PlacementProblem] | None,
+    algorithm: str,
+    ordering: str,
+    heuristic: str,
+    pool_size: int,
+    max_subsets: int,
+) -> SearchResult:
+    """One placement search; `problem` returns a shared PlacementProblem, or is None to build one."""
+    if algorithm not in ("dfbnb", "astar", "exhaustive"):
+        raise ConfigurationError(f"unknown algorithm {algorithm!r}; expected dfbnb, astar or exhaustive")
+    shared = problem() if problem else None
+    if algorithm == "exhaustive":
+        return exhaustive_best(network, budget, max_subsets, shared)
+    engine = dfbnb if algorithm == "dfbnb" else astar
+    return engine(network, budget, ordering, heuristic, seed, pool_size, shared)
+
+
 @main.group()
 def obfuscate() -> None:
     """Plant fake vulnerabilities."""
@@ -261,19 +286,21 @@ def obfuscate_random_cmd(
 @click.option(
     "--algorithm",
     type=click.Choice(["dfbnb", "astar", "exhaustive"]),
-    default="dfbnb",
+    default=_SEARCH_DEFAULTS["algorithm"],
     show_default=True,
 )
 @click.option(
     "--ordering",
     type=click.Choice(["utility", "shortest-path", "random"]),
-    default="utility",
+    default=_SEARCH_DEFAULTS["ordering"],
     show_default=True,
 )
-@click.option("--heuristic", type=click.Choice(["h1", "h2"]), default="h2", show_default=True)
+@click.option(
+    "--heuristic", type=click.Choice(["h1", "h2"]), default=_SEARCH_DEFAULTS["heuristic"], show_default=True
+)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--pool-size", type=int, default=100, show_default=True)
-@click.option("--max-subsets", type=int, default=10_000, show_default=True)
+@click.option("--pool-size", type=int, default=_SEARCH_DEFAULTS["pool_size"], show_default=True)
+@click.option("--max-subsets", type=int, default=_SEARCH_DEFAULTS["max_subsets"], show_default=True)
 @click.option("--timings", is_flag=True, help="Include wall-clock fields (breaks byte-stability).")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--out-graph", type=click.Path(), default=None)
@@ -294,18 +321,7 @@ def obfuscate_search_cmd(
 ) -> None:
     """Search for the placement that maximizes the attacker's cost."""
     network = _load_network_file(network_path, catalog_path)
-    if algorithm == "exhaustive":
-        result = exhaustive_best(network, budget=budget, max_subsets=max_subsets)
-    else:
-        engine = dfbnb if algorithm == "dfbnb" else astar
-        result = engine(
-            network,
-            budget=budget,
-            ordering=ordering,
-            heuristic=heuristic,
-            seed=seed,
-            pool_size=pool_size,
-        )
+    result = _search(network, budget, seed, None, algorithm, ordering, heuristic, pool_size, max_subsets)
     payload = {
         "search": _search_payload(result, timings),
         "assignments": _assignments_payload(result.best_assignments),
@@ -395,42 +411,24 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _spec_int(value, name: str) -> int:
-    """A sweep spec field that must be a JSON integer."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"sweep spec {name} must be an integer, got {value!r}")
-    return value
+_SPEC_KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string"}
 
 
-def _spec_list(value, name: str) -> list:
-    """A sweep spec field that must be a JSON array."""
-    if not isinstance(value, list):
-        raise ConfigurationError(f"sweep spec {name} must be a list, got {value!r}")
-    return value
-
-
-def _spec_object(value, name: str) -> dict:
-    """A sweep spec entry that must be a JSON object."""
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"sweep spec {name} must be an object, got {value!r}")
-    return value
-
-
-def _spec_str(value, name: str) -> str:
-    """A sweep spec field that must be a JSON string."""
-    if not isinstance(value, str):
-        raise ConfigurationError(f"sweep spec {name} must be a string, got {value!r}")
+def _spec(value, kind: type, name: str):
+    """A sweep spec value that must have the JSON type `kind`; a bool is not an integer."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigurationError(f"sweep spec {name} must be {_SPEC_KINDS[kind]}, got {value!r}")
     return value
 
 
 def _network_spec(value) -> dict:
     """A sweep spec network entry: a path or hosts, and string path and id where given."""
-    net_spec = _spec_object(value, "network")
+    net_spec = _spec(value, dict, "network")
     if "path" not in net_spec and "hosts" not in net_spec:
         raise ConfigurationError(f"network spec {net_spec!r} needs a path or hosts")
     for name in ("path", "id"):
         if name in net_spec:
-            _spec_str(net_spec[name], f"network {name}")
+            _spec(net_spec[name], str, f"network {name}")
     return net_spec
 
 
@@ -440,10 +438,8 @@ def _approach_label(approach: dict) -> str:
     if name == "random-hosts":
         return f"random-hosts:{approach.get('fraction')}"
     if name == "search":
-        algorithm = approach.get("algorithm", "dfbnb")
-        heuristic = approach.get("heuristic", "h2")
-        ordering = approach.get("ordering", "utility")
-        return f"search:{algorithm}:{heuristic}:{ordering}"
+        given = {**_SEARCH_DEFAULTS, **approach}
+        return f"search:{given['algorithm']}:{given['heuristic']}:{given['ordering']}"
     return name
 
 
@@ -497,29 +493,12 @@ def _sweep_cell(
         elif name == "random-hosts":
             if "fraction" not in approach:
                 raise ConfigurationError("approach random-hosts needs a fraction")
-            assignments = draw_placement(network, approach["fraction"], seed)
+            fraction = approach["fraction"]
+            # a JSON integer is a fraction too (1 is every host), never a host count
+            assignments = draw_placement(network, float(fraction) if type(fraction) is int else fraction, seed)
         elif name == "search":
-            algorithm = _spec_str(approach.get("algorithm", "dfbnb"), "algorithm")
-            if algorithm == "exhaustive":
-                result = exhaustive_best(
-                    network,
-                    budget=budget,
-                    max_subsets=_spec_int(approach.get("max_subsets", 10_000), "max_subsets"),
-                    problem=problem(),
-                )
-            elif algorithm in ("dfbnb", "astar"):
-                engine = dfbnb if algorithm == "dfbnb" else astar
-                result = engine(
-                    network,
-                    budget=budget,
-                    ordering=_spec_str(approach.get("ordering", "utility"), "ordering"),
-                    heuristic=_spec_str(approach.get("heuristic", "h2"), "heuristic"),
-                    seed=seed,
-                    pool_size=_spec_int(approach.get("pool_size", 100), "pool_size"),
-                    problem=problem(),
-                )
-            else:
-                raise ConfigurationError(f"unknown algorithm {algorithm!r}; expected dfbnb, astar or exhaustive")
+            settings = {k: _spec(approach.get(k, v), type(v), k) for k, v in _SEARCH_DEFAULTS.items()}
+            result = _search(network, budget, seed, problem, **settings)
             assignments = result.best_assignments
         else:
             raise ConfigurationError(f"unknown approach {name!r}")
@@ -585,18 +564,18 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
     it: the searches run on it, and every row is evaluated on it. A network
     whose problem cannot be built gives an error row per cell.
     """
-    spec = _spec_object(json.loads(Path(spec_path).read_text()), "file")
+    spec = _spec(json.loads(Path(spec_path).read_text()), dict, "file")
     catalog_path = spec.get("catalog")
     if catalog_path is not None:
-        _spec_str(catalog_path, "catalog")
-    networks = [_network_spec(net_spec) for net_spec in _spec_list(spec.get("networks", []), "networks")]
-    budgets = [_spec_int(budget, "budget") for budget in _spec_list(spec.get("budgets", [1]), "budgets")]
+        _spec(catalog_path, str, "catalog")
+    networks = [_network_spec(net_spec) for net_spec in _spec(spec.get("networks", []), list, "networks")]
+    budgets = [_spec(budget, int, "budget") for budget in _spec(spec.get("budgets", [1]), list, "budgets")]
     approaches = [
-        _spec_object(approach, "approach")
-        for approach in _spec_list(spec.get("approaches", [{"name": "random"}]), "approaches")
+        _spec(approach, dict, "approach")
+        for approach in _spec(spec.get("approaches", [{"name": "random"}]), list, "approaches")
     ]
-    trials = _spec_int(spec.get("trials", 1), "trials")
-    base_seed = _spec_int(spec.get("base_seed", 0), "base_seed")
+    trials = _spec(spec.get("trials", 1), int, "trials")
+    base_seed = _spec(spec.get("base_seed", 0), int, "base_seed")
     rows: list[dict] = []
     for net_spec in networks:
         if "path" in net_spec:
@@ -605,10 +584,10 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
         else:
             catalog = _catalog_from_option(catalog_path)
             network = generate_network(
-                _spec_int(net_spec["hosts"], "hosts"),
+                _spec(net_spec["hosts"], int, "hosts"),
                 catalog,
-                _spec_int(net_spec.get("seed", 0), "seed"),
-                dead_hosts=_spec_int(net_spec.get("dead_hosts", 0), "dead_hosts"),
+                _spec(net_spec.get("seed", 0), int, "seed"),
+                dead_hosts=_spec(net_spec.get("dead_hosts", 0), int, "dead_hosts"),
             )
             network_id = net_spec.get("id", f"gen-{net_spec['hosts']}-{net_spec.get('seed', 0)}")
         problem = _problem_once(network)

@@ -141,7 +141,8 @@ class Goal:
 class Assignment(NamedTuple):
     """A fake vulnerability planted by the defender: its (host, vulnerability) pair.
 
-    Files write `"fake": true` with each one, and reading refuses any other value.
+    Files write `"fake": true` with each one. Reading refuses any other value,
+    an entry that is not an object, and ids that are not strings.
     """
 
     host_id: str
@@ -152,10 +153,15 @@ class Assignment(NamedTuple):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Assignment":
+        if not isinstance(data, Mapping):
+            raise TypeError(f"an assignment must be an object, got {data!r}")
         fake = data.get("fake", True)
         if fake is not True:
             raise ValueError(f"an assignment's fake must be true (only fakes are planted), got {fake!r}")
-        return cls(data["host_id"], data["vuln_id"])
+        host_id, vuln_id = data["host_id"], data["vuln_id"]
+        if not isinstance(host_id, str) or not isinstance(vuln_id, str):
+            raise TypeError(f"an assignment's ids must be strings, got {host_id!r} and {vuln_id!r}")
+        return cls(host_id, vuln_id)
 
 
 @dataclass(frozen=True)
@@ -238,13 +244,7 @@ class NetworkModel:
 
 def normalize_cost(record: VulnerabilityRecord) -> float:
     """Exploitability subscore scaled into [0, 1] by the version's maximum."""
-    limit = _SUBSCORE_MAX[record.cvss_version]
-    # Range is enforced at construction; recheck so hand-rolled records fail loudly.
-    if not 0.0 <= record.exploitability_subscore <= limit:
-        raise ValidationError(
-            f"{record.vuln_id}: subscore {record.exploitability_subscore} outside [0, {limit}]"
-        )
-    return record.exploitability_subscore / limit
+    return record.exploitability_subscore / _SUBSCORE_MAX[record.cvss_version]
 
 
 def compatible_vulns(catalog: Catalog, host: Host) -> list[str]:
@@ -252,8 +252,6 @@ def compatible_vulns(catalog: Catalog, host: Host) -> list[str]:
 
     Ascending vuln_id, so downstream sampling and search are deterministic.
     """
-    if not host.os:
-        raise ValidationError(f"{host.host_id}: os must be declared")
     return sorted(
         vuln_id
         for vuln_id, record in catalog.items()

@@ -302,8 +302,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "assignments",
-        [[{"host_id": "h01"}], 5, [{"host_id": "h01", "vuln_id": "v", "fake": False}]],
-        ids=["no-vuln-id", "not-a-list", "not-fake"],
+        [
+            [{"host_id": "h01"}],
+            5,
+            [{"host_id": "h01", "vuln_id": "v", "fake": False}],
+            [5],
+            ["h1"],
+            [["h1", "w1"]],
+            [{"host_id": ["a"], "vuln_id": "v"}],
+            [{"host_id": "h01", "vuln_id": 7}],
+        ],
+        ids=["no-vuln-id", "not-a-list", "not-fake", "int-entry", "string-entry", "pair-entry", "list-id", "int-id"],
     )
     def test_malformed_assignments_file(self, tmp_path, runner, chain_bundle, assignments):
         path = tmp_path / "fakes.json"
@@ -374,7 +383,8 @@ class TestExitCodes:
 
 
 def _tampered_graph_files(tmp_path, runner) -> list:
-    """A 6-host network's build-graph output, broken in two ways validate_graph names and missing its edges."""
+    """A 6-host network's build-graph output, broken in two ways validate_graph names, missing its
+    edges, with a node of unknown kind, and with a provenance that is not an object."""
     net, graph = tmp_path / "net.json", tmp_path / "graph.json"
     assert runner.invoke(main, ["generate", "--hosts", "6", "--seed", "3", "--out", str(net)]).exit_code == 0
     assert runner.invoke(main, ["build-graph", "--network", str(net), "--out", str(graph)]).exit_code == 0
@@ -388,11 +398,16 @@ def _tampered_graph_files(tmp_path, runner) -> list:
     dangling = copy.deepcopy(data)
     edge = next(e for e in dangling["edges"] if e["from"].startswith("e|") and e["to"].startswith("c|"))
     edge["to"] = "c|h:ghost|v:x"
+    bad_kind, bad_provenance = copy.deepcopy(data), copy.deepcopy(data)
+    bad_kind["nodes"][0]["kind"] = "bogus"
+    next(node for node in bad_provenance["nodes"] if node["kind"] == "config")["provenance"] = 5
     paths = []
     for name, payload, violation in (
         ("all-fake.json", all_fake, "fake flag and provenance disagree"),
         ("dangling.json", dangling, "references an unknown node"),
         ("no-edges.json", {"nodes": data["nodes"], "goal": data["goal"], "source": data["source"]}, "malformed"),
+        ("bad-kind.json", bad_kind, "malformed graph file (ValueError: unknown node kind 'bogus')"),
+        ("bad-provenance.json", bad_provenance, "malformed graph file (TypeError: an assignment must be an object"),
     ):
         path = tmp_path / name
         path.write_text(json.dumps(payload))
@@ -528,6 +543,24 @@ class TestSweep:
         rows = _rows(out.read_text())
         assert [row["approach"] for row in rows] == ["random-hosts:0.5"]
         assert rows[0]["error"].startswith("ConfigurationError: host count must be an int or a fraction")
+
+    def test_integer_fraction_is_a_fraction(self, tmp_path, runner):
+        approaches = [{"name": "random-hosts", "fraction": fraction} for fraction in (1, 1.0, 0, 2)]
+        spec = {"networks": [{"hosts": 12, "seed": 7}], "approaches": approaches}
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 0, res.output
+        rows = _rows(out.read_text())
+        assert [row["approach"] for row in rows] == [f"random-hosts:{a['fraction']}" for a in approaches]
+        assert rows[0]["n_assignments"] == rows[1]["n_assignments"] == "18"
+        assert rows[2]["n_assignments"] == "0"
+        assert rows[3]["error"] == "ConfigurationError: host fraction must lie in [0, 1], got 2.0"
+
+    def test_search_field_the_algorithm_ignores_is_still_checked(self, tmp_path, runner):
+        approach = {"name": "search", "algorithm": "exhaustive", "ordering": 5}
+        res, out = self._sweep(tmp_path, runner, {"networks": [{"hosts": 4, "seed": 1}], "approaches": [approach]})
+        assert res.exit_code == 0, res.output
+        rows = _rows(out.read_text())
+        assert [row["error"] for row in rows] == ["ConfigurationError: sweep spec ordering must be a string, got 5"]
 
     @pytest.mark.parametrize("field", ["algorithm", "heuristic", "ordering"])
     def test_non_string_approach_field_becomes_an_error_row(self, tmp_path, runner, field):

@@ -1,4 +1,4 @@
-"""Checks on the project as shipped: the README's example runs as documented,
+"""Checks on the project as shipped: the README's examples run as documented,
 and no package module imports a name it never uses."""
 
 from __future__ import annotations
@@ -7,7 +7,12 @@ import ast
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from click.testing import CliRunner
+
+from decoygraph.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "decoygraph"
@@ -28,6 +33,24 @@ def test_readme_example_prints_the_counts_its_comment_states():
     with contextlib.redirect_stdout(out):
         exec(compile(source, "README.md", "exec"), {"__name__": "readme_example"})
     assert out.getvalue().splitlines()[0] == f"{stated.group(1)} {stated.group(2)}"
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Command line\n.*?^```\n(.*?)^```", text, flags=re.DOTALL | re.MULTILINE)
+    assert block is not None, "README.md has no command block under 'Command line'"
+    commands = [shlex.split(line) for line in block.group(1).splitlines()]
+    assert [args[:2] for args in commands] == [
+        ["decoygraph", "generate"],
+        ["decoygraph", "obfuscate"],
+        ["decoygraph", "simulate"],
+        ["decoygraph", "evaluate"],
+    ]
+    monkeypatch.chdir(tmp_path)
+    runner = CliRunner()
+    for args in commands:
+        res = runner.invoke(main, args[1:])
+        assert res.exit_code == 0, (args, res.output)
 
 
 def _unused_imports(path: Path) -> list[str]:
