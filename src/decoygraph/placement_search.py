@@ -39,12 +39,16 @@ HEURISTICS = ("h1", "h2")
 _POOL_CALL_FACTOR = 40
 
 # Relative and absolute slack on the cost tests: the trippability limit k*b,
-# Lemma D's real-route limit and the reach of Lemma C. Chain costs are float
-# sums taken in another order than the attacker's, so a chain of exactly k*b
-# may read a few ulps high; keeping an extra candidate or simulating an extra
-# set is always sound, dropping a trippable candidate or inheriting a wrong
-# value is not.
+# Lemma D's real-route limit, the reach of Lemma C and Lemma G's corridor
+# limit (k+1)*b. Chain costs are float sums taken in another order than the
+# attacker's, so a chain of exactly k*b may read a few ulps high; keeping an
+# extra candidate or privilege or simulating an extra set is always sound,
+# dropping a trippable candidate or a privilege a plan uses, or inheriting a
+# wrong value, is not.
 _TRIP_SLACK = 1e-9
+
+# the arcs (exploit, config, granted privilege) out of one privilege
+_Arcs = tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -403,8 +407,54 @@ class PlacementProblem:
     simulation, and never overwrites an entry. `TestTailReuse` compares
     each such tail with a fresh simulation of the smaller set.
 
-    `exhaustive_best` simulates every set it does not find memoized and
-    memoizes no tails, so on a fresh problem it stays an independent oracle.
+    Lemma G (the corridor). Let head(p) and tail(p) be the face-cost
+    distances from the source to privilege p and from p to the goal over
+    all the graph's arcs, nothing banned. In the attack on a set S of k
+    fakes, every privilege p on any round's plan has head(p) + tail(p) <=
+    (k+1)*b. Each round but the last trips a distinct fake of S, so there
+    are at most k+1 rounds. Round i's plan costs at most b (as in Lemma A),
+    and its face cost exceeds that by at most the face cost zeroed before
+    it. An earlier round paid each zeroed config once, and paid at most b,
+    so the face cost is at most i*b. A Dijkstra chain enters each privilege
+    once, and on a generated graph all arcs of a config grant one privilege
+    (`TestCorridor` checks this), so the chain pays each config once: its
+    face cost is the sum over its arcs, at least head(p) + tail(p) for each
+    p on it.
+
+    So `value` simulates S on the corridor for k (`_corridor`): the arcs
+    without those out of or into a privilege that fails the test, which
+    carries `_TRIP_SLACK`. Every round then plans the chain it plans over
+    all the arcs, by induction over the rounds, which start from the same
+    state. Within a round, let Q be the full run's chain; it lies in the
+    corridor, whose arcs are a subset of the full ones in the same order.
+    - Distances. None falls, and Q's privileges keep theirs along Q. If q
+      keeps its distance, an arc u -> q that offers q that distance in the
+      corridor run leaves u at its full distance, so the full run makes the
+      same offer.
+    - Predecessors. Dijkstra changes one only on a strictly smaller
+      distance, so q's is the first popped privilege that offers q its
+      distance, through the first such arc in arc order. Privileges pop in
+      order of distance, so it remains to order those of equal distance.
+    - Pop order. Let c be on Q and v keep its distance d = dist(c). If c
+      pops before v in the full run, it does in the corridor run too.
+      Otherwise take the first such v to pop in the corridor run. If c's
+      entry is in the heap when v pops there, v has the smaller index, so
+      in the full run v's entry came only after c popped, from an offerer
+      at distance d. v's entry in the corridor run came from an offerer z,
+      which the full run shares. So z is at distance d and pops after c in
+      the full run, but before v in the corridor run: an earlier v. If c's
+      entry is not in the heap yet, c's predecessor on Q is at distance d
+      and has not popped, and v breaks the claim for it; induction along Q
+      from the source, which pops first, rules this out.
+    So Q's predecessors, its chain and its cost are the same, and the
+    rounds trip, pay and zero the same. Only the states expanded fall: a
+    privilege off the corridor is never pushed. `TestCorridor` compares
+    every set of at most 3 candidates with its full-arc simulation.
+
+    `evaluate` plans over every arc, since its report counts the states
+    expanded (p2). `exhaustive_best` plans over every arc, simulates every
+    set it does not find memoized and memoizes no tails, so on a fresh
+    problem it stays an independent oracle.
     """
 
     def __init__(self, network: NetworkModel):
@@ -420,7 +470,7 @@ class PlacementProblem:
         self._number = {c: i for i, c in enumerate(view.configs)}
         real_arcs: list[list[tuple[int, int, int]]] = []
         # fake config -> privilege -> the config's arcs out of it
-        self._fake_arcs: dict[int, dict[int, tuple[tuple[int, int, int], ...]]] = {}
+        self._fake_arcs: dict[int, dict[int, _Arcs]] = {}
         for p, arcs in enumerate(view.arcs):
             real_arcs.append([])
             for arc in arcs:
@@ -431,7 +481,7 @@ class PlacementProblem:
                     real_arcs[p].append(arc)
         self._real_arcs = tuple(map(tuple, real_arcs))
         self._all_fakes_banned = bytes(view.fake)
-        self.chain_costs, self.real_routes = _fake_bounds(view, self._real_arcs, self._fake_arcs)
+        self.chain_costs, self.real_routes, self._through = _fake_bounds(view, self._real_arcs, self._fake_arcs)
         # candidate -> (its bit in a set's mask, its config number, L); the
         # candidates come in sorted order, and so do their bits
         self._members = {}
@@ -439,6 +489,8 @@ class PlacementProblem:
             config = _fake_config(a)
             self._members[a] = (1 << i, self._number[config], self.chain_costs[config])
         self._memo: dict[int, tuple[float, float]] = {}
+        # set size -> Lemma G's corridor: (real arcs, candidate config -> its fake arcs)
+        self._corridors: dict[int, tuple[tuple[_Arcs, ...], dict[int, dict[int, _Arcs]]]] = {}
         self._trippable: dict[int, tuple[Candidate, ...]] = {}
         self._indexes: dict[int, PathIndex] = {}
 
@@ -466,7 +518,9 @@ class PlacementProblem:
                     entry = memo[mask] = parent
                     break
         if entry is None:
-            trace = simulate_attack(self.graph, banned_configs=self._state(c for _, c, _ in members))
+            # a search plans inside its set size's corridor (Lemma G), the oracle over every arc
+            state = self._state((c for _, c, _ in members), len(members) if inherit else None)
+            trace = simulate_attack(self.graph, banned_configs=state)
             rounds = trace.iterations
             entry = memo[mask] = (trace.total_cost, _reach(rounds, self.graph.config_cost))
             if inherit:
@@ -489,17 +543,41 @@ class PlacementProblem:
                     total += later.paid_prefix_cost
                 memo[mask] = (total, _reach(tail, self.graph.config_cost))
 
-    def _state(self, fakes: Iterable[int]) -> PlanningState:
+    def _corridor(self, size: int) -> tuple[tuple[_Arcs, ...], dict[int, dict[int, _Arcs]]]:
+        """Lemma G's arcs for a set of `size` candidates, memoized per size.
+
+        The real arcs and each candidate's fake arcs, without those out of or
+        into a privilege p whose cheapest chain head(p) + tail(p) exceeds
+        (size + 1) * baseline_cost, up to `_TRIP_SLACK`.
+        """
+        corridor = self._corridors.get(size)
+        if corridor is None:
+            limit = (size + 1) * self.baseline_cost
+            inside = [_within(through, limit) for through in self._through]
+
+            def keep(arcs: _Arcs) -> _Arcs:
+                return tuple(arc for arc in arcs if inside[arc[2]])
+
+            real = tuple(keep(arcs) if inside[p] else () for p, arcs in enumerate(self._real_arcs))
+            fake = {}
+            for _, c, _ in self._members.values():
+                fake[c] = {p: kept for p, arcs in self._fake_arcs[c].items() if inside[p] and (kept := keep(arcs))}
+            corridor = self._corridors[size] = (real, fake)
+        return corridor
+
+    def _state(self, fakes: Iterable[int], size: int | None = None) -> PlanningState:
         """A fresh planning state with the fake configs `fakes` open and every other fake banned.
 
-        Its arcs are the real ones plus those of `fakes`, merged in exploit order.
+        Its arcs are the real ones plus those of `fakes`, merged in exploit
+        order; with a `size`, only those in the corridor of that set size.
         """
         view = self.graph.indexed
-        arcs = list(self._real_arcs)
+        real_arcs, fake_arcs = (self._real_arcs, self._fake_arcs) if size is None else self._corridor(size)
+        arcs = list(real_arcs)
         banned = bytearray(self._all_fakes_banned)
         for c in fakes:
             banned[c] = 0
-            for p, extra in self._fake_arcs[c].items():
+            for p, extra in fake_arcs[c].items():
                 arcs[p] = sorted((*arcs[p], *extra))
         return PlanningState(view.configs, view.fake, list(view.cost), banned, arcs)
 
@@ -507,7 +585,8 @@ class PlacementProblem:
         """`evaluate_placement`'s report on the placement, by ban set on the problem's graph.
 
         The assignments are checked as `apply_assignments` checks them, and
-        the baseline is `baseline_cost`.
+        the baseline is `baseline_cost`. It plans over every arc, not a
+        corridor (Lemma G), so p2 counts the states `evaluate_placement` counts.
         """
         placement = check_placement(self.network, assignments)
         # a pair on a host the attacker never reaches has no config to open
@@ -566,19 +645,22 @@ def _reach(rounds: Iterable[AttackIteration], face_costs: dict[str, float]) -> f
 
 def _fake_bounds(
     view: IndexedView,
-    real_arcs: Sequence[Sequence[tuple[int, int, int]]],
-    fake_arcs: dict[int, dict[int, tuple[tuple[int, int, int], ...]]],
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Per fake config: its chain cost L and the real route to the host it grants.
+    real_arcs: Sequence[_Arcs],
+    fake_arcs: dict[int, dict[int, _Arcs]],
+) -> tuple[dict[str, float], dict[str, float], list[float]]:
+    """Per fake config its chain cost L and the real route to the host it
+    grants; per privilege p, head(p) + tail(p).
 
     `real_arcs` and `fake_arcs` split the view's arcs: per privilege, the
     arcs of real configs, and per fake config, its arcs by the privilege
-    they leave. L is the cheapest face-value source-to-goal chain through the
-    config, from one Dijkstra forward from the source and one backward from
-    the goal over all the view's arcs; a fake whose chain cannot reach the
-    goal gets inf. The real route is the largest, over the privileges the
-    config's exploits grant, of their face-cost distance from the source over
-    the real arcs (hr of Lemma D); inf where no real route exists.
+    they leave. head and tail are the face-cost distances from the source
+    and to the goal, from one Dijkstra forward from the source and one
+    backward from the goal over all the view's arcs, so head(p) + tail(p) is
+    the cheapest face-value source-to-goal chain through p (Lemma G). L is
+    the same for a config; a fake whose chain cannot reach the goal gets
+    inf. The real route is the largest, over the privileges the config's
+    exploits grant, of their face-cost distance from the source over the
+    real arcs (hr of Lemma D); inf where no real route exists.
     """
     costs = view.cost
     backward: list[list[tuple[int, int, int]]] = [[] for _ in view.privileges]
@@ -595,7 +677,7 @@ def _fake_bounds(
         ends = [(p, q) for p, arcs in by_privilege.items() for _, _, q in arcs]
         chains[config] = min(head[p] + costs[c] + tail[q] for p, q in ends)
         routes[config] = max(real[q] for _, q in ends)
-    return chains, routes
+    return chains, routes, [h + t for h, t in zip(head, tail)]
 
 
 def _distances(arcs: Sequence[Sequence[tuple[int, int, int]]], costs: Sequence[float], start: int) -> list[float]:
@@ -635,6 +717,8 @@ class _SearchContext:
             raise ConfigurationError(f"unknown ordering {ordering!r}; expected one of {ORDERINGS}")
         if heuristic not in HEURISTICS:
             raise ConfigurationError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
+        if ordering == "shortest_path" and pool_size < 1:
+            raise ConfigurationError(f"the shortest-path ordering needs a pool size of at least 1, got {pool_size}")
         if problem is None:
             problem = PlacementProblem(network)
         elif problem.network is not network:

@@ -24,8 +24,10 @@ and per privilege the arcs (exploit, config, granted privilege) of the
 exploits requiring it, in exploit order. It scans the state's arcs, which may
 leave out arcs of configs banned for the whole simulation, and skips the
 arcs of banned configs; neither changes which arcs it relaxes, or in which
-order. Best-first search turns the state back into an id-keyed cost table and
-ban set at its entry.
+order. A search's state may also leave out the arcs of privileges no plan of
+its simulation can reach, which keeps the plan but settles fewer privileges
+(Lemma G of `placement_search.PlacementProblem`). Best-first search turns the
+state back into an id-keyed cost table and ban set at its entry.
 
 The Dijkstra plan is read off the predecessor chain from the goal back to the
 source, and the chain in order is the execution order: each chain exploit's
@@ -169,7 +171,8 @@ class PlanningState:
     `costs[i]` its cost and `banned[i]` true while it is banned. `arcs` are
     the arcs Dijkstra scans out of each privilege (None on other graphs):
     the view's, or the view's without some whose configs stay banned for as
-    long as the state is used. The attacker keeps one state per simulation
+    long as the state is used, or that touch privileges no plan made from
+    the state can reach. The attacker keeps one state per simulation
     and zeroes costs and sets bans in it between rounds.
     """
 

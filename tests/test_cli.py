@@ -177,6 +177,21 @@ class TestObfuscateSearch:
 
         assert len(load_graph(out_graph).fake_configs()) == 2
 
+    @pytest.mark.parametrize("pool_size", ["0", "-3"])
+    def test_shortest_path_ordering_needs_a_pool(self, runner, chain_bundle, pool_size):
+        res = runner.invoke(
+            main,
+            [
+                "obfuscate", "search",
+                "--network", str(chain_bundle),
+                "--budget", "2",
+                "--ordering", "shortest-path",
+                "--pool-size", pool_size,
+            ],
+        )
+        assert res.exit_code == 2, res.output
+        assert f"error: the shortest-path ordering needs a pool size of at least 1, got {pool_size}" in res.output
+
 
 class TestSimulate:
     def test_network_plus_assignments(self, tmp_path, runner, chain_bundle):
@@ -610,6 +625,16 @@ class TestSweep:
         rows = _rows(out.read_text())
         assert len(rows) == 1
         assert rows[0]["error"].startswith("ConfigurationError: sweep spec pool_size must be an integer")
+
+    def test_negative_pool_size_becomes_an_error_row(self, tmp_path, runner):
+        approach = {"name": "search", "algorithm": "astar", "ordering": "shortest-path", "pool_size": -3}
+        spec = {"networks": [{"hosts": 4, "seed": 1}], "approaches": [approach]}
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 0, res.output
+        rows = _rows(out.read_text())
+        assert [row["error"] for row in rows] == [
+            "ConfigurationError: the shortest-path ordering needs a pool size of at least 1, got -3"
+        ]
 
     def test_network_spec_without_path_or_hosts_is_a_configuration_error(self, tmp_path, runner):
         res, out = self._sweep(tmp_path, runner, {"networks": [{"seed": 1}]})

@@ -771,6 +771,111 @@ class TestTailReuse:
         assert harvested >= 1_500
 
 
+class TestCorridor:
+    """Lemma G: a search simulation of k fakes plans only over the privileges
+    p with head(p) + tail(p) <= (k+1)*b, and every round plans the chain it
+    plans over all the arcs."""
+
+    @pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
+    def test_corridor_simulations_match_full_ones(self, catalog):
+        # For every subset S of at most 3 candidates, the simulation `value`
+        # runs on S's corridor plays the rounds, total and reach of the one
+        # over every arc; only the planner's expanded states may fall.
+        checked = pruned = 0
+        for seed in range(40):
+            net = small_network(random.Random(9700 + seed), max_hosts=8, catalog=catalog)
+            problem = PlacementProblem(net)
+            face_cost = problem.graph.config_cost
+            for size in range(4):
+                for combo in combinations(problem.candidates, size):
+                    fakes = [problem._members[a][1] for a in combo]
+                    full = simulate_attack(problem.graph, banned_configs=problem._state(fakes))
+                    inside = simulate_attack(problem.graph, banned_configs=problem._state(fakes, size))
+                    where = f"seed {seed}, {sorted(combo)}"
+                    assert inside.iterations == full.iterations, where
+                    assert inside.total_cost == full.total_cost, where
+                    reach = placement_search._reach(inside.iterations, face_cost)
+                    assert reach == placement_search._reach(full.iterations, face_cost), where
+                    assert inside.planning_effort.expanded_states <= full.planning_effort.expanded_states, where
+                    pruned += inside.planning_effort.expanded_states < full.planning_effort.expanded_states
+                    checked += 1
+        assert checked >= 15_000
+        assert pruned >= checked // 2
+
+    def test_a_later_round_can_plan_beyond_b(self):
+        # The lure w on f sits behind a: round 1 pays a and trips w, then
+        # round 2 goes on from a, now free, through c, whose cheapest chain
+        # (entry, a, c, t) costs 0.8 against b = 0.65 (the real route via e).
+        # So the corridor of one fake must reach past b, as Lemma G allows.
+        catalog = {
+            "w": _vuln("w", "os-f", 1.0),
+            **{f"r{h}": _vuln(f"r{h}", f"os-{h}", s) for h, s in (("a", 4.0), ("c", 3.0), ("e", 5.5), ("t", 1.0))},
+        }
+        hosts = {
+            "a": Host(host_id="a", os="os-a", installed_vulns=frozenset({"ra"}), layer=Layer.DMZ),
+            "e": Host(host_id="e", os="os-e", installed_vulns=frozenset({"re"}), layer=Layer.DMZ),
+            "f": Host(host_id="f", os="os-f", layer=Layer.INTERNAL),
+            "c": Host(host_id="c", os="os-c", installed_vulns=frozenset({"rc"}), layer=Layer.INTERNAL),
+            "t": Host(host_id="t", os="os-t", installed_vulns=frozenset({"rt"}), layer=Layer.SECURED),
+        }
+        edges = {(EXTERNAL, "a"), (EXTERNAL, "e"), ("a", "f"), ("a", "c"), ("f", "t"), ("c", "t"), ("e", "t")}
+        net = NetworkModel(
+            hosts=hosts, reachability=frozenset(edges), attacker_entry=EXTERNAL, goal=Goal(host_id="t"), catalog=catalog
+        )
+        problem = PlacementProblem(net)
+        lure = Assignment(host_id="f", vuln_id="w")
+        assert problem.candidates == (lure,)
+        c = problem.graph.indexed.privileges.index("p|h:c")
+        assert problem.baseline_cost == pytest.approx(0.65)
+        assert problem._through[c] == pytest.approx(0.8)
+        trace = simulate_attack(apply_assignments(net, [lure]))
+        assert [it.discovered_fake for it in trace.iterations] == [lure, None]
+        assert "p|h:c" in trace.iterations[1].plan.node_set
+        assert problem.value(frozenset({lure})) == trace.total_cost == pytest.approx(0.9)
+
+    @pytest.mark.parametrize(
+        "subscores, reads_high",
+        [((5.0, 2.5, 2.5), False), ((1.0, 0.1, 0.9), True)],
+        ids=["exact", "one-ulp-high"],
+    )
+    def test_privilege_on_the_limit_is_kept(self, subscores, reads_high):
+        # The dead-end host d of _boundary_net has head(d) = cost(w) = b and
+        # tail(d) = b, so head(d) + tail(d) = 2b, which reads one ulp above
+        # 2b with 0.01 + 0.09 and 0.1. The slack keeps d in the corridor of
+        # one fake, with the lure's arc into it and the real arc out of it;
+        # the corridor of no fakes drops both.
+        problem = PlacementProblem(_boundary_net(*subscores))
+        view = problem.graph.indexed
+        d = view.privileges.index("p|h:d")
+        lure = problem._number[config_id("d", "w")]
+        assert (problem._through[d] > 2 * problem.baseline_cost) == reads_high
+        assert problem._through[d] == pytest.approx(2 * problem.baseline_cost)
+        real, fake = problem._corridor(1)
+        assert real[d] == view.arcs[d]
+        assert fake[lure] == problem._fake_arcs[lure] != {}
+        real, fake = problem._corridor(0)
+        assert real[d] == () and fake[lure] == {}
+
+    @pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
+    def test_each_exploit_grants_one_privilege(self, catalog):
+        # Lemmas D and G assume it: every exploit of the compiled graph
+        # appears in exactly one arc, so it requires one privilege and grants
+        # one, and all exploits of a config grant the same privilege, so a
+        # chain pays each config once. A generator that breaks this must
+        # fail here.
+        networks = [small_network(random.Random(9800 + seed), catalog=catalog) for seed in range(20)]
+        networks += [generate_network(hosts, catalog or default_catalog(), seed) for hosts, seed in ((20, 11), (60, 1))]
+        for net in networks:
+            view = PlacementProblem(net).graph.indexed
+            exploits = sorted(e for arcs in view.arcs for e, _, _ in arcs)
+            assert exploits == list(range(len(view.exploits)))
+            grants: dict[int, set[int]] = {}
+            for arcs in view.arcs:
+                for _, c, q in arcs:
+                    grants.setdefault(c, set()).add(q)
+            assert all(len(privileges) == 1 for privileges in grants.values())
+
+
 def test_results_serialize_without_surprises(chain_net):
     import json
 
