@@ -137,16 +137,16 @@ def simulate_attack(
     plans of the graph regenerated without that assignment.
 
     A caller may pass a fresh `PlanningState` instead of ids, as
-    `PlacementProblem` does, whose arcs leave some out. Leaving out those of
-    the configs banned from the start is exact: bans only grow within a
-    simulation, so those arcs would be skipped in every round anyway, and
-    the arcs kept come in the view's order, so Dijkstra relaxes the same
-    arcs in the same order. A fake discovered later keeps its arcs and is
-    skipped by its ban flag. A search's state also leaves out the arcs out
-    of and into privileges that no round's plan can reach, by a bound on
-    the chains through them. Dijkstra then settles fewer privileges but
-    plans the same chain every round, so the trace differs only in the
-    states expanded (Lemma G of `PlacementProblem`).
+    `PlacementProblem` does: it plants a set by clearing the ban flags of
+    its fakes in a state with every fake banned, over an arc list it keeps
+    fixed. Dijkstra skips a banned config's arcs, whether banned from the
+    start or on discovery, without touching distances, predecessors or pop
+    order. A search's list is a corridor of the view's arcs, in their order:
+    it leaves out the arcs of the pairs no search plants, which are banned
+    throughout, and those out of and into privileges that no round's plan
+    can reach, by a bound on the chains through them. Dijkstra then settles
+    fewer privileges but plans the same chain every round, so the trace
+    differs only in the states expanded (Lemma G of `PlacementProblem`).
 
     A real attack path (goal derivable from real configs only) must exist.
     The loop raises Unreachable("no real attack path exists") if and only if

@@ -12,6 +12,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -541,9 +542,9 @@ def _summarize(rows: list[dict]) -> dict:
         ok = cell.pop("_ok")
         for field in ("p1", "p3", "p4", "p2_states", "n_assignments"):
             values = [float(r[field]) for r in ok if r[field] != ""]
-            cell[f"mean_{field}"] = sum(values) / len(values) if values else None
+            cell[f"mean_{field}"] = math.fsum(values) / len(values) if values else None
         expanded = [float(r["expanded_nodes"]) for r in ok if r["expanded_nodes"] != ""]
-        cell["mean_expanded_nodes"] = sum(expanded) / len(expanded) if expanded else None
+        cell["mean_expanded_nodes"] = math.fsum(expanded) / len(expanded) if expanded else None
         out.append(cell)
     return {"cells": out}
 

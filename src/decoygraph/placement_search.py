@@ -140,8 +140,9 @@ def _fake_config(assignment: Assignment) -> str:
 def _top_utility_sum(candidates: tuple[Candidate, ...], slots: int) -> float:
     if slots <= 0:
         return 0.0
-    # sorted is heapq.nlargest's documented equivalent, and several times faster on these short lists
-    return sum(sorted([c.singleton_utility for c in candidates], reverse=True)[:slots])
+    # sorted is heapq.nlargest's documented equivalent, and several times faster on these short lists;
+    # fsum, since sum() compensates only from Python 3.12 on
+    return math.fsum(sorted([c.singleton_utility for c in candidates], reverse=True)[:slots])
 
 
 def h1(node: SearchNode) -> float:
@@ -319,9 +320,10 @@ class PlacementProblem:
     Holds one attack graph of the network with every compatible (host, vuln)
     pair planted, its fake configs, the undefended attack cost `baseline_cost`
     (b), and the reachable candidates as plain assignments. A set of pairs is
-    evaluated on that graph by banning the fake configs of the pairs outside
-    it, so every search simulation bans the pairs `enumerate_candidates`
-    folds away. Candidates the attacker can never reach leave no fake config
+    evaluated on that graph by ban flags alone: its simulation bans every
+    fake config but the set's, over an arc list fixed per use (the view's,
+    or in a search the corridor of Lemma G), so every search simulation bans
+    the pairs `enumerate_candidates` folds away. Candidates the attacker can never reach leave no fake config
     in that graph; they cannot change any subset's value, so `candidates`
     leaves them out. Subset values, the candidates a budget can trip (as
     `Candidate`s with their singleton utilities) and path indexes (by pool
@@ -394,11 +396,11 @@ class PlacementProblem:
     first step, rounds 2..n are the attack on S - {f1}, so that set has
     value paid_2 + ... + paid_n and the reach of rounds 2..n. The failing
     step is the first, so nothing ran before it and no config is zeroed;
-    the only change to the state is the ban on f1. The state entering round
-    2 is then the initial state of the attack on S - {f1}, except that f1's
-    arcs are present and banned. Dijkstra skips a banned arc without
-    touching distances, predecessors or settle order, and the attack is
-    deterministic given its state, so rounds 2..n are that attack. The
+    the only change to the state is the ban on f1, so the state entering
+    round 2 is flag for flag the initial state of the attack on S - {f1}
+    (in a search, over the corridors of their sizes, which plan as all the
+    arcs do by Lemma G). The attack is deterministic given its state, so
+    rounds 2..n are that attack. The
     total is summed from 0.0 in round order, as `simulate_attack` sums it,
     so non-dyadic costs agree to the bit; the reach counts zeroed configs
     from round 2 on, and none were zeroed before it. By induction, while
@@ -421,9 +423,10 @@ class PlacementProblem:
     face cost is the sum over its arcs, at least head(p) + tail(p) for each
     p on it.
 
-    So `value` simulates S on the corridor for k (`_corridor`): the arcs
-    without those out of or into a privilege that fails the test, which
-    carries `_TRIP_SLACK`. Every round then plans the chain it plans over
+    So `value` simulates S on the corridor for k (`_corridor`): the arcs of
+    real configs and candidates (the folded pairs are banned throughout, and
+    a banned arc offers nothing), without those out of or into a privilege
+    that fails the test, which carries `_TRIP_SLACK`. Every round then plans the chain it plans over
     all the arcs, by induction over the rounds, which start from the same
     state. Within a round, let Q be the full run's chain; it lies in the
     corridor, whose arcs are a subset of the full ones in the same order.
@@ -464,24 +467,12 @@ class PlacementProblem:
         self.fake_configs = self.graph.fake_configs()
         self.baseline_cost = optimal_plan(self.graph, banned_configs=self.fake_configs).cost
         self.candidates = tuple(a for a in _fold_pairs(network, pairs) if _fake_config(a) in self.fake_configs)
-        # A set is simulated on the graph's numbered view: the arcs of real
-        # configs and of the set's fakes, the other fakes banned from the start.
+        # A set is simulated on the graph's numbered view by ban flags alone:
+        # every fake starts banned, and planting a set clears its fakes' flags.
         view = self.graph.indexed
         self._number = {c: i for i, c in enumerate(view.configs)}
-        real_arcs: list[list[tuple[int, int, int]]] = []
-        # fake config -> privilege -> the config's arcs out of it
-        self._fake_arcs: dict[int, dict[int, _Arcs]] = {}
-        for p, arcs in enumerate(view.arcs):
-            real_arcs.append([])
-            for arc in arcs:
-                if view.fake[arc[1]]:
-                    by_privilege = self._fake_arcs.setdefault(arc[1], {})
-                    by_privilege[p] = by_privilege.get(p, ()) + (arc,)
-                else:
-                    real_arcs[p].append(arc)
-        self._real_arcs = tuple(map(tuple, real_arcs))
         self._all_fakes_banned = bytes(view.fake)
-        self.chain_costs, self.real_routes, self._through = _fake_bounds(view, self._real_arcs, self._fake_arcs)
+        self.chain_costs, self.real_routes, self._through = _fake_bounds(view)
         # candidate -> (its bit in a set's mask, its config number, L); the
         # candidates come in sorted order, and so do their bits
         self._members = {}
@@ -489,8 +480,8 @@ class PlacementProblem:
             config = _fake_config(a)
             self._members[a] = (1 << i, self._number[config], self.chain_costs[config])
         self._memo: dict[int, tuple[float, float]] = {}
-        # set size -> Lemma G's corridor: (real arcs, candidate config -> its fake arcs)
-        self._corridors: dict[int, tuple[tuple[_Arcs, ...], dict[int, dict[int, _Arcs]]]] = {}
+        # set size -> Lemma G's corridor: per privilege, the arcs a search simulation scans
+        self._corridors: dict[int, tuple[_Arcs, ...]] = {}
         self._trippable: dict[int, tuple[Candidate, ...]] = {}
         self._indexes: dict[int, PathIndex] = {}
 
@@ -543,42 +534,39 @@ class PlacementProblem:
                     total += later.paid_prefix_cost
                 memo[mask] = (total, _reach(tail, self.graph.config_cost))
 
-    def _corridor(self, size: int) -> tuple[tuple[_Arcs, ...], dict[int, dict[int, _Arcs]]]:
+    def _corridor(self, size: int) -> tuple[_Arcs, ...]:
         """Lemma G's arcs for a set of `size` candidates, memoized per size.
 
-        The real arcs and each candidate's fake arcs, without those out of or
-        into a privilege p whose cheapest chain head(p) + tail(p) exceeds
-        (size + 1) * baseline_cost, up to `_TRIP_SLACK`.
+        Per privilege, the view's arcs of real configs and candidates, without
+        those out of or into a privilege p whose cheapest chain head(p) +
+        tail(p) exceeds (size + 1) * baseline_cost, up to `_TRIP_SLACK`.
         """
         corridor = self._corridors.get(size)
         if corridor is None:
+            view = self.graph.indexed
             limit = (size + 1) * self.baseline_cost
             inside = [_within(through, limit) for through in self._through]
-
-            def keep(arcs: _Arcs) -> _Arcs:
-                return tuple(arc for arc in arcs if inside[arc[2]])
-
-            real = tuple(keep(arcs) if inside[p] else () for p, arcs in enumerate(self._real_arcs))
-            fake = {}
+            # real configs and candidates; the folded pairs stay banned in every search simulation
+            kept = bytearray(not fake for fake in view.fake)
             for _, c, _ in self._members.values():
-                fake[c] = {p: kept for p, arcs in self._fake_arcs[c].items() if inside[p] and (kept := keep(arcs))}
-            corridor = self._corridors[size] = (real, fake)
+                kept[c] = 1
+            corridor = self._corridors[size] = tuple(
+                tuple(arc for arc in arcs if kept[arc[1]] and inside[arc[2]]) if inside[p] else ()
+                for p, arcs in enumerate(view.arcs)
+            )
         return corridor
 
     def _state(self, fakes: Iterable[int], size: int | None = None) -> PlanningState:
         """A fresh planning state with the fake configs `fakes` open and every other fake banned.
 
-        Its arcs are the real ones plus those of `fakes`, merged in exploit
-        order; with a `size`, only those in the corridor of that set size.
+        Its arcs, fixed per use, are the view's, or with a `size` the corridor
+        of that set size; the other candidates' arcs are skipped by ban flag.
         """
         view = self.graph.indexed
-        real_arcs, fake_arcs = (self._real_arcs, self._fake_arcs) if size is None else self._corridor(size)
-        arcs = list(real_arcs)
         banned = bytearray(self._all_fakes_banned)
         for c in fakes:
             banned[c] = 0
-            for p, extra in fake_arcs[c].items():
-                arcs[p] = sorted((*arcs[p], *extra))
+        arcs = view.arcs if size is None else self._corridor(size)
         return PlanningState(view.configs, view.fake, list(view.cost), banned, arcs)
 
     def evaluate(self, assignments: Iterable[Assignment], seed: int = 0) -> EvaluationReport:
@@ -643,40 +631,38 @@ def _reach(rounds: Iterable[AttackIteration], face_costs: dict[str, float]) -> f
     return reach
 
 
-def _fake_bounds(
-    view: IndexedView,
-    real_arcs: Sequence[_Arcs],
-    fake_arcs: dict[int, dict[int, _Arcs]],
-) -> tuple[dict[str, float], dict[str, float], list[float]]:
+def _fake_bounds(view: IndexedView) -> tuple[dict[str, float], dict[str, float], list[float]]:
     """Per fake config its chain cost L and the real route to the host it
     grants; per privilege p, head(p) + tail(p).
 
-    `real_arcs` and `fake_arcs` split the view's arcs: per privilege, the
-    arcs of real configs, and per fake config, its arcs by the privilege
-    they leave. head and tail are the face-cost distances from the source
-    and to the goal, from one Dijkstra forward from the source and one
-    backward from the goal over all the view's arcs, so head(p) + tail(p) is
-    the cheapest face-value source-to-goal chain through p (Lemma G). L is
-    the same for a config; a fake whose chain cannot reach the goal gets
-    inf. The real route is the largest, over the privileges the config's
-    exploits grant, of their face-cost distance from the source over the
-    real arcs (hr of Lemma D); inf where no real route exists.
+    head and tail are the face-cost distances from the source and to the
+    goal, from one Dijkstra forward from the source and one backward from
+    the goal over all the view's arcs, so head(p) + tail(p) is the cheapest
+    face-value source-to-goal chain through p (Lemma G). L is the same for a
+    config, over the (from, to) privileges of its arcs; a fake whose chain
+    cannot reach the goal gets inf. The real route is the largest, over the
+    privileges the config's exploits grant, of their face-cost distance from
+    the source over the arcs of real configs (hr of Lemma D); inf where no
+    real route exists.
     """
-    costs = view.cost
+    costs, fake = view.cost, view.fake
     backward: list[list[tuple[int, int, int]]] = [[] for _ in view.privileges]
+    # fake config -> the (from, to) privileges of its arcs
+    ends: dict[int, list[tuple[int, int]]] = {}
     for p, arcs in enumerate(view.arcs):
         for e, c, q in arcs:
             backward[q].append((e, c, p))
+            if fake[c]:
+                ends.setdefault(c, []).append((p, q))
     head = _distances(view.arcs, costs, view.source)
-    real = _distances(real_arcs, costs, view.source)
+    real = _distances([[arc for arc in arcs if not fake[arc[1]]] for arcs in view.arcs], costs, view.source)
     tail = _distances(backward, costs, view.goal)
     chains: dict[str, float] = {}
     routes: dict[str, float] = {}
-    for c, by_privilege in fake_arcs.items():
+    for c, pairs in ends.items():
         config = view.configs[c]
-        ends = [(p, q) for p, arcs in by_privilege.items() for _, _, q in arcs]
-        chains[config] = min(head[p] + costs[c] + tail[q] for p, q in ends)
-        routes[config] = max(real[q] for _, q in ends)
+        chains[config] = min(head[p] + costs[c] + tail[q] for p, q in pairs)
+        routes[config] = max(real[q] for _, q in pairs)
     return chains, routes, [h + t for h, t in zip(head, tail)]
 
 
@@ -760,8 +746,8 @@ class _SearchContext:
             )
         root_value = self.evaluate(frozenset())
         baseline_cost = self.problem.baseline_cost
-        remaining = tuple(sorted(trippable, key=lambda c: c.assignment))
-        prov = SearchNode((), remaining, root_value, 0.0, self.budget, baseline_cost)
+        # trippable keeps `candidates` order, which is sorted
+        prov = SearchNode((), trippable, root_value, 0.0, self.budget, baseline_cost)
         ordered = order_candidates(prov, self.ordering, index=self.index, seed=self.seed)
         return _make_node((), ordered, root_value, self.budget, baseline_cost, self.heuristic_fn)
 

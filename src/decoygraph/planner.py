@@ -21,12 +21,12 @@ the graph's integer view (`AttackGraph.indexed`): privileges and exploits
 numbered in sorted id order, so heap ties between equal distances still break
 by privilege id, configs numbered in order of first use along the exploits,
 and per privilege the arcs (exploit, config, granted privilege) of the
-exploits requiring it, in exploit order. It scans the state's arcs, which may
-leave out arcs of configs banned for the whole simulation, and skips the
-arcs of banned configs; neither changes which arcs it relaxes, or in which
-order. A search's state may also leave out the arcs of privileges no plan of
-its simulation can reach, which keeps the plan but settles fewer privileges
-(Lemma G of `placement_search.PlacementProblem`). Best-first search turns the
+exploits requiring it, in exploit order. It scans the state's arcs and skips
+those of banned configs, as if they were left out. A search's state leaves
+out the arcs of configs banned for the whole simulation, which changes
+nothing, and those of privileges no plan of its simulation can reach, which
+keeps the plan but settles fewer privileges (Lemma G of
+`placement_search.PlacementProblem`). Best-first search turns the
 state back into an id-keyed cost table and ban set at its entry.
 
 The Dijkstra plan is read off the predecessor chain from the goal back to the
@@ -169,11 +169,11 @@ class PlanningState:
     `names[i]` is config i's id: the numbering of the graph's `IndexedView`
     on unit-rule graphs, sorted ids elsewhere. `fake[i]` is its fake flag,
     `costs[i]` its cost and `banned[i]` true while it is banned. `arcs` are
-    the arcs Dijkstra scans out of each privilege (None on other graphs):
-    the view's, or the view's without some whose configs stay banned for as
-    long as the state is used, or that touch privileges no plan made from
-    the state can reach. The attacker keeps one state per simulation
-    and zeroes costs and sets bans in it between rounds.
+    the arcs Dijkstra scans out of each privilege (None on other graphs),
+    fixed while the state is used: the view's, or the view's without some
+    whose configs stay banned throughout or that touch privileges no plan
+    made from the state can reach. The attacker keeps one state per
+    simulation and only zeroes costs and sets bans in it between rounds.
     """
 
     names: tuple[str, ...]

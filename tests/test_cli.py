@@ -732,3 +732,22 @@ class TestSweep:
         problem = PlacementProblem(network)
         assert len(problem.path_index(1).paths) == 1
         assert len(problem.path_index(100).paths) == len(build_path_index(problem, 100).paths) == 17
+
+    def test_summary_means_are_correctly_rounded(self):
+        # Ten p3 of 0.1 add up to 0.9999999999999999 left to right, before
+        # Python 3.12's compensated sum(); the mean must not depend on it.
+        row = {
+            **dict.fromkeys(cli._CSV_COLUMNS, ""),
+            "network_id": "n",
+            "approach": "random",
+            "budget": 1,
+            "p1": 2,
+            "p3": 0.1,
+            "p4": 1.0,
+            "p2_states": 3,
+            "n_assignments": 1,
+        }
+        (cell,) = cli._summarize([dict(row, trial=trial) for trial in range(10)])["cells"]
+        assert cell["trials"] == 10 and cell["errors"] == 0
+        assert cell["mean_p3"] == 0.1
+        assert cell["mean_expanded_nodes"] is None

@@ -95,7 +95,10 @@ class TestCandidates:
         assert [a.vuln_id for a in enumerate_candidates(net)] == ["w-a", "w-b"]
 
     def test_singleton_utilities(self, chain_net):
-        cands = PlacementProblem(chain_net).trippable(3)
+        problem = PlacementProblem(chain_net)
+        # the memo's bits and the search root both rely on the sorted order
+        assert problem.candidates == tuple(sorted(problem.candidates))
+        cands = problem.trippable(3)
         assert [c.assignment for c in cands] == [W1, W2, W3]
         assert [c.singleton_utility for c in cands] == [3.5, 3.5, 3.5]
 
@@ -192,6 +195,15 @@ class TestHeuristics:
         node = _node((W1, W2), chain_candidates[2:], 2, 3.0)
         assert h1(node) == 0.0
         assert h2(node) == 3.0
+
+    def test_singletons_add_up_correctly_rounded(self, chain_candidates):
+        # left to right, ten 0.1 add up to 0.9999999999999999 before Python
+        # 3.12's compensated sum(); the bounds feed the prunes, so they must
+        # not depend on the Python version
+        remaining = tuple(dataclasses.replace(chain_candidates[0], singleton_utility=0.1) for _ in range(10))
+        node = _node((), remaining, 10, 3.0)
+        assert h1(node) == 1.0
+        assert h2(node) == 4.0
 
     def test_lure_root_bounds(self, lure_net):
         # the optimistic estimate undershoots the best pair here (20 < 22)
@@ -850,11 +862,45 @@ class TestCorridor:
         lure = problem._number[config_id("d", "w")]
         assert (problem._through[d] > 2 * problem.baseline_cost) == reads_high
         assert problem._through[d] == pytest.approx(2 * problem.baseline_cost)
-        real, fake = problem._corridor(1)
-        assert real[d] == view.arcs[d]
-        assert fake[lure] == problem._fake_arcs[lure] != {}
-        real, fake = problem._corridor(0)
-        assert real[d] == () and fake[lure] == {}
+        lure_arcs = [(p, arc) for p, arcs in enumerate(view.arcs) for arc in arcs if arc[1] == lure]
+        assert lure_arcs and all(q == d for _, (_, _, q) in lure_arcs)
+        corridor = problem._corridor(1)
+        assert corridor[d] == view.arcs[d] != ()
+        assert all(arc in corridor[p] for p, arc in lure_arcs)
+        corridor = problem._corridor(0)
+        assert corridor[d] == ()
+        assert not any(arc in corridor[p] for p, arc in lure_arcs)
+
+    @pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
+    def test_a_set_is_planted_by_ban_flags_alone(self, catalog):
+        # Every simulation of a problem scans one fixed arc list: the view's
+        # own, or a corridor of the view's arcs of real configs and
+        # candidates in the view's order. Planting a set only clears its
+        # fakes' ban flags, so a state bans exactly the fakes outside it.
+        checked = folded = 0
+        for seed in range(20):
+            net = small_network(random.Random(9900 + seed), max_hosts=8, catalog=catalog)
+            problem = PlacementProblem(net)
+            view = problem.graph.indexed
+            numbers = [problem._number[config_id(a.host_id, a.vuln_id)] for a in problem.candidates]
+            folded += any(view.fake[c] and c not in numbers for arcs in view.arcs for _, c, _ in arcs)
+            for size in range(4):
+                corridor = problem._corridor(size)
+                assert len(corridor) == len(view.arcs)
+                for arcs, full in zip(corridor, view.arcs):
+                    assert all(not view.fake[c] or c in numbers for _, c, _ in arcs)
+                    assert [arc for arc in full if arc in arcs] == list(arcs)
+                for combo in combinations(numbers, size):
+                    expected = [fake and c not in combo for c, fake in enumerate(view.fake)]
+                    for state in (problem._state(combo), problem._state(combo, size)):
+                        assert list(map(bool, state.banned)) == expected
+                        assert state.costs == list(view.cost)
+                    assert problem._state(combo).arcs is view.arcs
+                    assert problem._state(combo, size).arcs is corridor
+                    checked += 1
+            assert bytes(problem._state(()).banned) == bytes(view.fake)
+        assert checked >= 5_000
+        assert folded >= 10, "too few networks have folded pairs for the corridor to leave out"
 
     @pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
     def test_each_exploit_grants_one_privilege(self, catalog):
