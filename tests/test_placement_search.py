@@ -503,6 +503,73 @@ class TestEngines:
             assert found.best_assignments == truth.best_assignments, f"seed {seed}"
 
 
+def _pairs(*pairs):
+    return tuple(Assignment(host_id, vuln_id) for host_id, vuln_id in pairs)
+
+
+class TestPinnedTreeShapes:
+    """Both engines under every ordering and heuristic, pinned: the best set,
+    its utility and the expanded and generated counts. A tree that branches
+    in another order or bounds a node differently expands another number of
+    nodes, so it fails here even where it still finds the optimum."""
+
+    # (expanded, generated) per engine (dfbnb, astar), per ordering (utility,
+    # shortest-path, random with seed 3), per heuristic (h1, h2), in that nesting
+    @pytest.mark.parametrize(
+        "hosts, seed, catalog, budget, best, utility, shapes",
+        [
+            (12, 7, None, 2, _pairs(("h12", "CVE-2020-0601"), ("h12", "CVE-2021-34527")), 1.875, [(77, 143)] * 12),
+            (
+                12, 7, None, 3,
+                _pairs(("h01", "CVE-2022-26134"), ("h12", "CVE-2020-0601"), ("h12", "CVE-2021-34527")),
+                2.0,
+                [
+                    (229, 414), (285, 505), (229, 414), (285, 505), (250, 450), (285, 505),
+                    (229, 414), (229, 414), (229, 414), (230, 416), (229, 414), (235, 425),
+                ],
+            ),
+            (20, 11, None, 2, _pairs(("h02", "CVE-2020-0601"), ("h02", "CVE-2021-34527")), 2.0, [(35, 63)] * 12),
+            (
+                20, 11, None, 3,
+                _pairs(("h02", "CVE-2020-0601"), ("h02", "CVE-2021-34527"), ("h20", "CVE-2021-44228")),
+                2.25,
+                [
+                    (79, 134), (83, 139), (79, 134), (83, 139), (83, 139), (83, 139),
+                    (79, 134), (79, 134), (79, 134), (80, 136), (83, 139), (83, 139),
+                ],
+            ),
+            (
+                16, 3, cvss3_catalog(), 2,
+                _pairs(("h04", "CVE-2016-0800"), ("h16", "CVE-2017-0144")),
+                1.5641025641025643,
+                [(135, 255)] * 12,
+            ),
+            (
+                16, 3, cvss3_catalog(), 3,
+                _pairs(("h04", "CVE-2016-0800"), ("h06", "CVE-2021-26855"), ("h16", "CVE-2017-0144")),
+                1.871794871794872,
+                [
+                    (539, 1001), (679, 1239), (623, 1148), (679, 1239), (616, 1155), (679, 1239),
+                    (539, 1001), (539, 1001), (546, 1015), (546, 1015), (616, 1155), (616, 1155),
+                ],
+            ),
+        ],
+        ids=["12h7-K2", "12h7-K3", "20h11-K2", "20h11-K3", "16h3-cvss3-K2", "16h3-cvss3-K3"],
+    )
+    def test_tree_shapes_are_pinned(self, hosts, seed, catalog, budget, best, utility, shapes):
+        net = generate_network(hosts, catalog or default_catalog(), seed=seed)
+        problem = PlacementProblem(net)
+        found = []
+        for engine in (dfbnb, astar):
+            for ordering in ("utility", "shortest-path", "random"):
+                for heuristic in ("h1", "h2"):
+                    res = engine(net, budget=budget, ordering=ordering, heuristic=heuristic, seed=3, problem=problem)
+                    where = f"{engine.__name__} {ordering} {heuristic}"
+                    assert (res.best_assignments, res.best_utility) == (best, utility), where
+                    found.append((res.expanded_nodes, res.generated_nodes))
+        assert found == shapes
+
+
 def _boundary_net(entry_fake, middle, goal):
     """A fake on a dead-end host d whose only way on is the real route m -> t.
 
