@@ -14,16 +14,27 @@ cheapest chain must fit the budget (Lemma A), and the fake must cost no more
 than the undefended attack and the real route to its host (Lemma D). The
 class docstring holds the proofs that this loses nothing; subset enumeration
 scores every candidate.
+
+The engines walk the tree on integers. Candidate i is the problem's
+`candidates[i]`, and a set is the bitmask of its candidates' bits 1 << i, the
+key of the problem's value memo. A node is a plain tuple: its f, the chosen
+mask and count, the open candidate indices in branching order, and its
+utility. Every value request passes a mask from the tree through
+`_SearchContext.evaluate` to `PlacementProblem._value`. `SearchNode`,
+`expand`, `h1`, `h2` and `order_candidates` build the same tree from
+assignments; they are its reference form, which the tests walk beside the
+engines' tree and on which they check that h2 is a sound bound.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .aggraph import IndexedView, apply_assignments, config_id
@@ -50,6 +61,9 @@ _TRIP_SLACK = 1e-9
 # the arcs (exploit, config, granted privilege) out of one privilege
 _Arcs = tuple[tuple[int, int, int], ...]
 
+# a node of the engines' tree: (f, chosen mask, chosen count, open candidate indices, utility)
+_Node = tuple[float, int, int, tuple[int, ...], float]
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -61,7 +75,10 @@ class Candidate:
 
 @dataclass(frozen=True)
 class SearchNode:
-    """One decision-tree node: committed assignments plus open candidates."""
+    """One decision-tree node: committed assignments plus open candidates.
+
+    The reference form of the engines' node, a plain tuple over candidate indices (`_Node`).
+    """
 
     chosen: tuple[Assignment, ...]
     remaining: tuple[Candidate, ...]
@@ -171,18 +188,30 @@ def order_candidates(
     complete a cheap fake-using path first (needs the index). random: seeded
     shuffle, meant to be applied once at the root.
     """
+    return _order(node.remaining, frozenset(node.chosen), node.budget, mode, index, seed)
+
+
+def _order(
+    remaining: tuple[Candidate, ...],
+    chosen: frozenset[Assignment],
+    budget: int,
+    mode: str,
+    index: PathIndex | None,
+    seed: int | None,
+) -> tuple[Candidate, ...]:
+    """`order_candidates` on a node's fields."""
     mode = mode.replace("-", "_")
     if mode == "utility":
-        return tuple(sorted(node.remaining, key=lambda c: (-c.singleton_utility, c.assignment)))
+        return tuple(sorted(remaining, key=lambda c: (-c.singleton_utility, c.assignment)))
     if mode == "random":
         rng = random.Random(seed)
-        items = list(node.remaining)
+        items = list(remaining)
         rng.shuffle(items)
         return tuple(items)
     if mode == "shortest_path":
         if index is None:
             raise ConfigurationError("shortest-path ordering requires a path index")
-        return _rank_by_paths(index, node.remaining, frozenset(node.chosen), node.budget)
+        return _rank_by_paths(index, remaining, chosen, budget)
     raise ConfigurationError(f"unknown ordering {mode!r}; expected one of {ORDERINGS}")
 
 
@@ -270,21 +299,6 @@ def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathInd
     )
 
 
-def _make_node(
-    chosen: tuple[Assignment, ...],
-    remaining: tuple[Candidate, ...],
-    utility: float,
-    budget: int,
-    baseline_cost: float,
-    heuristic_fn: Callable[[SearchNode], float],
-) -> SearchNode:
-    node = SearchNode(chosen, remaining, utility, 0.0, budget, baseline_cost)
-    # The heuristic reads the node's other fields only, so it is filled in
-    # place instead of building the node a second time.
-    object.__setattr__(node, "heuristic", heuristic_fn(node))
-    return node
-
-
 def expand(
     node: SearchNode,
     evaluate: Callable[[frozenset[Assignment]], float],
@@ -297,20 +311,27 @@ def expand(
     child's set is always evaluated first so its value registers with the
     caller even if the child itself is discarded; `reorder`, when given, is
     applied to the take-head child's open candidates only.
+
+    The engines walk the same tree on candidate indices (`_SearchContext`);
+    this is its reference form, which the tests compare them with.
     """
     if len(node.chosen) >= node.budget or not node.remaining:
         return None, None
+
+    def child(chosen: tuple[Assignment, ...], remaining: tuple[Candidate, ...], utility: float) -> SearchNode:
+        bare = SearchNode(chosen, remaining, utility, 0.0, node.budget, node.baseline_cost)
+        return replace(bare, heuristic=heuristic_fn(bare))
+
     head = node.remaining[0]
     rest = node.remaining[1:]
     left = None
     if len(node.chosen) + len(rest) >= node.budget:
-        left = _make_node(node.chosen, rest, node.utility, node.budget, node.baseline_cost, heuristic_fn)
+        left = child(node.chosen, rest, node.utility)
     chosen = tuple(sorted(node.chosen + (head.assignment,)))
     value = evaluate(frozenset(chosen))
     right = None
     if len(chosen) + len(rest) >= node.budget:
-        right_rest = reorder(rest, chosen) if reorder is not None else rest
-        right = _make_node(chosen, right_rest, value, node.budget, node.baseline_cost, heuristic_fn)
+        right = child(chosen, reorder(rest, chosen) if reorder is not None else rest, value)
     return left, right
 
 
@@ -374,8 +395,11 @@ class PlacementProblem:
     candidates that pass both only.
     `exhaustive_best`, the oracle, enumerates all of `candidates`.
 
-    The memo maps each valued set S, keyed by a bitmask over the candidates
-    in sorted order, to (value, reach). The reach R(S) is
+    The memo maps each valued set S to (value, reach), keyed by S's bitmask,
+    in which candidate i, `candidates[i]`, is bit 1 << i; the candidates are
+    sorted, so the bits follow their order. `_value` takes the mask: the
+    search tree passes its masks straight through, and `value` and
+    `_simulated_value` compute a set's mask once. The reach R(S) is
     the largest plan_i.cost + Z_i over the rounds i of S's attack, where Z_i
     is the face cost of the configs zeroed before round i, each counted once.
 
@@ -473,12 +497,14 @@ class PlacementProblem:
         self._number = {c: i for i, c in enumerate(view.configs)}
         self._all_fakes_banned = bytes(view.fake)
         self.chain_costs, self.real_routes, self._through = _fake_bounds(view)
-        # candidate -> (its bit in a set's mask, its config number, L); the
-        # candidates come in sorted order, and so do their bits
-        self._members = {}
-        for i, a in enumerate(self.candidates):
-            config = _fake_config(a)
-            self._members[a] = (1 << i, self._number[config], self.chain_costs[config])
+        # per candidate, by index and by assignment: its bit 1 << index in a
+        # set's mask, its config number and L; the candidates come in sorted
+        # order, and so do their bits
+        self._by_index = tuple(
+            (1 << i, self._number[_fake_config(a)], self.chain_costs[_fake_config(a)])
+            for i, a in enumerate(self.candidates)
+        )
+        self._members = dict(zip(self.candidates, self._by_index))
         self._memo: dict[int, tuple[float, float]] = {}
         # set size -> Lemma G's corridor: per privilege, the arcs a search simulation scans
         self._corridors: dict[int, tuple[_Arcs, ...]] = {}
@@ -491,32 +517,37 @@ class PlacementProblem:
         Inherited from a memoized parent where Lemma C allows, else simulated;
         a simulated set's tails are memoized too (Lemma F).
         """
-        return self._value(assignments, inherit=True)
+        return self._value(self._mask(assignments))
 
     def _simulated_value(self, assignments: frozenset[Assignment]) -> float:
         """`value` without Lemmas C and F: a set not memoized yet is simulated, and only it is memoized."""
-        return self._value(assignments, inherit=False)
+        return self._value(self._mask(assignments), inherit=False)
 
-    def _value(self, assignments: frozenset[Assignment], inherit: bool) -> float:
-        members = [self._members[a] for a in assignments]
-        mask = sum(bit for bit, _, _ in members)
+    def _mask(self, assignments: Iterable[Assignment]) -> int:
+        members = self._members
+        return sum(members[a][0] for a in assignments)
+
+    def _value(self, mask: int, inherit: bool = True) -> float:
+        """`value` (or with `inherit` false `_simulated_value`) of the candidates whose bits `mask` holds."""
         memo = self._memo
         entry = memo.get(mask)
-        if entry is None and inherit:
+        if entry is not None:
+            return entry[0]
+        members = [self._by_index[i] for i in _indices(mask)]
+        if inherit:
             for bit, _, chain in members:
                 parent = memo.get(mask ^ bit)
                 if parent is not None and not _within(chain, parent[1]):
-                    entry = memo[mask] = parent
-                    break
-        if entry is None:
-            # a search plans inside its set size's corridor (Lemma G), the oracle over every arc
-            state = self._state((c for _, c, _ in members), len(members) if inherit else None)
-            trace = simulate_attack(self.graph, banned_configs=state)
-            rounds = trace.iterations
-            entry = memo[mask] = (trace.total_cost, _reach(rounds, self.graph.config_cost))
-            if inherit:
-                self._memoize_tails(mask, rounds)
-        return entry[0]
+                    memo[mask] = parent
+                    return parent[0]
+        # a search plans inside its set size's corridor (Lemma G), the oracle over every arc
+        state = self._state((c for _, c, _ in members), len(members) if inherit else None)
+        trace = simulate_attack(self.graph, banned_configs=state)
+        rounds = trace.iterations
+        memo[mask] = (trace.total_cost, _reach(rounds, self.graph.config_cost))
+        if inherit:
+            self._memoize_tails(mask, rounds)
+        return trace.total_cost
 
     def _memoize_tails(self, mask: int, rounds: tuple[AttackIteration, ...]) -> None:
         """Lemma F: while round i tripped its fake at the first step, the set
@@ -593,14 +624,13 @@ class PlacementProblem:
         kept = self._trippable.get(budget)
         if kept is None:
             b = self.baseline_cost
-            self.value(frozenset())
+            self._value(0)
             kept = []
-            for a in self.candidates:
+            for a, (bit, _, chain) in self._members.items():
                 config = _fake_config(a)
-                if _within(self.chain_costs[config], budget * b) and _within(
-                    self.graph.config_cost[config], min(b, self.real_routes[config])
-                ):
-                    kept.append(Candidate(a, self.value(frozenset({a}))))
+                face, route = self.graph.config_cost[config], self.real_routes[config]
+                if _within(chain, budget * b) and _within(face, min(b, route)):
+                    kept.append(Candidate(a, self._value(bit)))
             kept = self._trippable[budget] = tuple(kept)
         return kept
 
@@ -615,6 +645,16 @@ class PlacementProblem:
 def _within(cost: float, limit: float) -> bool:
     """cost <= limit, up to `_TRIP_SLACK`."""
     return cost <= limit * (1.0 + _TRIP_SLACK) + _TRIP_SLACK
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    """The positions of `mask`'s set bits, lowest first: a set's candidate indices in sorted order."""
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(indices)
 
 
 def _reach(rounds: Iterable[AttackIteration], face_costs: dict[str, float]) -> float:
@@ -711,56 +751,122 @@ class _SearchContext:
             raise ConfigurationError("the placement problem was compiled from another network")
         self.problem = problem
         self.ordering = ordering
-        self.heuristic_fn = h1 if heuristic == "h1" else h2
+        # h2 is h1 plus the baseline; a node's f adds one of them to its
+        # utility, and 0.0 + top is top to the bit, since top >= 0
+        self.bound_base = problem.baseline_cost if heuristic == "h2" else 0.0
         self.seed = seed
         self.pool_size = pool_size
         # a budget beyond the candidate pool means "plant everything"
         self.budget = min(budget, len(problem.candidates))
-        self.best_key: tuple | None = None
+        # (-value, set size, candidate indices) of the best set valued so far
+        self.best_key: tuple[float, int, tuple[int, ...]] | None = None
         self.best_value = -math.inf
-        self.best_set: tuple[Assignment, ...] = ()
-        self.index = self.reorder_fn = None
-        self.lookup = problem.value
+        self.lookup: Callable[[int], float] = problem._value
+        # singleton utility by candidate index, for the tree's candidates
+        self.singletons: list[float] = []
+        self.reorder: Callable[[tuple[int, ...], int], tuple[int, ...]] | None = None
 
-    def evaluate(self, assignments: frozenset[Assignment]) -> float:
-        value = self.lookup(assignments)
+    def evaluate(self, mask: int) -> float:
+        """The value of the candidates whose bits `mask` holds; the best set so far is kept."""
+        value = self.lookup(mask)
         if value < self.best_value:
             return value  # its key (-value, ...) sorts after the incumbent's
-        key = (-value, len(assignments), tuple(sorted(assignments)))
+        key = (-value, mask.bit_count(), _indices(mask))
         if self.best_key is None or key < self.best_key:
             self.best_key = key
             self.best_value = value
-            self.best_set = tuple(sorted(assignments))
         return value
 
-    def root(self) -> SearchNode:
+    def root(self) -> _Node:
         """The tree's root over the candidates the budget can trip; it narrows the budget to them."""
         trippable = self.problem.trippable(self.budget)
-        self.budget = budget = min(self.budget, len(trippable))
+        self.budget = min(self.budget, len(trippable))
+        return self.root_over(trippable)
+
+    def root_over(self, candidates: tuple[Candidate, ...]) -> _Node:
+        """The root of the tree over `candidates`, some of the problem's in their order, ordered for branching."""
+        number = {a: i for i, a in enumerate(self.problem.candidates)}
+        self.singletons = [0.0] * len(number)
+        for c in candidates:
+            self.singletons[number[c.assignment]] = c.singleton_utility
+        index = None
         if self.ordering == "shortest_path":
-            # Closes over locals, not self: a closure reaching self would keep
-            # every context (and its problem) alive until a cyclic collection.
-            index = self.index = self.problem.path_index(self.pool_size)
-            self.reorder_fn = lambda remaining, chosen: _rank_by_paths(
-                index, remaining, frozenset(chosen), budget
-            )
-        root_value = self.evaluate(frozenset())
-        baseline_cost = self.problem.baseline_cost
-        # trippable keeps `candidates` order, which is sorted
-        prov = SearchNode((), trippable, root_value, 0.0, self.budget, baseline_cost)
-        ordered = order_candidates(prov, self.ordering, index=self.index, seed=self.seed)
-        return _make_node((), ordered, root_value, self.budget, baseline_cost, self.heuristic_fn)
+            index = self.problem.path_index(self.pool_size)
+            self.reorder = _path_ranker(index, number, self.singletons, self.budget)
+        root_value = self.evaluate(0)
+        ordered = _order(candidates, frozenset(), self.budget, self.ordering, index, self.seed)
+        return self._node(0, 0, tuple(number[c.assignment] for c in ordered), root_value)
+
+    def _node(self, mask: int, count: int, open_: tuple[int, ...], utility: float) -> _Node:
+        """The node that chose the `count` candidates of `mask`, worth `utility`, with f as h1 or h2 gives it."""
+        slots = self.budget - count
+        singletons = self.singletons
+        if self.ordering == "utility":
+            # the open candidates stay in descending singleton order
+            top = math.fsum([singletons[i] for i in open_[:slots]])
+        else:
+            top = math.fsum(sorted([singletons[i] for i in open_], reverse=True)[:slots])
+        return (utility + (self.bound_base + top), mask, count, open_, utility)
+
+    def children(self, node: _Node) -> tuple[_Node | None, _Node | None]:
+        """`expand` on the integer tree: the (drop-head, take-head) children, None where discarded."""
+        _, mask, count, open_, utility = node
+        head, rest = open_[0], open_[1:]
+        budget = self.budget
+        left = self._node(mask, count, rest, utility) if count + len(rest) >= budget else None
+        mask |= 1 << head
+        count += 1
+        value = self.evaluate(mask)
+        right = None
+        if count + len(rest) >= budget:
+            if self.reorder is not None:
+                rest = self.reorder(rest, mask)
+            right = self._node(mask, count, rest, value)
+        return left, right
 
     def result(self, expanded: int, generated: int, t0: float) -> SearchResult:
+        best = tuple(self.problem.candidates[i] for i in self.best_key[2])
         return SearchResult(
-            best_assignments=self.best_set,
+            best_assignments=best,
             best_utility=self.best_value,
             baseline_cost=self.problem.baseline_cost,
             expanded_nodes=expanded,
             generated_nodes=generated,
             elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-            budget_used=len(self.best_set),
+            budget_used=len(best),
         )
+
+
+def _path_ranker(
+    index: PathIndex, number: dict[Assignment, int], singletons: list[float], budget: int
+) -> Callable[[tuple[int, ...], int], tuple[int, ...]]:
+    """`_rank_by_paths` on candidate indices: ranks open indices against a chosen mask by the same keys.
+
+    It closes over its arguments, not a search context: a closure reaching
+    the context would keep it (and its problem) alive until a cyclic collection.
+    """
+    masks = [sum(1 << number[a] for a in path.assignments) for path in index.paths]
+    paths_of = {number[a]: ids for a, ids in index.by_assignment.items()}
+
+    def rank(open_: tuple[int, ...], chosen: int) -> tuple[int, ...]:
+        slots = budget - chosen.bit_count()
+        available = sum(1 << i for i in open_)
+        best_key: dict[int, tuple] = {}
+        for i in open_:
+            for pid in paths_of.get(i, ()):
+                need = masks[pid] & ~chosen
+                size = need.bit_count()
+                if size > slots or need & ~available:
+                    continue
+                path = index.paths[pid]
+                key = (size, path.cost, path.path_id)
+                if i not in best_key or key < best_key[i]:
+                    best_key[i] = key
+        on_path = sorted(best_key, key=lambda i: (best_key[i], i))
+        off_path = sorted((i for i in open_ if i not in best_key), key=lambda i: (-singletons[i], i))
+        return tuple(on_path + off_path)
+
+    return rank
 
 
 def dfbnb(
@@ -786,12 +892,11 @@ def dfbnb(
     expanded = 0
     while stack:
         node = stack.pop()
-        if node.f <= ctx.best_value:
-            continue
-        if len(node.chosen) >= ctx.budget or not node.remaining:
+        f, _, count, open_, _ = node
+        if f <= ctx.best_value or count >= ctx.budget or not open_:
             continue
         expanded += 1
-        left, right = expand(node, ctx.evaluate, ctx.heuristic_fn, ctx.reorder_fn)
+        left, right = ctx.children(node)
         if left is not None:
             generated += 1
             stack.append(left)
@@ -819,7 +924,7 @@ def astar(
     t0 = time.perf_counter()
     ctx = _SearchContext(network, budget, ordering, heuristic, seed, pool_size, problem)
     root = ctx.root()
-    heap: list[tuple[float, int, SearchNode]] = [(-root.f, 0, root)]
+    heap: list[tuple[float, int, _Node]] = [(-root[0], 0, root)]
     seq = 1
     generated = 1
     expanded = 0
@@ -827,18 +932,17 @@ def astar(
         negf, _, node = heapq.heappop(heap)
         if -negf <= ctx.best_value:
             break
-        if len(node.chosen) >= ctx.budget or not node.remaining:
+        if node[2] >= ctx.budget or not node[3]:
             # solution leaf on top of the frontier: no open subtree can beat
             # the incumbent when the heuristic is sound, so the search ends
             # (with h1 this can return a sub-optimal set, as documented)
             break
         expanded += 1
-        left, right = expand(node, ctx.evaluate, ctx.heuristic_fn, ctx.reorder_fn)
-        for child in (left, right):
+        for child in ctx.children(node):
             if child is None:
                 continue
             generated += 1
-            heapq.heappush(heap, (-child.f, seq, child))
+            heapq.heappush(heap, (-child[0], seq, child))
             seq += 1
     return ctx.result(expanded, generated, t0)
 
@@ -858,16 +962,16 @@ def exhaustive_best(
     t0 = time.perf_counter()
     ctx = _SearchContext(network, budget, "utility", "h2", 0, 0, problem)
     # the oracle simulates every set it does not find memoized (no Lemma C)
-    ctx.lookup = ctx.problem._simulated_value
-    assignments = sorted(ctx.problem.candidates)
-    total = sum(math.comb(len(assignments), size) for size in range(ctx.budget + 1))
+    ctx.lookup = functools.partial(ctx.problem._value, inherit=False)
+    n = len(ctx.problem.candidates)
+    total = sum(math.comb(n, size) for size in range(ctx.budget + 1))
     if total > max_subsets:
         raise ConfigurationError(
             f"{total} subsets exceed the cap of {max_subsets}; shrink the instance or raise max_subsets"
         )
     count = 0
     for size in range(ctx.budget + 1):
-        for combo in itertools.combinations(assignments, size):
-            ctx.evaluate(frozenset(combo))
+        for combo in itertools.combinations(range(n), size):
+            ctx.evaluate(sum(1 << i for i in combo))
             count += 1
     return ctx.result(count, count, t0)

@@ -13,6 +13,7 @@ from decoygraph import placement_search
 from decoygraph.aggraph import apply_assignments, config_id
 from decoygraph.attacker import evaluate_placement, simulate_attack
 from decoygraph.errors import ConfigurationError
+from decoygraph.fixtures import build_h1_counterexample, build_searchspace_k2
 from decoygraph.netmodel import (
     EXTERNAL,
     Assignment,
@@ -28,6 +29,7 @@ from decoygraph.netmodel import (
     normalize_cost,
 )
 from decoygraph.placement_search import (
+    Candidate,
     PlacementProblem,
     SearchNode,
     _rank_by_paths,
@@ -42,7 +44,7 @@ from decoygraph.placement_search import (
     h2,
     order_candidates,
 )
-from helpers import cvss3_catalog, small_network
+from helpers import cvss3_catalog, eight_candidate_net, small_network
 
 W1 = Assignment(host_id="h1", vuln_id="w1")
 W2 = Assignment(host_id="h2", vuln_id="w2")
@@ -347,6 +349,83 @@ class TestExpand:
         left, right = expand(node, evaluate, h2, reorder=flip)
         assert [c.assignment for c in left.remaining] == [W2, W3]
         assert [c.assignment for c in right.remaining] == [W3, W2]
+
+
+def _criterion_4_cases():
+    """The instances of tests/test_acceptance.py's criterion 4, as (network, budget) parameters."""
+    cases = [
+        ("two-lure", build_h1_counterexample(), 2),
+        ("three-chain K2", build_searchspace_k2(), 2),
+        ("three-chain K3", build_searchspace_k2(), 3),
+        ("eight-candidate", eight_candidate_net(), 3),
+        ("v3 random-10", small_network(random.Random(10), max_hosts=5, catalog=cvss3_catalog()), 3),
+    ]
+    for seed in (0, 1, 2, 4):
+        net = small_network(random.Random(seed), max_hosts=4)
+        if len(enumerate_candidates(net)) <= 8:
+            cases.append((f"random-{seed}", net, 3))
+    return [pytest.param(net, budget, id=name) for name, net, budget in cases]
+
+
+class TestEngineTree:
+    """The engines walk the decision tree on candidate indices and bitmasks
+    (`_SearchContext`); `expand`, `h1`, `h2` and `order_candidates` build the
+    same tree from `SearchNode`s, and criterion 4 checks that h2 is sound on it. Walked
+    without pruning, the two must agree node for node."""
+
+    @staticmethod
+    def _walk(net, budget, trippable, ordering, heuristic, problems):
+        engine_problem, reference_problem = problems
+        ctx = _SearchContext(net, budget, ordering, heuristic, 3, 100, engine_problem)
+        if trippable:
+            root = ctx.root()
+            candidates = reference_problem.trippable(min(budget, len(reference_problem.candidates)))
+        else:
+            candidates = tuple(
+                Candidate(a, reference_problem.value(frozenset({a}))) for a in reference_problem.candidates
+            )
+            root = ctx.root_over(
+                tuple(Candidate(a, engine_problem.value(frozenset({a}))) for a in engine_problem.candidates)
+            )
+        budget = min(budget, len(candidates))
+        assert ctx.budget == budget
+        heuristic_fn = h1 if heuristic == "h1" else h2
+        index = reorder = None
+        if ordering == "shortest_path":
+            index = reference_problem.path_index(100)
+            reorder = lambda remaining, chosen: _rank_by_paths(index, remaining, frozenset(chosen), budget)
+        root_value, baseline = reference_problem.value(frozenset()), reference_problem.baseline_cost
+        bare = SearchNode((), candidates, root_value, 0.0, budget, baseline)
+        bare = dataclasses.replace(bare, remaining=order_candidates(bare, ordering, index=index, seed=3))
+        reference_root = dataclasses.replace(bare, heuristic=heuristic_fn(bare))
+
+        names = engine_problem.candidates
+        pairs = [(root, reference_root)]
+        while pairs:
+            node, reference = pairs.pop()
+            f, mask, count, open_, utility = node
+            chosen = tuple(a for i, a in enumerate(names) if mask >> i & 1)
+            where = f"at {list(reference.chosen)}"
+            assert (chosen, count) == (reference.chosen, len(reference.chosen)), where
+            assert [names[i] for i in open_] == [c.assignment for c in reference.remaining], where
+            assert utility == reference.utility, where
+            assert f.hex() == reference.f.hex(), where
+            references = expand(reference, reference_problem.value, heuristic_fn, reorder)
+            if count >= ctx.budget or not open_:
+                assert references == (None, None), where
+                continue
+            for child, reference_child in zip(ctx.children(node), references):
+                assert (child is None) == (reference_child is None), where
+                if child is not None:
+                    pairs.append((child, reference_child))
+
+    @pytest.mark.parametrize("net, budget", _criterion_4_cases())
+    def test_engine_tree_is_the_reference_tree(self, net, budget):
+        problems = (PlacementProblem(net), PlacementProblem(net))
+        for trippable in (False, True):
+            for ordering in ("utility", "shortest_path", "random"):
+                for heuristic in ("h1", "h2"):
+                    self._walk(net, budget, trippable, ordering, heuristic, problems)
 
 
 class TestEngines:
