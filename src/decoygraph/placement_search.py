@@ -41,7 +41,7 @@ from .aggraph import IndexedView, apply_assignments, config_id
 from .attacker import AttackIteration, EvaluationReport, simulate_attack
 from .errors import ConfigurationError, Unreachable
 from .netmodel import Assignment, NetworkModel, check_placement, compatible_pairs, normalize_cost
-from .planner import PlanningState, optimal_plan
+from .planner import PlanningState, optimal_plan, plan_with_stats
 
 ORDERINGS = ("utility", "shortest_path", "random")
 HEURISTICS = ("h1", "h2")
@@ -125,10 +125,17 @@ class PathRecord:
 
 @dataclass(frozen=True)
 class PathIndex:
-    """Pool of cheap fake-using paths with a lookup by assignment."""
+    """Pool of cheap fake-using paths with a lookup by assignment.
+
+    `planner_calls` counts the planner calls its build made, and `capped`
+    says whether the build's call cap refused a call before the pool filled,
+    so that the pool may lack paths an uncapped build would hold.
+    """
 
     paths: tuple[PathRecord, ...]
     by_assignment: dict[Assignment, tuple[int, ...]]
+    planner_calls: int
+    capped: bool
 
 
 def enumerate_candidates(network: NetworkModel) -> list[Assignment]:
@@ -251,42 +258,80 @@ def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathInd
     """Enumerate cheap fake-using plans on the problem's graph with every candidate planted.
 
     Plans are enumerated cheapest first by banning one config per branch,
-    starting from the fakes that are not candidates banned; only plans
-    strictly cheaper than the deception-free optimum `baseline_cost` are
-    kept, since costlier ones cannot lure a cost-minimizing attacker off the
-    real path. Dedup is by config set.
+    starting with the folded pairs banned; only plans strictly cheaper than
+    the deception-free optimum `baseline_cost` (b) are kept, since costlier
+    ones cannot lure a cost-minimizing attacker off the real path. Dedup is
+    by config-number set. A plan's configs are pushed as bans in config id
+    order (configs are numbered by first use, not by id), so call numbers,
+    which break cost ties in the heap, follow ids. At most
+    `_POOL_CALL_FACTOR` * `pool_size` planner calls (at least 200) are made;
+    `capped` says whether that cap refused one before the pool filled.
+
+    Every branch plans on one state: the face costs, never changed, bans by
+    config number, and the arcs of the empty set's corridor (Lemma G of
+    `PlacementProblem`, limit (0+1)*b with `_TRIP_SLACK`).
+
+    Lemma H. Each call keeps the plan that a call over all the arcs with
+    the same bans keeps, and keeps none where that call keeps none. Let Q
+    be the full run's chain. If Q costs less than b at face value, every
+    privilege p on Q has head(p) + tail(p) <= cost(Q) < b, since Q pays each
+    config once (as in Lemma G), so Q lies in the corridor; its test carries
+    `_TRIP_SLACK`, far above the rounding between a chain's running sum and
+    its `fsum`. Lemma G's argument within one round (distances,
+    predecessors, pop order), which holds under any bans, then gives the
+    corridor run the same chain Q at the same cost. If Q costs at least b,
+    or the full run raises `Unreachable`, a chain the corridor run finds is
+    a chain of the full graph under the same bans, so it costs at least b;
+    else the corridor run raises `Unreachable`. Both are discarded, and
+    `planner_calls` counts either. The corridor leaves out the folded pairs'
+    arcs, which every branch bans anyway. So the heap receives the same
+    plans under the same call numbers, and the index is the full-arc one;
+    only the states expanded fall.
     """
     full = problem.graph
+    config_ids = full.indexed.configs
+    # every candidate open, every folded pair banned, over the empty set's corridor
+    state = problem._state((c for _, c, _ in problem._members.values()), 0)
+    flags = state.banned
+    owner = {c: a for a, (_, c, _) in problem._members.items()}
     records: list[PathRecord] = []
-    seen_cfg: set[frozenset[str]] = set()
-    # (cost, call number, ban set, plan): the call number breaks cost ties in push order
+    seen_cfg: set[frozenset[int]] = set()
+    # (cost, call number, branch bans, plan): the call number breaks cost ties in push order
     heap: list[tuple] = []
     calls = 0
+    capped = False
     call_cap = max(_POOL_CALL_FACTOR * pool_size, 200)
 
-    def push(banned: frozenset[str]) -> None:
-        nonlocal calls
+    def push(banned: frozenset[int]) -> None:
+        nonlocal calls, capped
         if calls >= call_cap:
+            capped = capped or len(records) < pool_size
             return
         calls += 1
+        # a plan never uses a banned config, so the branch's bans are all clear here
+        for c in banned:
+            flags[c] = 1
         try:
-            plan = optimal_plan(full, banned_configs=banned)
+            plan = plan_with_stats(full, costs=state)[0]
         except Unreachable:
             return
+        finally:
+            for c in banned:
+                flags[c] = 0
         if plan.cost < problem.baseline_cost:
             heapq.heappush(heap, (plan.cost, calls, banned, plan))
 
-    push(problem.fake_configs - {_fake_config(a) for a in problem.candidates})
+    push(frozenset())
     while heap and len(records) < pool_size:
         cost, _, banned, plan = heapq.heappop(heap)
-        cfgs = frozenset(plan.node_set & full.config_nodes)
+        cfgs = frozenset(c for step in plan.numbered_steps(state) for c in step)
         if cfgs in seen_cfg:
             continue
         seen_cfg.add(cfgs)
-        fakes = frozenset(full.provenance[c] for c in cfgs if full.fake_flag.get(c, False))
+        fakes = frozenset(owner[c] for c in cfgs if c in owner)
         if fakes:
             records.append(PathRecord(path_id=len(records), cost=cost, assignments=fakes))
-        for c in sorted(cfgs):
+        for c in sorted(cfgs, key=config_ids.__getitem__):
             push(banned | {c})
 
     by_assignment: dict[Assignment, list[int]] = {}
@@ -296,6 +341,8 @@ def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathInd
     return PathIndex(
         paths=tuple(records),
         by_assignment={a: tuple(ids) for a, ids in sorted(by_assignment.items())},
+        planner_calls=calls,
+        capped=capped,
     )
 
 
@@ -478,10 +525,12 @@ class PlacementProblem:
     privilege off the corridor is never pushed. `TestCorridor` compares
     every set of at most 3 candidates with its full-arc simulation.
 
-    `evaluate` plans over every arc, since its report counts the states
-    expanded (p2). `exhaustive_best` plans over every arc, simulates every
-    set it does not find memoized and memoizes no tails, so on a fresh
-    problem it stays an independent oracle.
+    `build_path_index` plans every branch on the empty set's corridor, with
+    limit b (Lemma H in its docstring). Only `evaluate` and `exhaustive_best`
+    plan over every arc: `evaluate` since its report counts the states
+    expanded (p2), and `exhaustive_best`, which simulates every set it does
+    not find memoized and memoizes no tails, so that on a fresh problem it
+    stays an independent oracle.
     """
 
     def __init__(self, network: NetworkModel):
@@ -506,7 +555,7 @@ class PlacementProblem:
         )
         self._members = dict(zip(self.candidates, self._by_index))
         self._memo: dict[int, tuple[float, float]] = {}
-        # set size -> Lemma G's corridor: per privilege, the arcs a search simulation scans
+        # set size -> Lemma G's corridor: per privilege, the arcs a search simulation (or, at 0, the path index) scans
         self._corridors: dict[int, tuple[_Arcs, ...]] = {}
         self._trippable: dict[int, tuple[Candidate, ...]] = {}
         self._indexes: dict[int, PathIndex] = {}

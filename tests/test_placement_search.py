@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import heapq
 import json
 import random
 from itertools import combinations
@@ -12,7 +13,7 @@ import pytest
 from decoygraph import placement_search
 from decoygraph.aggraph import apply_assignments, config_id
 from decoygraph.attacker import evaluate_placement, simulate_attack
-from decoygraph.errors import ConfigurationError
+from decoygraph.errors import ConfigurationError, Unreachable
 from decoygraph.fixtures import build_h1_counterexample, build_searchspace_k2
 from decoygraph.netmodel import (
     EXTERNAL,
@@ -30,6 +31,8 @@ from decoygraph.netmodel import (
 )
 from decoygraph.placement_search import (
     Candidate,
+    PathIndex,
+    PathRecord,
     PlacementProblem,
     SearchNode,
     _rank_by_paths,
@@ -44,6 +47,7 @@ from decoygraph.placement_search import (
     h2,
     order_candidates,
 )
+from decoygraph.planner import optimal_plan, plan_with_stats
 from helpers import cvss3_catalog, eight_candidate_net, small_network
 
 W1 = Assignment(host_id="h1", vuln_id="w1")
@@ -278,6 +282,121 @@ class TestPathPool:
         assert len(idx.paths) == 1
         assert idx.paths[0].cost == 9.0
         assert {a.host_id for a in idx.paths[0].assignments} == {"f1", "f2"}
+
+
+def _full_arc_path_index(problem: PlacementProblem, pool_size: int) -> PathIndex:
+    """`build_path_index` as it was before it planned inside the corridor: every
+    branch plans over all the graph's arcs with a ban set of config ids, and
+    reads its plan's configs and fakes by id."""
+    full = problem.graph
+    records: list[PathRecord] = []
+    seen: set[frozenset[str]] = set()
+    heap: list[tuple] = []
+    calls = 0
+    capped = False
+    call_cap = max(placement_search._POOL_CALL_FACTOR * pool_size, 200)
+
+    def push(banned: frozenset[str]) -> None:
+        nonlocal calls, capped
+        if calls >= call_cap:
+            capped = capped or len(records) < pool_size
+            return
+        calls += 1
+        try:
+            plan = optimal_plan(full, banned_configs=banned)
+        except Unreachable:
+            return
+        if plan.cost < problem.baseline_cost:
+            heapq.heappush(heap, (plan.cost, calls, banned, plan))
+
+    push(problem.fake_configs - {config_id(a.host_id, a.vuln_id) for a in problem.candidates})
+    while heap and len(records) < pool_size:
+        cost, _, banned, plan = heapq.heappop(heap)
+        cfgs = frozenset(plan.node_set & full.config_nodes)
+        if cfgs in seen:
+            continue
+        seen.add(cfgs)
+        fakes = frozenset(full.provenance[c] for c in cfgs if full.fake_flag.get(c, False))
+        if fakes:
+            records.append(PathRecord(path_id=len(records), cost=cost, assignments=fakes))
+        for c in sorted(cfgs):
+            push(banned | {c})
+    by_assignment: dict = {}
+    for rec in records:
+        for a in sorted(rec.assignments):
+            by_assignment.setdefault(a, []).append(rec.path_id)
+    return PathIndex(
+        paths=tuple(records),
+        by_assignment={a: tuple(ids) for a, ids in sorted(by_assignment.items())},
+        planner_calls=calls,
+        capped=capped,
+    )
+
+
+def _index_fields(index: PathIndex) -> tuple:
+    """Everything an index holds, costs as their bits and lookups in their order."""
+    return (
+        [(p.path_id, p.cost.hex(), sorted(p.assignments)) for p in index.paths],
+        list(index.by_assignment.items()),
+        index.planner_calls,
+        index.capped,
+    )
+
+
+class TestCorridorPathIndex:
+    """`build_path_index` plans inside the empty set's corridor (Lemma H); the
+    full-arc, id-keyed build above is its reference."""
+
+    NETWORKS = [(hosts, seed) for hosts in (8, 12, 16, 20, 30) for seed in range(3)] + [(60, 1), (200, 1)]
+
+    @pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
+    def test_equals_the_full_arc_index(self, catalog):
+        filled = paths = 0
+        for hosts, seed in self.NETWORKS:
+            net = generate_network(hosts, catalog or default_catalog(), seed=seed)
+            for pool_size in (1, 5, 100):
+                index = build_path_index(PlacementProblem(net), pool_size)
+                reference = _full_arc_path_index(PlacementProblem(net), pool_size)
+                assert _index_fields(index) == _index_fields(reference), (hosts, seed, pool_size)
+                assert not index.capped
+                filled += len(index.paths) == pool_size
+                paths += len(index.paths)
+        # the pools fill at every size somewhere, so the cut at pool_size is exercised
+        assert filled >= 3 and paths >= 100, (filled, paths)
+
+    def test_every_call_plans_inside_the_corridor(self, monkeypatch):
+        net = generate_network(30, default_catalog(), seed=1)
+        problem = PlacementProblem(net)
+        arcs = []
+
+        def recording_plan(graph, costs=None, banned_configs=()):
+            arcs.append(costs.arcs)
+            return plan_with_stats(graph, costs, banned_configs)
+
+        monkeypatch.setattr(placement_search, "plan_with_stats", recording_plan)
+        index = build_path_index(problem, 100)
+        corridor = problem._corridor(0)
+        assert len(arcs) == index.planner_calls > 100
+        assert all(a is corridor for a in arcs)
+        assert sum(map(len, corridor)) < sum(map(len, problem.graph.indexed.arcs)) / 2
+
+    def test_a_capped_build_equals_the_full_arc_one(self, monkeypatch):
+        # 10h/2's CVSS v3 pool fills at 100 paths uncapped; one call per unit of
+        # pool size leaves the floor of 200 calls, which cuts it short
+        net = generate_network(10, cvss3_catalog(), seed=2)
+        uncapped = build_path_index(PlacementProblem(net), 100)
+        # a pool of 67 fills at call 200, and its last path's branches take 2 calls more
+        filled = build_path_index(PlacementProblem(net), 67)
+        assert (len(uncapped.paths), filled.planner_calls) == (100, 202)
+        monkeypatch.setattr(placement_search, "_POOL_CALL_FACTOR", 1)
+        index = build_path_index(PlacementProblem(net), 100)
+        assert _index_fields(index) == _index_fields(_full_arc_path_index(PlacementProblem(net), 100))
+        assert index.capped and index.planner_calls == 200 and len(index.paths) < 100
+        # calls refused after the pool filled cut nothing short
+        late = build_path_index(PlacementProblem(net), 67)
+        assert _index_fields(late) == _index_fields(_full_arc_path_index(PlacementProblem(net), 67))
+        assert (late.paths, late.by_assignment) == (filled.paths, filled.by_assignment)
+        assert not late.capped and late.planner_calls == 200
 
 
 class TestRanking:
