@@ -543,9 +543,8 @@ def validate_graph(graph: AttackGraph) -> list[str]:
 
 def load_graph(path: str | Path) -> AttackGraph:
     """Read a graph file; ValidationError, naming every violation, if it is malformed."""
-    data = json.loads(Path(path).read_text())
     with malformed(path, "graph"):
-        graph = AttackGraph.from_dict(data)
+        graph = AttackGraph.from_dict(json.loads(Path(path).read_text()))
     violations = validate_graph(graph)
     if violations:
         raise ValidationError(f"{path}: invalid attack graph: " + "; ".join(violations))

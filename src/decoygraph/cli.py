@@ -27,11 +27,13 @@ from .netmodel import (
     Assignment,
     Catalog,
     NetworkModel,
-    VulnerabilityRecord,
     default_catalog,
     generate_network,
     load_catalog,
+    load_network,
     malformed,
+    network_bundle,
+    network_to_json,
 )
 from .placement_random import draw_budget_placement, draw_placement
 from .placement_search import PlacementProblem, SearchResult, astar, dfbnb, exhaustive_best
@@ -66,7 +68,7 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ValidationError, ConfigurationError, OSError, json.JSONDecodeError) as exc:
+        except (ValidationError, ConfigurationError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(2)
         except Unreachable as exc:
@@ -94,37 +96,15 @@ def _catalog_from_option(catalog_path: str | None) -> Catalog:
 
 
 def _load_network_file(path: str, catalog_path: str | None) -> NetworkModel:
-    """Read a network JSON, either bare or bundled with its catalog."""
-    data = json.loads(Path(path).read_text())
-    if isinstance(data, dict) and "network" in data:
-        if catalog_path:
-            catalog = load_catalog(catalog_path)
-        else:
-            with malformed(path, "network"):
-                catalog = {
-                    rec["vuln_id"]: VulnerabilityRecord.from_dict(rec) for rec in data.get("catalog", [])
-                }
-            if not catalog:
-                catalog = default_catalog()
-        data = data["network"]
-    else:
-        catalog = _catalog_from_option(catalog_path)
-    with malformed(path, "network"):
-        return NetworkModel.from_dict(data, catalog)
-
-
-def _network_bundle(network: NetworkModel) -> dict:
-    return {
-        "catalog": [network.catalog[k].to_dict() for k in sorted(network.catalog)],
-        "network": network.to_dict(),
-    }
+    """Read a network file, bare or bundled; `--catalog`, when given, replaces a bundle's catalog."""
+    return load_network(path, load_catalog(catalog_path) if catalog_path else None)
 
 
 def _load_assignments(path: str) -> tuple[Assignment, ...]:
-    data = json.loads(Path(path).read_text())
-    if isinstance(data, dict):
-        data = data.get("assignments", [])
     with malformed(path, "assignments"):
+        data = json.loads(Path(path).read_text())
+        if isinstance(data, dict):
+            data = data.get("assignments", [])
         return tuple(sorted(Assignment.from_dict(item) for item in data))
 
 
@@ -175,7 +155,7 @@ def generate(hosts: int, seed: int, dead_hosts: int, catalog_path: str | None, o
     """Generate a synthetic layered network with its catalog."""
     catalog = _catalog_from_option(catalog_path)
     network = generate_network(hosts, catalog, seed, dead_hosts=dead_hosts)
-    _emit(_dumps(_network_bundle(network)), out)
+    _emit(network_to_json(network), out)
 
 
 @main.command("build-graph")
@@ -423,13 +403,18 @@ def _spec(value, kind: type, name: str):
 
 
 def _network_spec(value) -> dict:
-    """A sweep spec network entry: a path or hosts, and string path and id where given."""
+    """A sweep spec network entry: a path or hosts, string path and id, and a
+    generated network's integer hosts, seed and dead_hosts, where given."""
     net_spec = _spec(value, dict, "network")
     if "path" not in net_spec and "hosts" not in net_spec:
         raise ConfigurationError(f"network spec {net_spec!r} needs a path or hosts")
     for name in ("path", "id"):
         if name in net_spec:
             _spec(net_spec[name], str, f"network {name}")
+    if "path" not in net_spec:
+        for name in ("hosts", "seed", "dead_hosts"):
+            if name in net_spec:
+                _spec(net_spec[name], int, name)
     return net_spec
 
 
@@ -540,11 +525,9 @@ def _summarize(rows: list[dict]) -> dict:
     for key in sorted(cells, key=lambda k: (str(k[0]), str(k[1]), str(k[2]))):
         cell = cells[key]
         ok = cell.pop("_ok")
-        for field in ("p1", "p3", "p4", "p2_states", "n_assignments"):
+        for field in ("p1", "p3", "p4", "p2_states", "n_assignments", "expanded_nodes"):
             values = [float(r[field]) for r in ok if r[field] != ""]
             cell[f"mean_{field}"] = math.fsum(values) / len(values) if values else None
-        expanded = [float(r["expanded_nodes"]) for r in ok if r["expanded_nodes"] != ""]
-        cell["mean_expanded_nodes"] = math.fsum(expanded) / len(expanded) if expanded else None
         out.append(cell)
     return {"cells": out}
 
@@ -565,18 +548,23 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
     it: the searches run on it, and every row is evaluated on it. A network
     whose problem cannot be built gives an error row per cell.
     """
-    spec = _spec(json.loads(Path(spec_path).read_text()), dict, "file")
-    catalog_path = spec.get("catalog")
-    if catalog_path is not None:
-        _spec(catalog_path, str, "catalog")
-    networks = [_network_spec(net_spec) for net_spec in _spec(spec.get("networks", []), list, "networks")]
-    budgets = [_spec(budget, int, "budget") for budget in _spec(spec.get("budgets", [1]), list, "budgets")]
-    approaches = [
-        _spec(approach, dict, "approach")
-        for approach in _spec(spec.get("approaches", [{"name": "random"}]), list, "approaches")
-    ]
-    trials = _spec(spec.get("trials", 1), int, "trials")
-    base_seed = _spec(spec.get("base_seed", 0), int, "base_seed")
+    with malformed(spec_path, "sweep spec"):
+        spec = json.loads(Path(spec_path).read_text())
+    try:
+        spec = _spec(spec, dict, "file")
+        catalog_path = spec.get("catalog")
+        if catalog_path is not None:
+            _spec(catalog_path, str, "catalog")
+        networks = [_network_spec(net_spec) for net_spec in _spec(spec.get("networks", []), list, "networks")]
+        budgets = [_spec(budget, int, "budget") for budget in _spec(spec.get("budgets", [1]), list, "budgets")]
+        approaches = [
+            _spec(approach, dict, "approach")
+            for approach in _spec(spec.get("approaches", [{"name": "random"}]), list, "approaches")
+        ]
+        trials = _spec(spec.get("trials", 1), int, "trials")
+        base_seed = _spec(spec.get("base_seed", 0), int, "base_seed")
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{exc} (in {spec_path})") from None
     rows: list[dict] = []
     for net_spec in networks:
         if "path" in net_spec:
@@ -585,10 +573,7 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
         else:
             catalog = _catalog_from_option(catalog_path)
             network = generate_network(
-                _spec(net_spec["hosts"], int, "hosts"),
-                catalog,
-                _spec(net_spec.get("seed", 0), int, "seed"),
-                dead_hosts=_spec(net_spec.get("dead_hosts", 0), int, "dead_hosts"),
+                net_spec["hosts"], catalog, net_spec.get("seed", 0), dead_hosts=net_spec.get("dead_hosts", 0)
             )
             network_id = net_spec.get("id", f"gen-{net_spec['hosts']}-{net_spec.get('seed', 0)}")
         problem = _problem_once(network)
@@ -612,7 +597,7 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
 def export_fixture(name: str, out: str | None) -> None:
     """Write a built-in example network (with catalog and expected values)."""
     network = FIXTURES[name]()
-    bundle = _network_bundle(network)
+    bundle = network_bundle(network)
     bundle["expected"] = EXPECTED[name]
     _emit(_dumps(bundle), out)
 

@@ -215,7 +215,7 @@ class NetworkModel:
     def sorted_hosts(self) -> list[Host]:
         return [self.hosts[h] for h in sorted(self.hosts)]
 
-    # -- serialization (catalog travels in its own file) --------------------
+    # -- serialization (the catalog travels beside it: network_bundle) ------
 
     def to_dict(self) -> dict:
         return {
@@ -452,26 +452,23 @@ def load_catalog(path: str | Path) -> Catalog:
     (affected_os entries separated by semicolons).
     """
     path = Path(path)
-    text = path.read_text()
-    if path.suffix.lower() == ".csv":
-        records = []
-        # a short row reads "" for its missing fields, which the checks below reject
-        with malformed(path, "catalog"):
-            for row in csv.DictReader(io.StringIO(text), restval=""):
-                records.append(
-                    VulnerabilityRecord(
-                        vuln_id=row["vuln_id"].strip(),
-                        cvss_version=CvssVersion(row["cvss_version"].strip()),
-                        exploitability_subscore=float(row["exploitability_subscore"]),
-                        affected_os=frozenset(
-                            os_name.strip() for os_name in row["affected_os"].split(";") if os_name.strip()
-                        ),
-                    )
+    with malformed(path, "catalog"):
+        text = path.read_text()
+        if path.suffix.lower() == ".csv":
+            # a short row reads "" for its missing fields, which the checks below reject
+            records = [
+                VulnerabilityRecord(
+                    vuln_id=row["vuln_id"].strip(),
+                    cvss_version=CvssVersion(row["cvss_version"].strip()),
+                    exploitability_subscore=float(row["exploitability_subscore"]),
+                    affected_os=frozenset(
+                        os_name.strip() for os_name in row["affected_os"].split(";") if os_name.strip()
+                    ),
                 )
-    else:
-        entries = json.loads(text)
-        with malformed(path, "catalog"):
-            records = [VulnerabilityRecord.from_dict(entry) for entry in entries]
+                for row in csv.DictReader(io.StringIO(text), restval="")
+            ]
+        else:
+            records = [VulnerabilityRecord.from_dict(entry) for entry in json.loads(text)]
     catalog: Catalog = {}
     for record in records:
         if record.vuln_id in catalog:
@@ -502,13 +499,32 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
     path.write_text(catalog_to_json(catalog))
 
 
+def network_bundle(network: NetworkModel) -> dict:
+    """The network with its catalog: {"catalog": records by id, "network": the network}."""
+    return {
+        "catalog": [network.catalog[k].to_dict() for k in sorted(network.catalog)],
+        "network": network.to_dict(),
+    }
+
+
 def network_to_json(network: NetworkModel) -> str:
-    return json.dumps(network.to_dict(), indent=2) + "\n"
+    return json.dumps(network_bundle(network), indent=2, sort_keys=True) + "\n"
 
 
-def load_network(path: str | Path, catalog: Catalog) -> NetworkModel:
-    return NetworkModel.from_dict(json.loads(Path(path).read_text()), catalog)
+def load_network(path: str | Path, catalog: Catalog | None = None) -> NetworkModel:
+    """Read a network file, a bundle as `save_network` writes it or a bare network.
+
+    A given `catalog` replaces a bundle's; with neither (or an empty one), `default_catalog()`.
+    """
+    with malformed(path, "network"):
+        data = json.loads(Path(path).read_text())
+        bundled = isinstance(data, dict) and "network" in data
+        if catalog is None:
+            records = data.get("catalog", []) if bundled else []
+            catalog = {rec["vuln_id"]: VulnerabilityRecord.from_dict(rec) for rec in records} or default_catalog()
+        return NetworkModel.from_dict(data["network"] if bundled else data, catalog)
 
 
 def save_network(network: NetworkModel, path: str | Path) -> None:
+    """Write the network bundled with its catalog, as `decoygraph generate` does."""
     Path(path).write_text(network_to_json(network))

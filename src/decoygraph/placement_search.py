@@ -19,11 +19,12 @@ The engines walk the tree on integers. Candidate i is the problem's
 `candidates[i]`, and a set is the bitmask of its candidates' bits 1 << i, the
 key of the problem's value memo. A node is a plain tuple: its f, the chosen
 mask and count, the open candidate indices in branching order, and its
-utility. Every value request passes a mask from the tree through
-`_SearchContext.evaluate` to `PlacementProblem._value`. `SearchNode`,
-`expand`, `h1`, `h2` and `order_candidates` build the same tree from
-assignments; they are its reference form, which the tests walk beside the
-engines' tree and on which they check that h2 is a sound bound.
+utility. The root is ordered on indices too, by the engines' own shortest-path
+ranker `_path_ranker` under that ordering. Every value request passes a mask
+through `_SearchContext.evaluate` to `PlacementProblem._value`. `SearchNode`,
+`expand`, `h1`, `h2`, `order_candidates` and its `_rank_by_paths` build the
+same tree from assignments; they are its reference form, which the tests
+walk beside the engines' tree and on which they check that h2 is sound.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ class PathIndex:
     """Pool of cheap fake-using paths with a lookup by assignment.
 
     `planner_calls` counts the planner calls its build made, and `capped`
-    says whether the build's call cap refused a call before the pool filled,
-    so that the pool may lack paths an uncapped build would hold.
+    says whether the build's call cap refused a call, so that the pool may
+    lack paths an uncapped build would hold.
     """
 
     paths: tuple[PathRecord, ...]
@@ -195,30 +196,17 @@ def order_candidates(
     complete a cheap fake-using path first (needs the index). random: seeded
     shuffle, meant to be applied once at the root.
     """
-    return _order(node.remaining, frozenset(node.chosen), node.budget, mode, index, seed)
-
-
-def _order(
-    remaining: tuple[Candidate, ...],
-    chosen: frozenset[Assignment],
-    budget: int,
-    mode: str,
-    index: PathIndex | None,
-    seed: int | None,
-) -> tuple[Candidate, ...]:
-    """`order_candidates` on a node's fields."""
     mode = mode.replace("-", "_")
     if mode == "utility":
-        return tuple(sorted(remaining, key=lambda c: (-c.singleton_utility, c.assignment)))
+        return tuple(sorted(node.remaining, key=lambda c: (-c.singleton_utility, c.assignment)))
     if mode == "random":
-        rng = random.Random(seed)
-        items = list(remaining)
-        rng.shuffle(items)
+        items = list(node.remaining)
+        random.Random(seed).shuffle(items)
         return tuple(items)
     if mode == "shortest_path":
         if index is None:
             raise ConfigurationError("shortest-path ordering requires a path index")
-        return _rank_by_paths(index, remaining, chosen, budget)
+        return _rank_by_paths(index, node.remaining, frozenset(node.chosen), node.budget)
     raise ConfigurationError(f"unknown ordering {mode!r}; expected one of {ORDERINGS}")
 
 
@@ -263,9 +251,10 @@ def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathInd
     ones cannot lure a cost-minimizing attacker off the real path. Dedup is
     by config-number set. A plan's configs are pushed as bans in config id
     order (configs are numbered by first use, not by id), so call numbers,
-    which break cost ties in the heap, follow ids. At most
+    which break cost ties in the heap, follow ids. The build stops at the
+    record that fills the pool, before planning its plan's branches. At most
     `_POOL_CALL_FACTOR` * `pool_size` planner calls (at least 200) are made;
-    `capped` says whether that cap refused one before the pool filled.
+    `capped` says whether that cap refused one.
 
     Every branch plans on one state: the face costs, never changed, bans by
     config number, and the arcs of the empty set's corridor (Lemma G of
@@ -305,7 +294,7 @@ def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathInd
     def push(banned: frozenset[int]) -> None:
         nonlocal calls, capped
         if calls >= call_cap:
-            capped = capped or len(records) < pool_size
+            capped = True
             return
         calls += 1
         # a plan never uses a banned config, so the branch's bans are all clear here
@@ -331,6 +320,8 @@ def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathInd
         fakes = frozenset(owner[c] for c in cfgs if c in owner)
         if fakes:
             records.append(PathRecord(path_id=len(records), cost=cost, assignments=fakes))
+            if len(records) == pool_size:
+                break  # the pool is full: none of this plan's branches would be popped
         for c in sorted(cfgs, key=config_ids.__getitem__):
             push(banned | {c})
 
@@ -834,17 +825,23 @@ class _SearchContext:
 
     def root_over(self, candidates: tuple[Candidate, ...]) -> _Node:
         """The root of the tree over `candidates`, some of the problem's in their order, ordered for branching."""
-        number = {a: i for i, a in enumerate(self.problem.candidates)}
-        self.singletons = [0.0] * len(number)
+        problem = self.problem
+        singletons = self.singletons = [0.0] * len(problem.candidates)
+        open_ = []
         for c in candidates:
-            self.singletons[number[c.assignment]] = c.singleton_utility
-        index = None
+            i = problem._members[c.assignment][0].bit_length() - 1
+            singletons[i] = c.singleton_utility
+            open_.append(i)
         if self.ordering == "shortest_path":
-            index = self.problem.path_index(self.pool_size)
-            self.reorder = _path_ranker(index, number, self.singletons, self.budget)
+            self.reorder = _path_ranker(problem.path_index(self.pool_size), problem, singletons, self.budget)
         root_value = self.evaluate(0)
-        ordered = _order(candidates, frozenset(), self.budget, self.ordering, index, self.seed)
-        return self._node(0, 0, tuple(number[c.assignment] for c in ordered), root_value)
+        if self.ordering == "utility":
+            open_.sort(key=lambda i: (-singletons[i], i))  # index order is the candidates' sorted order
+        elif self.ordering == "random":
+            random.Random(self.seed).shuffle(open_)
+        else:
+            open_ = self.reorder(tuple(open_), 0)
+        return self._node(0, 0, tuple(open_), root_value)
 
     def _node(self, mask: int, count: int, open_: tuple[int, ...], utility: float) -> _Node:
         """The node that chose the `count` candidates of `mask`, worth `utility`, with f as h1 or h2 gives it."""
@@ -887,15 +884,15 @@ class _SearchContext:
 
 
 def _path_ranker(
-    index: PathIndex, number: dict[Assignment, int], singletons: list[float], budget: int
+    index: PathIndex, problem: PlacementProblem, singletons: list[float], budget: int
 ) -> Callable[[tuple[int, ...], int], tuple[int, ...]]:
     """`_rank_by_paths` on candidate indices: ranks open indices against a chosen mask by the same keys.
 
-    It closes over its arguments, not a search context: a closure reaching
+    It closes over neither the problem nor a search context: a closure reaching
     the context would keep it (and its problem) alive until a cyclic collection.
     """
-    masks = [sum(1 << number[a] for a in path.assignments) for path in index.paths]
-    paths_of = {number[a]: ids for a, ids in index.by_assignment.items()}
+    masks = [problem._mask(path.assignments) for path in index.paths]
+    paths_of = {problem._members[a][0].bit_length() - 1: ids for a, ids in index.by_assignment.items()}
 
     def rank(open_: tuple[int, ...], chosen: int) -> tuple[int, ...]:
         slots = budget - chosen.bit_count()

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from decoygraph import cli
-from decoygraph.cli import _network_bundle, main
+from decoygraph.cli import main
 from decoygraph.netmodel import (
     EXTERNAL,
     CvssVersion,
@@ -20,6 +20,7 @@ from decoygraph.netmodel import (
     VulnerabilityRecord,
     default_catalog,
     generate_network,
+    save_network,
 )
 from decoygraph.placement_search import PlacementProblem, build_path_index
 
@@ -297,11 +298,38 @@ def _write_cut_network(tmp_path):
         catalog={"rv": rv},
     )
     path = tmp_path / "cut.json"
-    path.write_text(json.dumps(_network_bundle(net)))
+    save_network(net, path)
     return path
 
 
+# option -> (command line, with {bad} the fed file and {net} a good network, and structurally malformed content)
+_FILE_OPTIONS = {
+    "network-bare": (["build-graph", "--network", "{bad}"], {"hosts": [{"host_id": "h"}]}),
+    "network-bundle": (["build-graph", "--network", "{bad}"], {"catalog": [], "network": {"hosts": []}}),
+    "catalog": (["build-graph", "--network", "{net}", "--catalog", "{bad}"], [{"vuln_id": "x"}]),
+    "assignments": (["evaluate", "--network", "{net}", "--assignments", "{bad}"], [5]),
+    "graph": (["plan", "--graph", "{bad}"], {"nodes": []}),
+    "spec": (["sweep", "--spec", "{bad}", "--out", "{out}"], {"budgets": 2}),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("content", ["not-json", "not-utf8", "malformed"])
+    @pytest.mark.parametrize("option", sorted(_FILE_OPTIONS))
+    def test_a_bad_file_exits_2_and_names_it(self, tmp_path, runner, chain_bundle, option, content):
+        command, structure = _FILE_OPTIONS[option]
+        bad = tmp_path / "bad.json"
+        if content == "not-json":
+            bad.write_text("{not json")
+        elif content == "not-utf8":
+            bad.write_bytes(b"\xff\xfe")
+        else:
+            bad.write_text(json.dumps(structure))
+        paths = {"bad": bad, "net": chain_bundle, "out": tmp_path / "rows.csv"}
+        res = runner.invoke(main, [arg.format(**paths) for arg in command])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and str(bad) in res.output, res.output
+
     def test_malformed_json(self, tmp_path, runner):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -716,8 +744,9 @@ class TestSweep:
             ({"hosts": 4, "seed": 2, "id": ["a"]}, "sweep spec network id must be a string, got ['a']"),
             ({"path": 3}, "sweep spec network path must be a string, got 3"),
             ({"seed": 2}, "network spec {'seed': 2} needs a path or hosts"),
+            ({"hosts": "4"}, "sweep spec hosts must be an integer, got '4'"),
         ],
-        ids=["id-list", "path-int", "no-path-or-hosts"],
+        ids=["id-list", "path-int", "no-path-or-hosts", "hosts-string"],
     )
     def test_malformed_network_spec_fails_before_any_row(self, tmp_path, runner, monkeypatch, network, message):
         cells = []

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
+from decoygraph.cli import main
 from decoygraph.errors import ConfigurationError, ValidationError
 from decoygraph.netmodel import (
     EXTERNAL,
@@ -259,6 +262,44 @@ class TestFiles:
         save_network(net, path)
         again = load_network(path, catalog)
         assert again.to_dict() == net.to_dict()
+
+    @pytest.fixture
+    def generated(self, tmp_path):
+        """The file `decoygraph generate --hosts 8 --seed 11` writes."""
+        path = tmp_path / "gen.json"
+        res = CliRunner().invoke(main, ["generate", "--hosts", "8", "--seed", "11", "--out", str(path)])
+        assert res.exit_code == 0, res.output
+        return path
+
+    def test_load_network_reads_what_generate_writes(self, catalog, generated):
+        assert load_network(generated) == generate_network(8, catalog, seed=11)
+
+    def test_save_network_writes_what_generate_writes(self, catalog, generated, tmp_path):
+        path = tmp_path / "saved.json"
+        save_network(generate_network(8, catalog, seed=11), path)
+        assert path.read_bytes() == generated.read_bytes()
+
+    def test_bare_network_file(self, catalog, tmp_path):
+        net = generate_network(8, catalog, seed=11)
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(net.to_dict()))
+        assert load_network(path) == net
+        wider = {**catalog, "v-extra": _rec("v-extra")}
+        assert load_network(path, wider).catalog == wider
+
+    def test_given_catalog_replaces_the_bundled_one(self, catalog, generated):
+        wider = {**catalog, "v-extra": _rec("v-extra")}
+        loaded = load_network(generated, wider)
+        assert loaded.catalog == wider and loaded.to_dict() == load_network(generated).to_dict()
+
+    @pytest.mark.parametrize(
+        "content", [b"{not json", b"\xff\xfe", b'{"network": {"hosts": 5}}'], ids=["not-json", "not-utf8", "malformed"]
+    )
+    def test_malformed_network_file_is_named(self, tmp_path, content):
+        path = tmp_path / "net.json"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: malformed network file"):
+            load_network(path)
 
     def test_outputs_end_with_newline(self, catalog, tmp_path):
         path = tmp_path / "cat.json"

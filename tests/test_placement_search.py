@@ -35,6 +35,7 @@ from decoygraph.placement_search import (
     PathRecord,
     PlacementProblem,
     SearchNode,
+    _path_ranker,
     _rank_by_paths,
     _SearchContext,
     astar,
@@ -287,7 +288,7 @@ class TestPathPool:
 def _full_arc_path_index(problem: PlacementProblem, pool_size: int) -> PathIndex:
     """`build_path_index` as it was before it planned inside the corridor: every
     branch plans over all the graph's arcs with a ban set of config ids, and
-    reads its plan's configs and fakes by id."""
+    reads its plan's configs and fakes by id. It stops at the record that fills the pool."""
     full = problem.graph
     records: list[PathRecord] = []
     seen: set[frozenset[str]] = set()
@@ -299,7 +300,7 @@ def _full_arc_path_index(problem: PlacementProblem, pool_size: int) -> PathIndex
     def push(banned: frozenset[str]) -> None:
         nonlocal calls, capped
         if calls >= call_cap:
-            capped = capped or len(records) < pool_size
+            capped = True
             return
         calls += 1
         try:
@@ -319,6 +320,8 @@ def _full_arc_path_index(problem: PlacementProblem, pool_size: int) -> PathIndex
         fakes = frozenset(full.provenance[c] for c in cfgs if full.fake_flag.get(c, False))
         if fakes:
             records.append(PathRecord(path_id=len(records), cost=cost, assignments=fakes))
+            if len(records) == pool_size:
+                break
         for c in sorted(cfgs):
             push(banned | {c})
     by_assignment: dict = {}
@@ -385,37 +388,58 @@ class TestCorridorPathIndex:
         # pool size leaves the floor of 200 calls, which cuts it short
         net = generate_network(10, cvss3_catalog(), seed=2)
         uncapped = build_path_index(PlacementProblem(net), 100)
-        # a pool of 67 fills at call 200, and its last path's branches take 2 calls more
+        # a pool of 67 fills at call 199, and the build stops there, planning no branch of its last path
         filled = build_path_index(PlacementProblem(net), 67)
-        assert (len(uncapped.paths), filled.planner_calls) == (100, 202)
+        assert (len(uncapped.paths), filled.planner_calls) == (100, 199)
         monkeypatch.setattr(placement_search, "_POOL_CALL_FACTOR", 1)
         index = build_path_index(PlacementProblem(net), 100)
         assert _index_fields(index) == _index_fields(_full_arc_path_index(PlacementProblem(net), 100))
         assert index.capped and index.planner_calls == 200 and len(index.paths) < 100
-        # calls refused after the pool filled cut nothing short
+        # a pool that fills under the cap is not cut short
         late = build_path_index(PlacementProblem(net), 67)
         assert _index_fields(late) == _index_fields(_full_arc_path_index(PlacementProblem(net), 67))
         assert (late.paths, late.by_assignment) == (filled.paths, filled.by_assignment)
-        assert not late.capped and late.planner_calls == 200
+        assert not late.capped and late.planner_calls == 199
 
 
+def _rank_as_reference(problem, index, remaining, chosen, budget):
+    return [c.assignment for c in _rank_by_paths(index, remaining, chosen, budget)]
+
+
+def _rank_as_engines(problem, index, remaining, chosen, budget):
+    """`_path_ranker` on the candidates' indices in `problem`, mapped back to assignments."""
+    position = {a: i for i, a in enumerate(problem.candidates)}
+    singletons = [0.0] * len(position)
+    for c in remaining:
+        singletons[position[c.assignment]] = c.singleton_utility
+    ranked = _path_ranker(index, problem, singletons, budget)(
+        tuple(position[c.assignment] for c in remaining), problem._mask(chosen)
+    )
+    return [problem.candidates[i] for i in ranked]
+
+
+@pytest.mark.parametrize("rank", [_rank_as_reference, _rank_as_engines], ids=["reference", "engines"])
 class TestRanking:
-    def test_singleton_paths_rank_first_at_the_root(self, chain_net, chain_candidates):
-        idx = build_path_index(PlacementProblem(chain_net))
-        ranked = _rank_by_paths(idx, chain_candidates, frozenset(), 2)
+    """The reference ranker and the engines' ranker on the same hand-derived orders."""
+
+    def test_singleton_paths_rank_first_at_the_root(self, chain_net, chain_candidates, rank):
+        problem = PlacementProblem(chain_net)
+        ranked = rank(problem, build_path_index(problem), chain_candidates, frozenset(), 2)
         # each lure closes a one-assignment path; ties break on cost then id
-        assert [c.assignment for c in ranked] == [W3, W2, W1]
+        assert ranked == [W3, W2, W1]
 
-    def test_partial_choice_prefers_path_completion(self, chain_net, chain_candidates):
-        idx = build_path_index(PlacementProblem(chain_net))
-        ranked = _rank_by_paths(idx, chain_candidates[1:], frozenset({W1}), 2)
-        assert [c.assignment for c in ranked] == [W3, W2]
+    def test_partial_choice_prefers_path_completion(self, chain_net, chain_candidates, rank):
+        problem = PlacementProblem(chain_net)
+        ranked = rank(problem, build_path_index(problem), chain_candidates[1:], frozenset({W1}), 2)
+        assert ranked == [W3, W2]
 
-    def test_off_pool_candidates_fall_back_to_utility(self, chain_net, chain_candidates):
-        idx = build_path_index(PlacementProblem(chain_net), pool_size=1)
+    def test_off_pool_candidates_fall_back_to_utility(self, chain_net, chain_candidates, rank):
+        problem = PlacementProblem(chain_net)
         # only the all-three path survives; no candidate fits one open slot
-        ranked = _rank_by_paths(idx, chain_candidates[1:], frozenset({W1}), 2)
-        assert [c.assignment for c in ranked] == [W2, W3]
+        index = build_path_index(problem, pool_size=1)
+        assert rank(problem, index, chain_candidates[1:], frozenset({W1}), 2) == [W2, W3]
+        bumped = (chain_candidates[1], dataclasses.replace(chain_candidates[2], singleton_utility=9.0))
+        assert rank(problem, index, bumped, frozenset({W1}), 2) == [W3, W2]
 
 
 class TestExpand:
