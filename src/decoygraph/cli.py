@@ -455,13 +455,18 @@ def _sweep_cell(
     network_id: str,
     network: NetworkModel,
     problem: Callable[[], PlacementProblem],
+    evaluated: dict[frozenset, dict],
     approach: dict,
     budget: int,
     trial: int,
     seed: int,
     timings: bool,
 ) -> dict:
-    """One sweep row; `problem()` returns the network's shared PlacementProblem."""
+    """One sweep row; `problem()` returns the network's shared PlacementProblem.
+
+    `evaluated` holds the network's report columns by placement: a placement
+    is evaluated once, and later rows with it copy its columns.
+    """
     name = approach.get("name", "")
     row = {
         **dict.fromkeys(_CSV_COLUMNS, ""),
@@ -488,10 +493,14 @@ def _sweep_cell(
             assignments = result.best_assignments
         else:
             raise ConfigurationError(f"unknown approach {name!r}")
-        report = problem().evaluate(assignments, seed=seed)
-        row.update(_report_columns(report, timings))
+        placement = frozenset(assignments)  # evaluate reads the distinct assignments, in any order
+        columns = evaluated.get(placement)
+        if columns is None:
+            report = problem().evaluate(placement, seed=seed)
+            columns = evaluated[placement] = _report_columns(report, timings)
+        row.update(columns)
         if budget:
-            row["p4_budget"] = (report.p1 - 1) / budget
+            row["p4_budget"] = (columns["p1"] - 1) / budget
         if result is not None:
             row["expanded_nodes"] = result.expanded_nodes
             row["budget_used"] = result.budget_used
@@ -547,6 +556,11 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
     network shares one PlacementProblem, built once, when the first one needs
     it: the searches run on it, and every row is evaluated on it. A network
     whose problem cannot be built gives an error row per cell.
+
+    A search whose ordering is not random reads no seed, so its row is
+    computed at the first trial, and later trials copy it with their own seed
+    and trial. Each distinct placement is evaluated once per network; rows
+    that share it share its report columns, p2_ms included under --timings.
     """
     with malformed(spec_path, "sweep spec"):
         spec = json.loads(Path(spec_path).read_text())
@@ -576,14 +590,20 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
                 net_spec["hosts"], catalog, net_spec.get("seed", 0), dead_hosts=net_spec.get("dead_hosts", 0)
             )
             network_id = net_spec.get("id", f"gen-{net_spec['hosts']}-{net_spec.get('seed', 0)}")
-        problem = _problem_once(network)
+        problem, evaluated = _problem_once(network), {}
         for approach in approaches:
+            # only the random ordering reads a search's seed
+            seed_free = approach.get("name") == "search" and approach.get("ordering") != "random"
             for budget in budgets:
                 for trial in range(trials):
                     seed = base_seed + trial
-                    rows.append(
-                        _sweep_cell(network_id, network, problem, approach, budget, trial, seed, timings)
-                    )
+                    if trial and seed_free:
+                        row = {**rows[-1], "seed": seed, "trial": trial}  # the previous trial's row
+                    else:
+                        row = _sweep_cell(
+                            network_id, network, problem, evaluated, approach, budget, trial, seed, timings
+                        )
+                    rows.append(row)
     Path(out).write_text(_rows_to_csv(rows))
     summary_file = summary_path or str(Path(out).with_suffix(".summary.json"))
     Path(summary_file).write_text(_dumps(_summarize(rows)))

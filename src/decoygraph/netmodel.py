@@ -431,11 +431,14 @@ def generate_network(
 
 @contextmanager
 def malformed(path: str | Path, what: str) -> Iterator[None]:
-    """Turn a KeyError, TypeError or ValueError from reading `path` into a ValidationError naming it."""
+    """Turn a KeyError, TypeError or ValueError from reading `path` into a ValidationError naming it;
+    a ValidationError from the checks of what the file holds is prefixed with the path."""
     try:
         yield
-    except (ValidationError, ConfigurationError):
+    except ConfigurationError:
         raise
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed {what} file ({type(exc).__name__}: {exc})") from None
 
@@ -469,6 +472,11 @@ def load_catalog(path: str | Path) -> Catalog:
             ]
         else:
             records = [VulnerabilityRecord.from_dict(entry) for entry in json.loads(text)]
+        return _catalog_of(records)
+
+
+def _catalog_of(records: Iterable[VulnerabilityRecord]) -> Catalog:
+    """The records by id; ValidationError on an id given twice."""
     catalog: Catalog = {}
     for record in records:
         if record.vuln_id in catalog:
@@ -521,7 +529,7 @@ def load_network(path: str | Path, catalog: Catalog | None = None) -> NetworkMod
         bundled = isinstance(data, dict) and "network" in data
         if catalog is None:
             records = data.get("catalog", []) if bundled else []
-            catalog = {rec["vuln_id"]: VulnerabilityRecord.from_dict(rec) for rec in records} or default_catalog()
+            catalog = _catalog_of(map(VulnerabilityRecord.from_dict, records)) or default_catalog()
         return NetworkModel.from_dict(data["network"] if bundled else data, catalog)
 
 

@@ -400,6 +400,16 @@ class TestExitCodes:
         assert res.exit_code == 2, res.output
         assert f"error: {path}: malformed network file" in res.output
 
+    def test_network_file_that_fails_the_model_checks(self, tmp_path, runner, chain_bundle):
+        bundle = json.loads(chain_bundle.read_text())
+        host = bundle["network"]["hosts"][0]
+        host["installed_vulns"].append("nope")
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(bundle))
+        res = runner.invoke(main, ["build-graph", "--network", str(path)])
+        assert res.exit_code == 2, res.output
+        assert f"error: {path}: {host['host_id']}: installed vuln nope not in catalog" in res.output
+
     @pytest.mark.parametrize(
         "name, text, error",
         [
@@ -731,6 +741,88 @@ class TestSweep:
         rows = _rows(out.read_text())
         assert [row["error"].startswith("Unreachable") for row in rows] == [True] * 10 + [False] * 10
         assert builds == [2, 6]
+
+    # two networks, every kind of approach: seed-free searches, a seeded one and both random draws
+    _TRIAL_SPEC = {
+        "networks": [{"hosts": 8, "seed": 3}, {"hosts": 12, "seed": 7}],
+        "budgets": [1, 2],
+        "approaches": [
+            {"name": "search", "algorithm": "dfbnb"},
+            {"name": "search", "algorithm": "astar", "ordering": "shortest-path"},
+            {"name": "search", "algorithm": "exhaustive"},
+            {"name": "search", "algorithm": "dfbnb", "ordering": "random"},
+            {"name": "random"},
+            {"name": "random-hosts", "fraction": 0.5},
+        ],
+        "base_seed": 5,
+    }
+
+    def _grid(self, tmp_path, runner, name, *options, **fields):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({**self._TRIAL_SPEC, **fields}))
+        out = tmp_path / f"{name}.csv"
+        res = runner.invoke(main, ["sweep", "--spec", str(spec), "--out", str(out), *options])
+        assert res.exit_code == 0, res.output
+        rows = _rows(out.read_text())
+        assert rows and all(row["error"] == "" for row in rows)
+        return rows
+
+    def test_trials_equal_one_trial_sweeps_at_their_seeds(self, tmp_path, runner):
+        rows = self._grid(tmp_path, runner, "three", trials=3)
+        singles = [self._grid(tmp_path, runner, f"one-{t}", trials=1, base_seed=5 + t) for t in range(3)]
+        cells = len(singles[0])
+        assert cells == 2 * 6 * 2 and len(rows) == 3 * cells
+        assert rows == [dict(single[i], trial=str(t)) for i in range(cells) for t, single in enumerate(singles)]
+
+    def test_engines_and_evaluations_run_once_per_distinct_input(self, tmp_path, runner, monkeypatch):
+        searches, placements, evaluations = [], set(), []
+
+        def recorded(name, engine):
+            def run(network, budget, *args):
+                result = engine(network, budget, *args)
+                searches.append((network.n_hosts, name, budget, None if name == "exhaustive" else args[0]))
+                placements.add((network.n_hosts, frozenset(result.best_assignments)))
+                return result
+
+            return run
+
+        def drawn(draw):
+            def run(network, *args):
+                placement = draw(network, *args)
+                placements.add((network.n_hosts, frozenset(placement)))
+                return placement
+
+            return run
+
+        evaluate = PlacementProblem.evaluate
+
+        def counted(problem, assignments, seed=0):
+            evaluations.append((problem.network.n_hosts, frozenset(assignments)))
+            return evaluate(problem, assignments, seed)
+
+        for name, engine in (("dfbnb", cli.dfbnb), ("astar", cli.astar), ("exhaustive", cli.exhaustive_best)):
+            monkeypatch.setattr(cli, "exhaustive_best" if name == "exhaustive" else name, recorded(name, engine))
+        for name in ("draw_budget_placement", "draw_placement"):
+            monkeypatch.setattr(cli, name, drawn(getattr(cli, name)))
+        monkeypatch.setattr(PlacementProblem, "evaluate", counted)
+        rows = self._grid(tmp_path, runner, "counted", trials=3)
+        runs = {("dfbnb", "utility"): 1, ("astar", "shortest-path"): 1, ("exhaustive", None): 1, ("dfbnb", "random"): 3}
+        assert sorted(searches) == sorted(
+            (hosts, name, budget, ordering)
+            for hosts in (8, 12)
+            for budget in (1, 2)
+            for (name, ordering), count in runs.items()
+            for _ in range(count)
+        )
+        assert sorted(evaluations, key=repr) == sorted(placements, key=repr)
+        assert len(evaluations) < len(rows) // 2
+
+    def test_a_copied_row_carries_the_timings_it_repeats(self, tmp_path, runner):
+        approaches = [{"name": "search", "algorithm": "dfbnb"}, {"name": "search", "algorithm": "astar"}]
+        rows = self._grid(tmp_path, runner, "timed", "--timings", trials=3, approaches=approaches)
+        for first, *copies in zip(*[iter(rows)] * 3):
+            assert first["trial"] == "0" and first["search_ms"] and first["p2_ms"]
+            assert copies == [dict(first, seed=str(5 + t), trial=str(t)) for t in (1, 2)]
 
     def test_non_string_catalog_is_a_configuration_error(self, tmp_path, runner):
         res, out = self._sweep(tmp_path, runner, {"networks": [{"hosts": 4, "seed": 1}], "catalog": 5})

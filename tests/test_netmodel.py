@@ -301,6 +301,22 @@ class TestFiles:
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: malformed network file"):
             load_network(path)
 
+    @pytest.mark.parametrize("reader", ["catalog", "bundle"])
+    def test_duplicate_catalog_entry_is_refused(self, catalog, generated, tmp_path, reader):
+        # a second CVE-2014-0160 at subscore 1.0 must not replace the first
+        records = [catalog[v].to_dict() for v in sorted(catalog)]
+        twin = dict(records[0], exploitability_subscore=1.0)
+        if reader == "catalog":
+            path, read = tmp_path / "cat.json", load_catalog
+            path.write_text(json.dumps(records + [twin]))
+        else:
+            path, read = generated, load_network
+            bundle = json.loads(path.read_text())
+            path.write_text(json.dumps({**bundle, "catalog": bundle["catalog"] + [twin]}))
+        message = f"{path}: duplicate catalog entry {twin['vuln_id']}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            read(path)
+
     def test_outputs_end_with_newline(self, catalog, tmp_path):
         path = tmp_path / "cat.json"
         save_catalog(catalog, path)
