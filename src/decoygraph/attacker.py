@@ -120,6 +120,18 @@ class EvaluationReport:
         }
 
 
+def attack_total(rounds: Iterable[AttackIteration]) -> float:
+    """The rounds' payments summed from 0.0 in round order, as `simulate_attack` totals a trace.
+
+    Not `sum()`, which compensates from Python 3.12 on. `PlacementProblem`
+    values a trace's later rounds with it (Lemma F), so the two agree to the bit.
+    """
+    total = 0.0
+    for it in rounds:
+        total += it.paid_prefix_cost
+    return total
+
+
 def simulate_attack(
     graph: AttackGraph, banned_configs: Iterable[str] | PlanningState = ()
 ) -> SimulationTrace:
@@ -164,7 +176,6 @@ def simulate_attack(
     # the planner's effort, each counter summed in round order
     expanded = heuristic_evals = 0
     elapsed_ms = 0.0
-    total = 0.0
     while True:
         try:
             plan, stats = plan_with_stats(graph, costs=state)
@@ -184,7 +195,6 @@ def simulate_attack(
         if not fake_reqs:
             # every step ran, so `before` holds all the plan's configs
             paid = math.fsum(working[c] for c in before)
-            total += paid
             iterations.append(AttackIteration(plan, paid, None, frozenset()))
             break
         paid = math.fsum(working[c] for c in before.union(configs))
@@ -192,14 +202,13 @@ def simulate_attack(
         # config node id sorts first. Generated graphs never hit this case.
         discovered_config = fake_reqs[0] if len(fake_reqs) == 1 else min(fake_reqs, key=names.__getitem__)
         discovered = graph.provenance[names[discovered_config]]
-        total += paid
         iterations.append(AttackIteration(plan, paid, discovered, frozenset(map(names.__getitem__, before))))
         for c in before:
             working[c] = 0.0
         state.banned[discovered_config] = 1
     return SimulationTrace(
         iterations=tuple(iterations),
-        total_cost=total,
+        total_cost=attack_total(iterations),
         planning_effort=PlannerStats(expanded, heuristic_evals, elapsed_ms),
     )
 

@@ -216,6 +216,11 @@ def _search(
     return engine(network, budget, ordering, heuristic, seed, pool_size, shared)
 
 
+def _reads_seed(algorithm, ordering) -> bool:
+    """Whether `_search` with these settings reads its seed: only dfbnb and astar do, under the random ordering."""
+    return algorithm != "exhaustive" and ordering == "random"
+
+
 @main.group()
 def obfuscate() -> None:
     """Plant fake vulnerabilities."""
@@ -557,10 +562,10 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
     it: the searches run on it, and every row is evaluated on it. A network
     whose problem cannot be built gives an error row per cell.
 
-    A search whose ordering is not random reads no seed, so its row is
-    computed at the first trial, and later trials copy it with their own seed
-    and trial. Each distinct placement is evaluated once per network; rows
-    that share it share its report columns, p2_ms included under --timings.
+    A search that reads no seed (exhaustive, or not under the random ordering)
+    has its row computed at the first trial; later trials copy it with their
+    own seed and trial. Each distinct placement is evaluated once per network;
+    rows that share it share its report columns, p2_ms included under --timings.
     """
     with malformed(spec_path, "sweep spec"):
         spec = json.loads(Path(spec_path).read_text())
@@ -592,8 +597,8 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
             network_id = net_spec.get("id", f"gen-{net_spec['hosts']}-{net_spec.get('seed', 0)}")
         problem, evaluated = _problem_once(network), {}
         for approach in approaches:
-            # only the random ordering reads a search's seed
-            seed_free = approach.get("name") == "search" and approach.get("ordering") != "random"
+            given = {**_SEARCH_DEFAULTS, **approach}
+            seed_free = approach.get("name") == "search" and not _reads_seed(given["algorithm"], given["ordering"])
             for budget in budgets:
                 for trial in range(trials):
                     seed = base_seed + trial

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .aggraph import IndexedView, apply_assignments, config_id
-from .attacker import AttackIteration, EvaluationReport, simulate_attack
+from .attacker import AttackIteration, EvaluationReport, attack_total, simulate_attack
 from .errors import ConfigurationError, Unreachable
 from .netmodel import Assignment, NetworkModel, check_placement, compatible_pairs, normalize_cost
 from .planner import PlanningState, optimal_plan, plan_with_stats
@@ -126,7 +126,7 @@ class PathRecord:
 
 @dataclass(frozen=True)
 class PathIndex:
-    """Pool of cheap fake-using paths with a lookup by assignment.
+    """Pool of cheap fake-using paths, cheapest first; a record's `path_id` is its position.
 
     `planner_calls` counts the planner calls its build made, and `capped`
     says whether the build's call cap refused a call, so that the pool may
@@ -134,7 +134,6 @@ class PathIndex:
     """
 
     paths: tuple[PathRecord, ...]
-    by_assignment: dict[Assignment, tuple[int, ...]]
     planner_calls: int
     capped: bool
 
@@ -220,19 +219,19 @@ def _rank_by_paths(
 
     A path counts if its not-yet-chosen assignments are all still available
     and fit the remaining budget. Candidates on no such path fall back to
-    utility order behind the path-backed ones.
+    utility order behind the path-backed ones. Each pooled path is scored
+    once, and its key goes to the open candidates it needs: the tree never
+    offers a chosen candidate as open, so these are all of its open ones.
     """
     available = {c.assignment for c in remaining}
     slots = budget - len(chosen)
     best_key: dict[Assignment, tuple] = {}
-    for cand in remaining:
-        a = cand.assignment
-        for pid in index.by_assignment.get(a, ()):
-            path = index.paths[pid]
-            need = path.assignments - chosen
-            if len(need) > slots or not need <= available:
-                continue
-            key = (len(need), path.cost, path.path_id)
+    for path in index.paths:
+        need = path.assignments - chosen
+        if len(need) > slots or not need <= available:
+            continue
+        key = (len(need), path.cost, path.path_id)
+        for a in need:
             if a not in best_key or key < best_key[a]:
                 best_key[a] = key
     on_path = [c for c in remaining if c.assignment in best_key]
@@ -280,9 +279,9 @@ def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathInd
     full = problem.graph
     config_ids = full.indexed.configs
     # every candidate open, every folded pair banned, over the empty set's corridor
-    state = problem._state((c for _, c, _ in problem._members.values()), 0)
+    state = problem._state((c for c, _ in problem._by_index), 0)
     flags = state.banned
-    owner = {c: a for a, (_, c, _) in problem._members.items()}
+    owner = {c: a for a, (c, _) in zip(problem.candidates, problem._by_index)}
     records: list[PathRecord] = []
     seen_cfg: set[frozenset[int]] = set()
     # (cost, call number, branch bans, plan): the call number breaks cost ties in push order
@@ -324,17 +323,7 @@ def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathInd
                 break  # the pool is full: none of this plan's branches would be popped
         for c in sorted(cfgs, key=config_ids.__getitem__):
             push(banned | {c})
-
-    by_assignment: dict[Assignment, list[int]] = {}
-    for rec in records:
-        for a in sorted(rec.assignments):
-            by_assignment.setdefault(a, []).append(rec.path_id)
-    return PathIndex(
-        paths=tuple(records),
-        by_assignment={a: tuple(ids) for a, ids in sorted(by_assignment.items())},
-        planner_calls=calls,
-        capped=capped,
-    )
+    return PathIndex(paths=tuple(records), planner_calls=calls, capped=capped)
 
 
 def expand(
@@ -435,9 +424,10 @@ class PlacementProblem:
 
     The memo maps each valued set S to (value, reach), keyed by S's bitmask,
     in which candidate i, `candidates[i]`, is bit 1 << i; the candidates are
-    sorted, so the bits follow their order. `_value` takes the mask: the
-    search tree passes its masks straight through, and `value` and
-    `_simulated_value` compute a set's mask once. The reach R(S) is
+    sorted, so the bits follow their order. `_members` maps a candidate to
+    its index, and `_by_index` holds each index's config number and L.
+    `_value` takes the mask: the search tree passes its masks straight
+    through, and `value` computes a set's mask once. The reach R(S) is
     the largest plan_i.cost + Z_i over the rounds i of S's attack, where Z_i
     is the face cost of the configs zeroed before round i, each counted once.
 
@@ -462,10 +452,10 @@ class PlacementProblem:
     round 2 is flag for flag the initial state of the attack on S - {f1}
     (in a search, over the corridors of their sizes, which plan as all the
     arcs do by Lemma G). The attack is deterministic given its state, so
-    rounds 2..n are that attack. The
-    total is summed from 0.0 in round order, as `simulate_attack` sums it,
-    so non-dyadic costs agree to the bit; the reach counts zeroed configs
-    from round 2 on, and none were zeroed before it. By induction, while
+    rounds 2..n are that attack. The value is `attack_total` of rounds
+    2..n, the function `simulate_attack` totals a trace with, so non-dyadic
+    costs agree to the bit; the reach counts zeroed configs from round 2
+    on, and none were zeroed before it. By induction, while
     rounds 1..i all trip at their first step, S - {f1..fi} has the value
     and reach of rounds i+1..n. `value` memoizes these sets after each
     simulation, and never overwrites an entry. `TestTailReuse` compares
@@ -537,14 +527,11 @@ class PlacementProblem:
         self._number = {c: i for i, c in enumerate(view.configs)}
         self._all_fakes_banned = bytes(view.fake)
         self.chain_costs, self.real_routes, self._through = _fake_bounds(view)
-        # per candidate, by index and by assignment: its bit 1 << index in a
-        # set's mask, its config number and L; the candidates come in sorted
-        # order, and so do their bits
+        # candidate -> index i (bit 1 << i of a set's mask), and by index its config number and L
+        self._members = {a: i for i, a in enumerate(self.candidates)}
         self._by_index = tuple(
-            (1 << i, self._number[_fake_config(a)], self.chain_costs[_fake_config(a)])
-            for i, a in enumerate(self.candidates)
+            (self._number[_fake_config(a)], self.chain_costs[_fake_config(a)]) for a in self.candidates
         )
-        self._members = dict(zip(self.candidates, self._by_index))
         self._memo: dict[int, tuple[float, float]] = {}
         # set size -> Lemma G's corridor: per privilege, the arcs a search simulation (or, at 0, the path index) scans
         self._corridors: dict[int, tuple[_Arcs, ...]] = {}
@@ -559,29 +546,26 @@ class PlacementProblem:
         """
         return self._value(self._mask(assignments))
 
-    def _simulated_value(self, assignments: frozenset[Assignment]) -> float:
-        """`value` without Lemmas C and F: a set not memoized yet is simulated, and only it is memoized."""
-        return self._value(self._mask(assignments), inherit=False)
-
     def _mask(self, assignments: Iterable[Assignment]) -> int:
-        members = self._members
-        return sum(members[a][0] for a in assignments)
+        return sum(1 << self._members[a] for a in assignments)
 
     def _value(self, mask: int, inherit: bool = True) -> float:
-        """`value` (or with `inherit` false `_simulated_value`) of the candidates whose bits `mask` holds."""
+        """`value` of the candidates whose bits `mask` holds; with `inherit` false,
+        without Lemmas C, F and G: a set not memoized yet is simulated, and only it is memoized."""
         memo = self._memo
         entry = memo.get(mask)
         if entry is not None:
             return entry[0]
-        members = [self._by_index[i] for i in _indices(mask)]
+        indices = _indices(mask)
+        by_index = self._by_index
         if inherit:
-            for bit, _, chain in members:
-                parent = memo.get(mask ^ bit)
-                if parent is not None and not _within(chain, parent[1]):
+            for i in indices:
+                parent = memo.get(mask ^ (1 << i))
+                if parent is not None and not _within(by_index[i][1], parent[1]):
                     memo[mask] = parent
                     return parent[0]
         # a search plans inside its set size's corridor (Lemma G), the oracle over every arc
-        state = self._state((c for _, c, _ in members), len(members) if inherit else None)
+        state = self._state((by_index[i][0] for i in indices), len(indices) if inherit else None)
         trace = simulate_attack(self.graph, banned_configs=state)
         rounds = trace.iterations
         memo[mask] = (trace.total_cost, _reach(rounds, self.graph.config_cost))
@@ -596,14 +580,10 @@ class PlacementProblem:
         for i, it in enumerate(rounds[:-1]):
             if it.zeroed_configs:
                 return
-            mask ^= self._members[it.discovered_fake][0]
+            mask ^= 1 << self._members[it.discovered_fake]
             if mask not in memo:
                 tail = rounds[i + 1 :]
-                # summed as simulate_attack sums it; sum() compensates from Python 3.12 on
-                total = 0.0
-                for later in tail:
-                    total += later.paid_prefix_cost
-                memo[mask] = (total, _reach(tail, self.graph.config_cost))
+                memo[mask] = (attack_total(tail), _reach(tail, self.graph.config_cost))
 
     def _corridor(self, size: int) -> tuple[_Arcs, ...]:
         """Lemma G's arcs for a set of `size` candidates, memoized per size.
@@ -619,7 +599,7 @@ class PlacementProblem:
             inside = [_within(through, limit) for through in self._through]
             # real configs and candidates; the folded pairs stay banned in every search simulation
             kept = bytearray(not fake for fake in view.fake)
-            for _, c, _ in self._members.values():
+            for c, _ in self._by_index:
                 kept[c] = 1
             corridor = self._corridors[size] = tuple(
                 tuple(arc for arc in arcs if kept[arc[1]] and inside[arc[2]]) if inside[p] else ()
@@ -666,11 +646,11 @@ class PlacementProblem:
             b = self.baseline_cost
             self._value(0)
             kept = []
-            for a, (bit, _, chain) in self._members.items():
+            for i, (a, (_, chain)) in enumerate(zip(self.candidates, self._by_index)):
                 config = _fake_config(a)
                 face, route = self.graph.config_cost[config], self.real_routes[config]
                 if _within(chain, budget * b) and _within(face, min(b, route)):
-                    kept.append(Candidate(a, self._value(bit)))
+                    kept.append(Candidate(a, self._value(1 << i)))
             kept = self._trippable[budget] = tuple(kept)
         return kept
 
@@ -829,7 +809,7 @@ class _SearchContext:
         singletons = self.singletons = [0.0] * len(problem.candidates)
         open_ = []
         for c in candidates:
-            i = problem._members[c.assignment][0].bit_length() - 1
+            i = problem._members[c.assignment]
             singletons[i] = c.singleton_utility
             open_.append(i)
         if self.ordering == "shortest_path":
@@ -888,11 +868,15 @@ def _path_ranker(
 ) -> Callable[[tuple[int, ...], int], tuple[int, ...]]:
     """`_rank_by_paths` on candidate indices: ranks open indices against a chosen mask by the same keys.
 
-    It closes over neither the problem nor a search context: a closure reaching
+    Built once per search, it lists the paths through each candidate from the
+    paths' masks. It closes over neither the problem nor a search context: a closure reaching
     the context would keep it (and its problem) alive until a cyclic collection.
     """
     masks = [problem._mask(path.assignments) for path in index.paths]
-    paths_of = {problem._members[a][0].bit_length() - 1: ids for a, ids in index.by_assignment.items()}
+    paths_of: dict[int, list[int]] = {}
+    for pid, mask in enumerate(masks):
+        for i in _indices(mask):
+            paths_of.setdefault(i, []).append(pid)
 
     def rank(open_: tuple[int, ...], chosen: int) -> tuple[int, ...]:
         slots = budget - chosen.bit_count()

@@ -184,3 +184,46 @@ def eight_candidate_net() -> NetworkModel:
         goal=Goal(host_id="g4"),
         catalog=catalog,
     )
+
+
+def _dormant_fake_net(second_fake: bool) -> NetworkModel:
+    """Fakes that stay dormant until a lure's round pays their shared prefix.
+
+    Each cost is a V2 subscore / 10, and each host runs its own OS. Routes
+    to the goal t: entry -> r (0.90) -> t (0.10), the undefended attack,
+    b = 1.0; entry -> a1 (0.35) -> d -> m (0.30) -> t, where d has real vuln
+    rd (0.35) and takes the lure a (0.05); and a1 -> h (0.30) -> x -> t,
+    where host x has no real vuln and takes fake x (0.30). With
+    `second_fake`, host y, also without a real vuln, takes fake x2 (0.60)
+    on h -> y -> t.
+    """
+    costs = {"a1": 3.5, "d": 3.5, "m": 3.0, "t": 1.0, "h": 3.0, "r": 9.0}
+    fakes = {"x": ("x", 3.0), "d": ("a", 0.5)}
+    edges = {(EXTERNAL, "a1"), ("a1", "d"), ("d", "m"), ("m", "t"), ("a1", "h"), ("h", "x"), ("x", "t")}
+    edges |= {(EXTERNAL, "r"), ("r", "t")}
+    if second_fake:
+        fakes["y"] = ("x2", 6.0)
+        edges |= {("h", "y"), ("y", "t")}
+    catalog = {f"r{host}": _vuln(f"r{host}", f"os-{host}", subscore) for host, subscore in costs.items()}
+    catalog.update({vuln: _vuln(vuln, f"os-{host}", subscore) for host, (vuln, subscore) in fakes.items()})
+    hosts = {
+        host: Host(host_id=host, os=f"os-{host}", installed_vulns=frozenset({f"r{host}"} if host in costs else ()))
+        for host in sorted(set(costs) | set(fakes))
+    }
+    return NetworkModel(
+        hosts=hosts, reachability=frozenset(edges), attacker_entry=EXTERNAL, goal=Goal(host_id="t"), catalog=catalog
+    )
+
+
+def dormant_fake_net_n1() -> NetworkModel:
+    """N1: value({x}) = 1.0, since the route through x costs 1.05 > b, but
+    value({x, a}) = 1.75. Round 1 pays 0.40 for a1 and trips a; a1 is then
+    free, so round 2 takes h and x for 0.60 and trips x; round 3 pays 0.75
+    through d. Adding a gains 0.75, more than min(b, the real route to d) = 0.70."""
+    return _dormant_fake_net(second_fake=False)
+
+
+def dormant_fake_net_n2() -> NetworkModel:
+    """N2, N1 with fake x2 on y: value({x, x2}) = 1.0 and value({x, x2, a}) = 2.35
+    (rounds 0.40, 0.60, 0.60, 0.75). Adding a gains 1.35, more than b."""
+    return _dormant_fake_net(second_fake=True)

@@ -44,6 +44,8 @@ from helpers import (
     COST_PALETTE,
     CVSS3_PALETTE,
     cvss3_catalog,
+    dormant_fake_net_n1,
+    dormant_fake_net_n2,
     eight_candidate_net,
     random_attack_graph,
     small_network,
@@ -231,6 +233,9 @@ def test_criterion_4_heuristic_bound_sweep():
         ("eight-candidate", eight_candidate_net(), 3),
         # CVSS v3 costs; 3 of its 13 candidates are untrippable at K=3
         ("v3 random-10", small_network(random.Random(10), max_hosts=5, catalog=cvss3_catalog()), 3),
+        # a lure's round pays the prefix that wakes a dormant fake
+        ("N1", dormant_fake_net_n1(), 2),
+        ("N2", dormant_fake_net_n2(), 3),
     ]
     for seed in (0, 1, 2, 4):
         net = small_network(random.Random(seed), max_hosts=4)
@@ -268,6 +273,8 @@ def test_criterion_5_optimizer_equivalence(suite):
         ("v3-net10 K2", v3_net10, 2),
         ("v3-net10 K3", v3_net10, 3),
         ("v3-net20 K2", v3_net20, 2),
+        ("N1 K2", _Instance("N1", dormant_fake_net_n1()), 2),
+        ("N2 K3", _Instance("N2", dormant_fake_net_n2()), 3),
     ]
     import math
 

@@ -428,7 +428,7 @@ class TestPinnedTraces:
             with monkeypatch.context() as patched:
                 patched.setattr(placement_search, "simulate_attack", recording)
                 for subset in sorted(subsets, key=sorted):
-                    problem._simulated_value(subset)
+                    problem._value(problem._mask(subset), inherit=False)
             for seed, placement in enumerate(placements):
                 lines.append(json.dumps(_report_without_timings(problem.evaluate(placement, seed=seed)), sort_keys=True))
         replanned = sum(line.count('"discovered_fake": {') > 0 for line in lines)

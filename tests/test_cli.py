@@ -817,6 +817,26 @@ class TestSweep:
         assert sorted(evaluations, key=repr) == sorted(placements, key=repr)
         assert len(evaluations) < len(rows) // 2
 
+    def test_an_exhaustive_search_reads_no_seed_under_the_random_ordering(self, tmp_path, runner, monkeypatch):
+        approaches = [{"name": "search", "algorithm": "exhaustive", "ordering": "random"}]
+        singles = [
+            self._grid(tmp_path, runner, f"one-{t}", trials=1, base_seed=5 + t, approaches=approaches) for t in range(3)
+        ]
+        calls = []
+        exhaustive = cli.exhaustive_best
+
+        def counted(network, budget, *args):
+            calls.append((network.n_hosts, budget))
+            return exhaustive(network, budget, *args)
+
+        monkeypatch.setattr(cli, "exhaustive_best", counted)
+        rows = self._grid(tmp_path, runner, "three", trials=3, approaches=approaches)
+        # one enumeration per (network, budget), not one per trial
+        assert sorted(calls) == [(8, 1), (8, 2), (12, 1), (12, 2)]
+        cells = len(singles[0])
+        assert cells == 4
+        assert rows == [dict(single[i], trial=str(t)) for i in range(cells) for t, single in enumerate(singles)]
+
     def test_a_copied_row_carries_the_timings_it_repeats(self, tmp_path, runner):
         approaches = [{"name": "search", "algorithm": "dfbnb"}, {"name": "search", "algorithm": "astar"}]
         rows = self._grid(tmp_path, runner, "timed", "--timings", trials=3, approaches=approaches)

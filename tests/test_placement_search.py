@@ -49,7 +49,10 @@ from decoygraph.placement_search import (
     order_candidates,
 )
 from decoygraph.planner import optimal_plan, plan_with_stats
-from helpers import cvss3_catalog, eight_candidate_net, small_network
+from helpers import cvss3_catalog, dormant_fake_net_n1, dormant_fake_net_n2, eight_candidate_net, small_network
+
+# networks where a lure's round pays the prefix that wakes a dormant fake (tests/helpers.py)
+DORMANT_FAKE_NETS = [pytest.param(dormant_fake_net_n1(), id="N1"), pytest.param(dormant_fake_net_n2(), id="N2")]
 
 W1 = Assignment(host_id="h1", vuln_id="w1")
 W2 = Assignment(host_id="h2", vuln_id="w2")
@@ -258,18 +261,17 @@ class TestOrdering:
 
 class TestPathPool:
     def test_chain_pool_contents(self, chain_net):
-        idx = build_path_index(PlacementProblem(chain_net))
+        problem = PlacementProblem(chain_net)
+        idx = build_path_index(problem)
         assert len(idx.paths) == 7
         costs = [p.cost for p in idx.paths]
         assert costs == sorted(costs)
         assert costs[0] == 1.5
         assert idx.paths[0].assignments == frozenset({W1, W2, W3})
-        for p in idx.paths:
+        for pid, p in enumerate(idx.paths):
+            assert p.path_id == pid
             assert p.cost < 3.0
-            assert p.assignments
-        for a, ids in idx.by_assignment.items():
-            for pid in ids:
-                assert a in idx.paths[pid].assignments
+            assert p.assignments and p.assignments <= set(problem.candidates)
 
     def test_pool_size_keeps_the_cheapest(self, chain_net):
         idx = build_path_index(PlacementProblem(chain_net), pool_size=3)
@@ -324,23 +326,13 @@ def _full_arc_path_index(problem: PlacementProblem, pool_size: int) -> PathIndex
                 break
         for c in sorted(cfgs):
             push(banned | {c})
-    by_assignment: dict = {}
-    for rec in records:
-        for a in sorted(rec.assignments):
-            by_assignment.setdefault(a, []).append(rec.path_id)
-    return PathIndex(
-        paths=tuple(records),
-        by_assignment={a: tuple(ids) for a, ids in sorted(by_assignment.items())},
-        planner_calls=calls,
-        capped=capped,
-    )
+    return PathIndex(paths=tuple(records), planner_calls=calls, capped=capped)
 
 
 def _index_fields(index: PathIndex) -> tuple:
-    """Everything an index holds, costs as their bits and lookups in their order."""
+    """Everything an index holds, costs as their bits."""
     return (
         [(p.path_id, p.cost.hex(), sorted(p.assignments)) for p in index.paths],
-        list(index.by_assignment.items()),
         index.planner_calls,
         index.capped,
     )
@@ -398,7 +390,7 @@ class TestCorridorPathIndex:
         # a pool that fills under the cap is not cut short
         late = build_path_index(PlacementProblem(net), 67)
         assert _index_fields(late) == _index_fields(_full_arc_path_index(PlacementProblem(net), 67))
-        assert (late.paths, late.by_assignment) == (filled.paths, filled.by_assignment)
+        assert late.paths == filled.paths
         assert not late.capped and late.planner_calls == 199
 
 
@@ -502,6 +494,8 @@ def _criterion_4_cases():
         ("three-chain K3", build_searchspace_k2(), 3),
         ("eight-candidate", eight_candidate_net(), 3),
         ("v3 random-10", small_network(random.Random(10), max_hosts=5, catalog=cvss3_catalog()), 3),
+        ("N1", dormant_fake_net_n1(), 2),
+        ("N2", dormant_fake_net_n2(), 3),
     ]
     for seed in (0, 1, 2, 4):
         net = small_network(random.Random(seed), max_hosts=4)
@@ -817,9 +811,51 @@ def _boundary_net(entry_fake, middle, goal):
     )
 
 
+class TestDormantFakeNetworks:
+    """N1 and N2: paying a lure's prefix makes a dormant fake's path the cheapest, so
+    adding the lure gains more than min(b, hr(a)) on N1, and more than b on N2."""
+
+    @pytest.mark.parametrize(
+        "net, dormant, alone, with_lure",
+        [
+            pytest.param(dormant_fake_net_n1(), {("x", "x")}, 1.0, 1.75, id="N1"),
+            pytest.param(dormant_fake_net_n2(), {("x", "x"), ("y", "x2")}, 1.0, 2.35, id="N2"),
+        ],
+    )
+    def test_recorded_values(self, net, dormant, alone, with_lure):
+        lure = Assignment("d", "a")
+        dormant = frozenset(Assignment(*pair) for pair in dormant)
+        attacked = [simulate_attack(apply_assignments(net, s)).total_cost for s in (dormant, dormant | {lure})]
+        assert attacked == [alone, with_lure]
+        problem = PlacementProblem(net)
+        assert problem.baseline_cost == 1.0 and problem.candidates == tuple(sorted(dormant | {lure}))
+        assert [problem.value(dormant), problem.value(dormant | {lure})] == attacked
+        assert with_lure - alone > min(problem.baseline_cost, problem.real_routes[config_id("d", "a")])
+
+
 class TestTrippableFilter:
     """dfbnb and astar search only the candidates a budget can trip; the
     lemmas in the PlacementProblem docstring say that loses nothing."""
+
+    @staticmethod
+    def _check_subsets(net, where):
+        """(subsets checked, candidates dropped) over budgets 1 to 3."""
+        checked = dropped = 0
+        problem = PlacementProblem(net)
+        assignments = sorted(problem.candidates)
+        for budget in (1, 2, 3):
+            kept = {c.assignment for c in problem.trippable(budget)}
+            dropped += len(assignments) - len(kept)
+            for size in range(budget + 1):
+                for combo in combinations(assignments, size):
+                    subset = frozenset(combo)
+                    banned = problem.fake_configs - {config_id(a.host_id, a.vuln_id) for a in subset}
+                    trace = simulate_attack(problem.graph, banned_configs=banned)
+                    tripped = {it.discovered_fake for it in trace.iterations} - {None}
+                    assert tripped <= kept, f"{where}, K={budget}, {sorted(subset)}"
+                    assert problem.value(subset) == problem.value(subset & kept), f"{where}, K={budget}"
+                    checked += 1
+        return checked, dropped
 
     @pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
     def test_dropped_candidates_never_change_a_value(self, catalog):
@@ -829,22 +865,14 @@ class TestTrippableFilter:
         checked = dropped = 0
         for seed in range(20):
             net = small_network(random.Random(9300 + seed), max_hosts=8, catalog=catalog)
-            problem = PlacementProblem(net)
-            assignments = sorted(problem.candidates)
-            for budget in (1, 2, 3):
-                kept = {c.assignment for c in problem.trippable(budget)}
-                dropped += len(assignments) - len(kept)
-                for size in range(budget + 1):
-                    for combo in combinations(assignments, size):
-                        subset = frozenset(combo)
-                        banned = problem.fake_configs - {config_id(a.host_id, a.vuln_id) for a in subset}
-                        trace = simulate_attack(problem.graph, banned_configs=banned)
-                        tripped = {it.discovered_fake for it in trace.iterations} - {None}
-                        assert tripped <= kept, f"seed {seed}, K={budget}, {sorted(subset)}"
-                        assert problem.value(subset) == problem.value(subset & kept), f"seed {seed}, K={budget}"
-                        checked += 1
+            counts = self._check_subsets(net, f"seed {seed}")
+            checked, dropped = checked + counts[0], dropped + counts[1]
         assert checked >= 10_000
         assert dropped >= 250
+
+    @pytest.mark.parametrize("net", DORMANT_FAKE_NETS)
+    def test_dormant_fake_networks(self, net):
+        assert self._check_subsets(net, "dormant")[0]
 
     @pytest.mark.parametrize(
         "subscores, reads_high",
@@ -969,19 +997,26 @@ class TestValueInheritance:
         monkeypatch.setattr(placement_search, "simulate_attack", counted)
         return counts
 
+    @staticmethod
+    def _check_values(net, where):
+        """Value every set of at most 3 candidates, parents first; the number of sets checked."""
+        checked = 0
+        problem = PlacementProblem(net)
+        assignments = sorted(problem.candidates)
+        for size in range(4):
+            for combo in combinations(assignments, size):
+                expected = simulate_attack(apply_assignments(net, combo)).total_cost
+                assert problem.value(frozenset(combo)) == expected, f"{where}, {list(combo)}"
+                checked += 1
+        return checked
+
     @pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
     def test_inherited_values_match_regenerated_graphs(self, catalog, monkeypatch):
         counts = self._count_simulations(monkeypatch)
         checked = 0
         for seed in range(20):
             net = small_network(random.Random(9700 + seed), max_hosts=8, catalog=catalog)
-            problem = PlacementProblem(net)
-            assignments = sorted(problem.candidates)
-            for size in range(4):  # parents first
-                for combo in combinations(assignments, size):
-                    expected = simulate_attack(apply_assignments(net, combo)).total_cost
-                    assert problem.value(frozenset(combo)) == expected, f"seed {seed}, {list(combo)}"
-                    checked += 1
+            checked += self._check_values(net, f"seed {seed}")
         assert checked >= 9_000
         assert counts["simulations"] < checked / 2, f"{counts['simulations']} simulations for {checked} sets"
 
@@ -1013,11 +1048,57 @@ class TestValueInheritance:
         res = exhaustive_best(net, budget=2)
         assert counts["simulations"] == res.expanded_nodes == 1 + 33 + 33 * 32 // 2
 
+    @pytest.mark.parametrize("net", DORMANT_FAKE_NETS)
+    def test_dormant_fake_networks(self, net):
+        assert self._check_values(net, "dormant")
+
 
 class TestTailReuse:
     """Lemma F: after a round that trips its fake at the first step, the rest
     of the attack is the attack on the set without that fake, so
     PlacementProblem.value memoizes that set from the trace."""
+
+    @staticmethod
+    def _check_tails(net, where, counts):
+        """(sets checked, tails taken, tails harvested) over the sets of at most 3 candidates, largest first."""
+        checked = tails = harvested = 0
+        problem = PlacementProblem(net)
+        face = problem.graph.config_cost
+
+        def attack(subset):
+            banned = problem.fake_configs - {config_id(a.host_id, a.vuln_id) for a in subset}
+            return simulate_attack(problem.graph, banned_configs=banned)
+
+        assignments = sorted(problem.candidates)
+        for size in (3, 2, 1, 0):
+            for combo in combinations(assignments, size):
+                subset = frozenset(combo)
+                before = counts["simulations"]
+                problem.value(subset)
+                simulated = counts["simulations"] > before
+                rounds = attack(subset).iterations
+                for i, it in enumerate(rounds[:-1]):
+                    if it.zeroed_configs:
+                        break
+                    subset -= {it.discovered_fake}
+                    tail = attack(subset)
+                    assert tail.iterations == rounds[i + 1 :], f"{where}, {sorted(combo)}, round {i + 1}"
+                    total = 0.0
+                    for later in rounds[i + 1 :]:
+                        total += later.paid_prefix_cost
+                    assert tail.total_cost == total
+                    assert placement_search._reach(tail.iterations, face) == placement_search._reach(
+                        rounds[i + 1 :], face
+                    )
+                    tails += 1
+                    if simulated:
+                        before = counts["simulations"]
+                        expected = simulate_attack(apply_assignments(net, subset)).total_cost
+                        assert problem.value(subset) == expected, f"{where}, {sorted(subset)}"
+                        assert counts["simulations"] == before, "a harvested tail was simulated"
+                        harvested += 1
+                checked += 1
+        return checked, tails, harvested
 
     @pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
     def test_tails_are_the_smaller_sets_attacks(self, catalog, monkeypatch):
@@ -1031,51 +1112,42 @@ class TestTailReuse:
         checked = tails = harvested = 0
         for seed in range(40):
             net = small_network(random.Random(9900 + seed), max_hosts=8, catalog=catalog)
-            problem = PlacementProblem(net)
-            face = problem.graph.config_cost
-
-            def attack(subset):
-                banned = problem.fake_configs - {config_id(a.host_id, a.vuln_id) for a in subset}
-                return simulate_attack(problem.graph, banned_configs=banned)
-
-            assignments = sorted(problem.candidates)
-            for size in (3, 2, 1, 0):
-                for combo in combinations(assignments, size):
-                    subset = frozenset(combo)
-                    before = counts["simulations"]
-                    problem.value(subset)
-                    simulated = counts["simulations"] > before
-                    rounds = attack(subset).iterations
-                    for i, it in enumerate(rounds[:-1]):
-                        if it.zeroed_configs:
-                            break
-                        subset -= {it.discovered_fake}
-                        tail = attack(subset)
-                        assert tail.iterations == rounds[i + 1 :], f"seed {seed}, {sorted(combo)}, round {i + 1}"
-                        total = 0.0
-                        for later in rounds[i + 1 :]:
-                            total += later.paid_prefix_cost
-                        assert tail.total_cost == total
-                        assert placement_search._reach(tail.iterations, face) == placement_search._reach(
-                            rounds[i + 1 :], face
-                        )
-                        tails += 1
-                        if simulated:
-                            before = counts["simulations"]
-                            expected = simulate_attack(apply_assignments(net, subset)).total_cost
-                            assert problem.value(subset) == expected, f"seed {seed}, {sorted(subset)}"
-                            assert counts["simulations"] == before, "a harvested tail was simulated"
-                            harvested += 1
-                    checked += 1
+            found = self._check_tails(net, f"seed {seed}", counts)
+            checked, tails, harvested = checked + found[0], tails + found[1], harvested + found[2]
         assert checked >= 15_000
         assert tails >= 2_000
         assert harvested >= 1_500
+
+    @pytest.mark.parametrize("net", DORMANT_FAKE_NETS)
+    def test_dormant_fake_networks(self, net, monkeypatch):
+        assert self._check_tails(net, "dormant", TestValueInheritance._count_simulations(monkeypatch))[0]
 
 
 class TestCorridor:
     """Lemma G: a search simulation of k fakes plans only over the privileges
     p with head(p) + tail(p) <= (k+1)*b, and every round plans the chain it
     plans over all the arcs."""
+
+    @staticmethod
+    def _check_corridor(net, where):
+        """(sets checked, sets whose planner expanded fewer states) over the sets of at most 3 candidates."""
+        checked = pruned = 0
+        problem = PlacementProblem(net)
+        face_cost = problem.graph.config_cost
+        for size in range(4):
+            for combo in combinations(problem.candidates, size):
+                fakes = [problem._by_index[problem._members[a]][0] for a in combo]
+                full = simulate_attack(problem.graph, banned_configs=problem._state(fakes))
+                inside = simulate_attack(problem.graph, banned_configs=problem._state(fakes, size))
+                at = f"{where}, {sorted(combo)}"
+                assert inside.iterations == full.iterations, at
+                assert inside.total_cost == full.total_cost, at
+                reach = placement_search._reach(inside.iterations, face_cost)
+                assert reach == placement_search._reach(full.iterations, face_cost), at
+                assert inside.planning_effort.expanded_states <= full.planning_effort.expanded_states, at
+                pruned += inside.planning_effort.expanded_states < full.planning_effort.expanded_states
+                checked += 1
+        return checked, pruned
 
     @pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
     def test_corridor_simulations_match_full_ones(self, catalog):
@@ -1085,23 +1157,14 @@ class TestCorridor:
         checked = pruned = 0
         for seed in range(40):
             net = small_network(random.Random(9700 + seed), max_hosts=8, catalog=catalog)
-            problem = PlacementProblem(net)
-            face_cost = problem.graph.config_cost
-            for size in range(4):
-                for combo in combinations(problem.candidates, size):
-                    fakes = [problem._members[a][1] for a in combo]
-                    full = simulate_attack(problem.graph, banned_configs=problem._state(fakes))
-                    inside = simulate_attack(problem.graph, banned_configs=problem._state(fakes, size))
-                    where = f"seed {seed}, {sorted(combo)}"
-                    assert inside.iterations == full.iterations, where
-                    assert inside.total_cost == full.total_cost, where
-                    reach = placement_search._reach(inside.iterations, face_cost)
-                    assert reach == placement_search._reach(full.iterations, face_cost), where
-                    assert inside.planning_effort.expanded_states <= full.planning_effort.expanded_states, where
-                    pruned += inside.planning_effort.expanded_states < full.planning_effort.expanded_states
-                    checked += 1
+            found = self._check_corridor(net, f"seed {seed}")
+            checked, pruned = checked + found[0], pruned + found[1]
         assert checked >= 15_000
         assert pruned >= checked // 2
+
+    @pytest.mark.parametrize("net", DORMANT_FAKE_NETS)
+    def test_dormant_fake_networks(self, net):
+        assert self._check_corridor(net, "dormant")[0]
 
     def test_a_later_round_can_plan_beyond_b(self):
         # The lure w on f sits behind a: round 1 pays a and trips w, then
