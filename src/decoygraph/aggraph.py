@@ -21,12 +21,12 @@ from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import json
 
 from .errors import ValidationError
-from .netmodel import Assignment, NetworkModel, check_placement, malformed, normalize_cost
+from .netmodel import Assignment, Catalog, NetworkModel, check_placement, malformed, normalize_cost
 
 
 class NodeKind:
@@ -315,71 +315,32 @@ def apply_assignments(network: NetworkModel, assignments: Iterable[Assignment]) 
 def _generate(network: NetworkModel, planted: list[Assignment]) -> AttackGraph:
     """Least fixpoint of the remote rule, real vulns first, then with `planted` added.
 
-    `planted` holds the distinct assignments, sorted.
+    `planted` holds the distinct assignments, sorted. The real phase is the
+    same for every placement, so it runs once per network object
+    (`_real_phase`). Each call copies the parts it extends and runs the fake
+    phase on the copies: the memo is never mutated, and it holds no graph,
+    view or plan, so graphs built on one network share nothing but plain data.
     """
-    catalog = network.catalog
+    real = _real_phase(network)
     # an assignment is its (host, vuln) pair, so this finds the planted object by pair
     planted_at = {a: a for a in planted}
-    children: dict[str, list[str]] = {}
-    for src, dst in sorted(network.reachability):
-        children.setdefault(src, []).append(dst)
-    real = {h.host_id: sorted(h.installed_vulns) for h in network.sorted_hosts()}
-
-    # one row per exploit: (id, attacking host, target host, config, first cause)
-    rows: list[tuple[str, str, str, str, Assignment | None]] = []
-    # reached host -> the assignment that first enabled its privilege
-    host_cause: dict[str, Assignment | None] = {}
-    cost: dict[str, float] = {}
-    # a config costs what its vuln costs, so each vuln is priced (and checked) once
-    costs_by_vuln: dict[str, float] = {}
-    fake: dict[str, bool] = {}
+    rows = list(real.rows)
+    host_cause: dict[str, Assignment | None] = dict.fromkeys(real.reached)
+    cost = dict(real.cost)
+    fake = dict.fromkeys(cost, False)
     config_cause: dict[str, Assignment] = {}
-
-    def wave(frontier: list[str], vulns: Mapping[str, list[str]]) -> list[str]:
-        # One breadth-first wave: fire every rule from the frontier's hosts onto
-        # `vulns`, and return the hosts first reached, sorted. Sorted order at
-        # every level keeps first-cause attribution deterministic.
-        fresh: list[str] = []
-        for x in frontier:
-            x_cause = host_cause[x]
-            for dst in children.get(x, ()):
-                for vuln in vulns.get(dst, ()):
-                    assignment = planted_at.get((dst, vuln))
-                    cause = x_cause if assignment is None else assignment
-                    cid = config_id(dst, vuln)
-                    rows.append((exploit_id(dst, vuln, x), x, dst, cid, cause))
-                    if cid not in cost:
-                        vuln_cost = costs_by_vuln.get(vuln)
-                        if vuln_cost is None:
-                            vuln_cost = costs_by_vuln[vuln] = normalize_cost(catalog[vuln])
-                        cost[cid] = vuln_cost
-                        fake[cid] = assignment is not None
-                        if cause is not None:
-                            config_cause[cid] = cause
-                    if dst not in host_cause:
-                        host_cause[dst] = cause
-                        fresh.append(dst)
-        fresh.sort()
-        return fresh
-
-    # A host enters a frontier once per phase, so no exploit is created twice.
-    # Every node the real phase creates has no cause, and every node the fake
-    # phase creates has one, so the causes are the provenance (the goal aside).
-    entry = network.attacker_entry
-    host_cause[entry] = None
-    frontier = [entry]
-    while frontier:
-        frontier = wave(frontier, real)
     if planted:
         # Second phase: fakes join the rule base. The real phase is a complete
         # fixpoint, so the hosts it reached have fired every real rule already;
         # they only fire onto planted vulns. Hosts first reached from here on
         # fire onto everything.
+        prices = dict(real.prices)
+        wave = _waves(network.catalog, real.children, planted_at, rows, host_cause, cost, prices, fake, config_cause)
         fakes: dict[str, list[str]] = {}
         for host, vuln in planted:
             fakes.setdefault(host, []).append(vuln)
         # check_placement keeps planted vulns off the installed lists, so no duplicates
-        every = {**real, **{h: sorted(real[h] + vulns) for h, vulns in fakes.items()}}
+        every = {**real.vulns, **{h: sorted(real.vulns[h] + vulns) for h, vulns in fakes.items()}}
         frontier = wave(sorted(host_cause), fakes)
         while frontier:
             frontier = wave(frontier, every)
@@ -390,6 +351,7 @@ def _generate(network: NetworkModel, planted: list[Assignment]) -> AttackGraph:
 
     # Exploits numbered in sorted id order, which is not the order of their
     # (host, vuln, host) parts: "h1|" sorts after "h10", "v1|" after "v1x".
+    # The real rows come sorted by id, so the sort merges the fake phase's in.
     rows.sort(key=itemgetter(0))
     # privilege ids share the prefix "p|h:", so they sort as their hosts do
     hosts = sorted(host_cause)
@@ -404,13 +366,112 @@ def _generate(network: NetworkModel, planted: list[Assignment]) -> AttackGraph:
         privileges=tuple(map(priv_id, hosts)),
         exploits=tuple(map(itemgetter(0), rows)),
         configs=configs,
-        source=p_index[entry],
+        source=p_index[network.attacker_entry],
         goal=p_index[goal_host],
         arcs=tuple(map(tuple, arcs)),
         cost=tuple(map(cost.__getitem__, configs)),
         fake=tuple(map(fake.__getitem__, configs)),
     )
     return _GeneratedGraph._born(view, cost, fake, rows, host_cause, config_cause)
+
+
+# one row per exploit: (id, attacking host, target host, config, first cause)
+_Row = tuple[str, str, str, str, Assignment | None]
+
+
+@dataclass(frozen=True)
+class _RealPhase:
+    """The real phase of `_generate` on one network: plain data, never mutated.
+
+    `children` lists each host's reachable hosts and `vulns` each host's
+    installed vulns, sorted; `rows` are the real exploits, sorted by id;
+    `reached` lists the hosts reached, in the order they were reached, all
+    with cause None; `cost` prices each real config and `prices` each vuln.
+    """
+
+    children: dict[str, list[str]]
+    vulns: dict[str, list[str]]
+    rows: tuple[_Row, ...]
+    reached: tuple[str, ...]
+    cost: dict[str, float]
+    prices: dict[str, float]
+
+
+def _real_phase(network: NetworkModel) -> _RealPhase:
+    """`_generate`'s real phase, run on the first call and kept in the network's `__dict__`.
+
+    It is kept there as `functools.cached_property` keeps a value on a frozen
+    dataclass, so a network must not be mutated after use. A copy built with
+    `dataclasses.replace` starts without it.
+    """
+    memo = vars(network).get("_real_phase")
+    if memo is None:
+        children: dict[str, list[str]] = {}
+        for src, dst in sorted(network.reachability):
+            children.setdefault(src, []).append(dst)
+        vulns = {h.host_id: sorted(h.installed_vulns) for h in network.sorted_hosts()}
+        rows: list[_Row] = []
+        # A host enters a frontier once per phase, so no exploit is created twice.
+        # Every node the real phase creates has no cause, and every node the fake
+        # phase creates has one, so the causes are the provenance (the goal aside).
+        host_cause: dict[str, Assignment | None] = {network.attacker_entry: None}
+        cost: dict[str, float] = {}
+        prices: dict[str, float] = {}
+        wave = _waves(network.catalog, children, {}, rows, host_cause, cost, prices, {}, {})
+        frontier = [network.attacker_entry]
+        while frontier:
+            frontier = wave(frontier, vulns)
+        rows.sort(key=itemgetter(0))
+        memo = vars(network)["_real_phase"] = _RealPhase(children, vulns, tuple(rows), tuple(host_cause), cost, prices)
+    return memo
+
+
+def _waves(
+    catalog: Catalog,
+    children: Mapping[str, list[str]],
+    planted_at: Mapping[Assignment, Assignment],
+    rows: list[_Row],
+    host_cause: dict[str, Assignment | None],
+    cost: dict[str, float],
+    prices: dict[str, float],
+    fake: dict[str, bool],
+    config_cause: dict[str, Assignment],
+) -> Callable[[list[str], Mapping[str, list[str]]], list[str]]:
+    """`wave(frontier, vulns)`: one breadth-first wave of the remote rule, extending the given state in place.
+
+    A wave fires every rule from the frontier's hosts onto `vulns`, and
+    returns the hosts first reached, sorted. Sorted order at every level
+    keeps first-cause attribution deterministic. `host_cause` maps each
+    reached host to the assignment that first enabled its privilege; a
+    config costs what its vuln costs, so each vuln is priced (and checked)
+    once, in `prices`.
+    """
+
+    def wave(frontier: list[str], vulns: Mapping[str, list[str]]) -> list[str]:
+        fresh: list[str] = []
+        for x in frontier:
+            x_cause = host_cause[x]
+            for dst in children.get(x, ()):
+                for vuln in vulns.get(dst, ()):
+                    assignment = planted_at.get((dst, vuln))
+                    cause = x_cause if assignment is None else assignment
+                    cid = config_id(dst, vuln)
+                    rows.append((exploit_id(dst, vuln, x), x, dst, cid, cause))
+                    if cid not in cost:
+                        vuln_cost = prices.get(vuln)
+                        if vuln_cost is None:
+                            vuln_cost = prices[vuln] = normalize_cost(catalog[vuln])
+                        cost[cid] = vuln_cost
+                        fake[cid] = assignment is not None
+                        if cause is not None:
+                            config_cause[cid] = cause
+                    if dst not in host_cause:
+                        host_cause[dst] = cause
+                        fresh.append(dst)
+        fresh.sort()
+        return fresh
+
+    return wave
 
 
 class _GeneratedGraph(AttackGraph):
@@ -431,7 +492,7 @@ class _GeneratedGraph(AttackGraph):
         view: IndexedView,
         cost: dict[str, float],
         fake: dict[str, bool],
-        rows: list[tuple[str, str, str, str, Assignment | None]],
+        rows: list[_Row],
         host_cause: dict[str, Assignment | None],
         config_cause: dict[str, Assignment],
     ) -> "_GeneratedGraph":

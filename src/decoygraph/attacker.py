@@ -220,18 +220,46 @@ def evaluate_placement(
 ) -> EvaluationReport:
     """Simulate the attacker against a placement and compute the measures.
 
-    Builds the graph with the placement planted. The seed is recorded for
+    Builds the graph with the placement planted; the network's real phase is
+    generated once, by its first graph build. The seed is recorded for
     reporting only; the simulation itself is deterministic. The
-    deception-free optimum is planned on the decorated graph with every fake
-    banned, which leaves exactly the plans of the undecorated graph.
+    deception-free optimum b is planned once per network (`_baseline_cost`),
+    on the first caller's graph with every fake banned.
     `PlacementProblem.evaluate` gives the same report by ban set on the one
     graph its problem compiles per network, the graph its searches run on.
     """
     placement = frozenset(assignments)
     graph = apply_assignments(network, placement)
-    baseline_cost = optimal_plan(graph, banned_configs=graph.fake_configs()).cost
+    baseline_cost = _baseline_cost(network, graph)
     trace = simulate_attack(graph)
     # the graph is built for this call; the report's plans must not keep it alive
     for it in trace.iterations:
         it.plan.detach()
     return EvaluationReport.from_trace(trace, len(placement), baseline_cost, seed)
+
+
+def _baseline_cost(network: NetworkModel, graph: AttackGraph) -> float:
+    """The network's deception-free optimum b, planned on `graph` by the first call and kept.
+
+    `graph` is any graph generated from `network`, with any placement
+    planted. b is the cost of the optimal plan with every fake banned, kept
+    in the network's `__dict__` as `functools.cached_property` keeps a value,
+    so a network must not be mutated after use. An unreachable goal keeps
+    nothing: every call raises Unreachable.
+
+    Lemma. With every fake banned, Dijkstra on any decorated graph pops the
+    same real privileges, in the same order, along the same arcs, as on the
+    undecorated graph. A host the real phase reaches fires only onto planted
+    vulns in the fake phase, so its real arcs are the undecorated graph's; a
+    host first reached in the fake phase is reached only through fake arcs,
+    so with every fake banned it is never pushed. Privileges and exploits
+    are numbered in sorted id order, so the real ones keep their relative
+    order: heap ties and the arc scan order are unchanged. Banned arcs are
+    skipped with no effect on distances, predecessors or pop order. So the
+    chain, and the `fsum` over its configs, are the same to the bit on every
+    graph of the network.
+    """
+    b = vars(network).get("_baseline_cost")
+    if b is None:
+        b = vars(network)["_baseline_cost"] = optimal_plan(graph, banned_configs=graph.fake_configs()).cost
+    return b

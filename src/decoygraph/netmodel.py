@@ -172,6 +172,13 @@ class NetworkModel:
     installed or merely placeable; hosts reference records by id. Reachability
     is a directed host-pair relation; the attacker entry may be a host id or
     the distinguished external location.
+
+    A network is validated when it is built and must not be mutated after
+    use: its first graph build keeps the real phase of graph generation, and
+    its first evaluation or `PlacementProblem` the deception-free optimum b,
+    in the instance's `__dict__`, as `functools.cached_property` keeps a
+    value on a frozen dataclass. A copy made with `dataclasses.replace`
+    starts without them.
     """
 
     hosts: dict[str, Host]

@@ -39,10 +39,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .aggraph import IndexedView, apply_assignments, config_id
-from .attacker import AttackIteration, EvaluationReport, attack_total, simulate_attack
+from .attacker import AttackIteration, EvaluationReport, _baseline_cost, attack_total, simulate_attack
 from .errors import ConfigurationError, Unreachable
 from .netmodel import Assignment, NetworkModel, check_placement, compatible_pairs, normalize_cost
-from .planner import PlanningState, optimal_plan, plan_with_stats
+from .planner import PlanningState, plan_with_stats
 
 ORDERINGS = ("utility", "shortest_path", "random")
 HEURISTICS = ("h1", "h2")
@@ -119,14 +119,13 @@ class SearchResult:
 class PathRecord:
     """One cheap attack path through planted fakes: its cost and the fakes it uses."""
 
-    path_id: int
     cost: float
     assignments: frozenset[Assignment]
 
 
 @dataclass(frozen=True)
 class PathIndex:
-    """Pool of cheap fake-using paths, cheapest first; a record's `path_id` is its position.
+    """Pool of cheap fake-using paths, cheapest first; the rankers break cost ties by position.
 
     `planner_calls` counts the planner calls its build made, and `capped`
     says whether the build's call cap refused a call, so that the pool may
@@ -226,11 +225,11 @@ def _rank_by_paths(
     available = {c.assignment for c in remaining}
     slots = budget - len(chosen)
     best_key: dict[Assignment, tuple] = {}
-    for path in index.paths:
+    for pid, path in enumerate(index.paths):
         need = path.assignments - chosen
         if len(need) > slots or not need <= available:
             continue
-        key = (len(need), path.cost, path.path_id)
+        key = (len(need), path.cost, pid)
         for a in need:
             if a not in best_key or key < best_key[a]:
                 best_key[a] = key
@@ -318,7 +317,7 @@ def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathInd
         seen_cfg.add(cfgs)
         fakes = frozenset(owner[c] for c in cfgs if c in owner)
         if fakes:
-            records.append(PathRecord(path_id=len(records), cost=cost, assignments=fakes))
+            records.append(PathRecord(cost=cost, assignments=fakes))
             if len(records) == pool_size:
                 break  # the pool is full: none of this plan's branches would be popped
         for c in sorted(cfgs, key=config_ids.__getitem__):
@@ -367,8 +366,11 @@ class PlacementProblem:
 
     Holds one attack graph of the network with every compatible (host, vuln)
     pair planted, its fake configs, the undefended attack cost `baseline_cost`
-    (b), and the reachable candidates as plain assignments. A set of pairs is
-    evaluated on that graph by ban flags alone: its simulation bans every
+    (b), and the reachable candidates as plain assignments. b is planned
+    once per network, by the first problem or `evaluate_placement` call on
+    it, and read by every later one (the lemma is in
+    `attacker._baseline_cost`). A set of pairs is evaluated on that graph by
+    ban flags alone: its simulation bans every
     fake config but the set's, over an arc list fixed per use (the view's,
     or in a search the corridor of Lemma G), so every search simulation bans
     the pairs `enumerate_candidates` folds away. Candidates the attacker can never reach leave no fake config
@@ -519,7 +521,7 @@ class PlacementProblem:
         pairs = compatible_pairs(network)
         self.graph = apply_assignments(network, pairs)
         self.fake_configs = self.graph.fake_configs()
-        self.baseline_cost = optimal_plan(self.graph, banned_configs=self.fake_configs).cost
+        self.baseline_cost = _baseline_cost(network, self.graph)
         self.candidates = tuple(a for a in _fold_pairs(network, pairs) if _fake_config(a) in self.fake_configs)
         # A set is simulated on the graph's numbered view by ban flags alone:
         # every fake starts banned, and planting a set clears its fakes' flags.
@@ -888,8 +890,7 @@ def _path_ranker(
                 size = need.bit_count()
                 if size > slots or need & ~available:
                     continue
-                path = index.paths[pid]
-                key = (size, path.cost, path.path_id)
+                key = (size, index.paths[pid].cost, pid)
                 if i not in best_key or key < best_key[i]:
                     best_key[i] = key
         on_path = sorted(best_key, key=lambda i: (best_key[i], i))

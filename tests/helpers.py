@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 
 from decoygraph.aggraph import AttackGraph
+from decoygraph.fixtures import build_h1_counterexample
 from decoygraph.netmodel import (
     EXTERNAL,
     CvssVersion,
@@ -227,3 +228,40 @@ def dormant_fake_net_n2() -> NetworkModel:
     """N2, N1 with fake x2 on y: value({x, x2}) = 1.0 and value({x, x2, a}) = 2.35
     (rounds 0.40, 0.60, 0.60, 0.75). Adding a gains 1.35, more than b."""
     return _dormant_fake_net(second_fake=True)
+
+
+def cut_network() -> NetworkModel:
+    """A network whose goal host t no exploit can reach: only u is reachable."""
+    rv = VulnerabilityRecord(
+        vuln_id="rv",
+        cvss_version=CvssVersion.V2,
+        exploitability_subscore=10.0,
+        affected_os=frozenset({"os-t"}),
+    )
+    hosts = {
+        "t": Host(host_id="t", os="os-t", installed_vulns=frozenset({"rv"}), layer=Layer.SECURED),
+        "u": Host(host_id="u", os="os-t", installed_vulns=frozenset({"rv"}), layer=Layer.DMZ),
+    }
+    return NetworkModel(
+        hosts=hosts,
+        reachability=frozenset({(EXTERNAL, "u")}),
+        attacker_entry=EXTERNAL,
+        goal=Goal(host_id="t"),
+        catalog={"rv": rv},
+    )
+
+
+def memo_networks() -> list[NetworkModel]:
+    """Fresh networks for the per-network memos, none yet used.
+
+    Generated networks in the default and the CVSS v3 catalog, some with dead
+    hosts (no real vuln, so reached only through a fake planted on them),
+    plus the lure network, whose host d1 is reached only through the fake on
+    f2, and N2, whose hosts x and y are reached only through their fakes.
+    """
+    nets = [
+        generate_network(hosts, catalog, seed=seed, dead_hosts=dead)
+        for catalog in (default_catalog(), cvss3_catalog())
+        for hosts, seed, dead in ((8, 3, 0), (12, 7, 0), (10, 4, 3), (20, 11, 4), (30, 1, 2))
+    ]
+    return [*nets, build_h1_counterexample(), dormant_fake_net_n2()]

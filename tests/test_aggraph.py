@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -40,6 +43,7 @@ from helpers import (
     CVSS3_PALETTE,
     _vuln,
     cvss3_catalog,
+    memo_networks,
     random_attack_graph,
     random_unit_rule_graph,
 )
@@ -253,6 +257,42 @@ def test_generated_and_loaded_graphs_agree():
     # a copy made by dataclasses.replace scans its own edges
     moved = dataclasses.replace(build_attack_graph(prefix_net), goal=priv_id(EXTERNAL))
     assert moved.indexed.goal == moved.indexed.source
+
+
+def _graph_fields(graph: AttackGraph) -> list:
+    """Everything a graph holds: its nine fields, then its integer view."""
+    return [getattr(graph, f.name) for f in dataclasses.fields(AttackGraph)] + [graph.indexed]
+
+
+class TestRealPhaseMemo:
+    """A network's real phase runs once, on its first graph build; a build on a
+    warm network must equal the build on a fresh copy, which runs it anew."""
+
+    def test_warm_builds_equal_fresh_ones(self):
+        fake_reached = 0
+        for net in memo_networks():
+            pairs = compatible_pairs(net)
+            placements = [(), pairs] + [draw for draw, _ in (random_placement(net, 0.5, seed) for seed in range(3))]
+            memo = copy.deepcopy(vars(net)["_real_phase"])
+            # A, B, A for each neighbouring pair, so that a build that changed the memo shows on the next one
+            for a, b in zip(placements, placements[1:]):
+                for placement in (a, b, a):
+                    fresh = apply_assignments(dataclasses.replace(net), placement)
+                    assert _graph_fields(apply_assignments(net, placement)) == _graph_fields(fresh)
+            assert vars(net)["_real_phase"] == memo
+            # hosts whose privilege only a fake enables
+            planted, bare = apply_assignments(net, pairs), build_attack_graph(net)
+            fake_reached += bool(planted.privilege_nodes - bare.privilege_nodes)
+        assert fake_reached == 8
+
+    def test_the_memo_keeps_no_graph_alive(self):
+        net = generate_network(12, default_catalog(), seed=7)
+        graph = apply_assignments(net, compatible_pairs(net))
+        refs = [weakref.ref(graph), weakref.ref(graph.indexed)]
+        del graph
+        gc.collect()
+        assert "_real_phase" in vars(net)
+        assert [ref() for ref in refs] == [None, None]
 
 
 def test_equality_reads_every_field(lure_net):

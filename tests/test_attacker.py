@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -25,7 +26,7 @@ from decoygraph.placement_search import (
     exhaustive_best,
 )
 from decoygraph.planner import optimal_cost, optimal_plan, plan_with_stats
-from helpers import cvss3_catalog, small_network
+from helpers import cut_network, cvss3_catalog, memo_networks, small_network
 
 CATALOGS = pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
 
@@ -347,7 +348,7 @@ class TestSharedEvaluation:
             return build_path_index(*args, **kwargs)
 
         monkeypatch.setattr(placement_search, "apply_assignments", counted_build)
-        monkeypatch.setattr(placement_search, "optimal_plan", counted_plan)
+        monkeypatch.setattr(attacker, "optimal_plan", counted_plan)
         monkeypatch.setattr(placement_search, "build_path_index", counted_index)
         problem = PlacementProblem(net)
         searched = dfbnb(net, budget=2, problem=problem)
@@ -356,6 +357,39 @@ class TestSharedEvaluation:
             problem.evaluate(draw_budget_placement(net, 3, seed))
         assert problem.evaluate(searched.best_assignments).total_cost == searched.best_utility
         assert (len(builds), len(baselines), len(indexes)) == (1, 1, 1)
+
+
+class TestBaselineMemo:
+    """b, the deception-free optimum, is planned once per network by whichever
+    of evaluate_placement and PlacementProblem comes first, on its own
+    decorated graph, and read by every later one."""
+
+    @pytest.mark.parametrize("first", ["evaluate_placement", "PlacementProblem"])
+    def test_b_is_the_undecorated_optimum(self, first, monkeypatch):
+        plans = []
+
+        def counted_plan(graph, banned_configs=frozenset()):
+            plans.append(graph)
+            return optimal_plan(graph, banned_configs=banned_configs)
+
+        monkeypatch.setattr(attacker, "optimal_plan", counted_plan)
+        nets = memo_networks()
+        for net in nets:
+            expected = optimal_cost(build_attack_graph(dataclasses.replace(net))).hex()
+            placement = draw_budget_placement(net, 3, 0)
+            calls = [lambda: evaluate_placement(net, placement), lambda: PlacementProblem(net)]
+            if first == "PlacementProblem":
+                calls.reverse()
+            for call in (*calls, *calls):
+                assert call().baseline_cost.hex() == expected
+        assert len(plans) == len(nets)
+
+    def test_an_unreachable_goal_keeps_nothing(self):
+        net = cut_network()
+        for call in (lambda: evaluate_placement(net, ()), lambda: PlacementProblem(net)) * 2:
+            with pytest.raises(Unreachable):
+                call()
+        assert set(vars(net)) == {f.name for f in dataclasses.fields(net)} | {"_real_phase"}
 
 
 def test_reports_do_not_keep_their_graph_alive(monkeypatch):

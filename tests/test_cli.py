@@ -10,19 +10,9 @@ from click.testing import CliRunner
 
 from decoygraph import cli
 from decoygraph.cli import main
-from decoygraph.netmodel import (
-    EXTERNAL,
-    CvssVersion,
-    Goal,
-    Host,
-    Layer,
-    NetworkModel,
-    VulnerabilityRecord,
-    default_catalog,
-    generate_network,
-    save_network,
-)
+from decoygraph.netmodel import default_catalog, generate_network, save_network
 from decoygraph.placement_search import PlacementProblem, build_path_index
+from helpers import cut_network
 
 
 @pytest.fixture
@@ -280,25 +270,8 @@ class TestEvaluate:
 
 def _write_cut_network(tmp_path):
     """Write a network whose goal host no exploit can reach; return its path."""
-    rv = VulnerabilityRecord(
-        vuln_id="rv",
-        cvss_version=CvssVersion.V2,
-        exploitability_subscore=10.0,
-        affected_os=frozenset({"os-t"}),
-    )
-    hosts = {
-        "t": Host(host_id="t", os="os-t", installed_vulns=frozenset({"rv"}), layer=Layer.SECURED),
-        "u": Host(host_id="u", os="os-t", installed_vulns=frozenset({"rv"}), layer=Layer.DMZ),
-    }
-    net = NetworkModel(
-        hosts=hosts,
-        reachability=frozenset({(EXTERNAL, "u")}),
-        attacker_entry=EXTERNAL,
-        goal=Goal(host_id="t"),
-        catalog={"rv": rv},
-    )
     path = tmp_path / "cut.json"
-    save_network(net, path)
+    save_network(cut_network(), path)
     return path
 
 

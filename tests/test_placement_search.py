@@ -128,8 +128,8 @@ def _search_inputs(problem: PlacementProblem) -> str:
                 for budget in (1, 2, 3)
             ],
             "paths": [
-                [p.path_id, p.cost, [a.to_dict() for a in sorted(p.assignments)]]
-                for p in problem.path_index(100).paths
+                [pid, p.cost, [a.to_dict() for a in sorted(p.assignments)]]
+                for pid, p in enumerate(problem.path_index(100).paths)
             ],
         }
     )
@@ -268,8 +268,7 @@ class TestPathPool:
         assert costs == sorted(costs)
         assert costs[0] == 1.5
         assert idx.paths[0].assignments == frozenset({W1, W2, W3})
-        for pid, p in enumerate(idx.paths):
-            assert p.path_id == pid
+        for p in idx.paths:
             assert p.cost < 3.0
             assert p.assignments and p.assignments <= set(problem.candidates)
 
@@ -321,7 +320,7 @@ def _full_arc_path_index(problem: PlacementProblem, pool_size: int) -> PathIndex
         seen.add(cfgs)
         fakes = frozenset(full.provenance[c] for c in cfgs if full.fake_flag.get(c, False))
         if fakes:
-            records.append(PathRecord(path_id=len(records), cost=cost, assignments=fakes))
+            records.append(PathRecord(cost=cost, assignments=fakes))
             if len(records) == pool_size:
                 break
         for c in sorted(cfgs):
@@ -332,7 +331,7 @@ def _full_arc_path_index(problem: PlacementProblem, pool_size: int) -> PathIndex
 def _index_fields(index: PathIndex) -> tuple:
     """Everything an index holds, costs as their bits."""
     return (
-        [(p.path_id, p.cost.hex(), sorted(p.assignments)) for p in index.paths],
+        [(pid, p.cost.hex(), sorted(p.assignments)) for pid, p in enumerate(index.paths)],
         index.planner_calls,
         index.capped,
     )
