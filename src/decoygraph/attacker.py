@@ -9,17 +9,20 @@ cost nothing from then on), scratches the discovered fake off its map (bans
 its config on the same graph), and replans. The loop ends when a plan runs
 entirely on real configs, and the accumulated payments are the attack's
 actual total cost.
+
+Every placement of a network is evaluated by ban set on the one graph the
+network compiles (`_compiled`), by `evaluate_placement` and the searches alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .aggraph import AttackGraph, apply_assignments
+from .aggraph import AttackGraph, apply_assignments, config_id
 from .errors import Unreachable
-from .netmodel import Assignment, NetworkModel
+from .netmodel import Assignment, NetworkModel, check_placement, compatible_pairs
 from .planner import AttackPlan, PlannerStats, PlanningState, optimal_plan, plan_with_stats
 
 
@@ -138,27 +141,28 @@ def simulate_attack(
     """Run the plan/fail/replan loop to completion and return the trace.
 
     Everything happens on the one graph given. `banned_configs` takes configs
-    out of play from the start; `PlacementProblem` bans the fake configs of
-    the pairs a placement does not plant, so one graph with every compatible
-    pair planted serves every placement. The loop keeps its state by config
-    number (`PlanningState`): each round plans at face value with the configs
-    paid so far zeroed, and walks the plan's steps through the configs each
-    one requires; the graph's adjacency is not read, and config ids are only
-    looked up for the trace. When the plan trips a fake, the discovered
-    assignment's own config is banned, which leaves the planner exactly the
-    plans of the graph regenerated without that assignment.
+    out of play from the start; `evaluate_placement` and `PlacementProblem`
+    ban the fake configs of the pairs a placement does not plant, so one
+    graph with every compatible pair planted serves every placement. The
+    loop keeps its state by config number (`PlanningState`): each round plans
+    at face value with the configs paid so far zeroed, and walks the plan's
+    steps through the configs each one requires; the graph's adjacency is not
+    read, and config ids are only looked up for the trace. When the plan
+    trips a fake, the discovered assignment's own config is banned, which
+    leaves the planner exactly the plans of the graph regenerated without
+    that assignment.
 
-    A caller may pass a fresh `PlanningState` instead of ids, as
-    `PlacementProblem` does: it plants a set by clearing the ban flags of
-    its fakes in a state with every fake banned, over an arc list it keeps
-    fixed. Dijkstra skips a banned config's arcs, whether banned from the
-    start or on discovery, without touching distances, predecessors or pop
-    order. A search's list is a corridor of the view's arcs, in their order:
-    it leaves out the arcs of the pairs no search plants, which are banned
-    throughout, and those out of and into privileges that no round's plan
-    can reach, by a bound on the chains through them. Dijkstra then settles
-    fewer privileges but plans the same chain every round, so the trace
-    differs only in the states expanded (Lemma G of `PlacementProblem`).
+    A caller may pass a fresh `PlanningState` instead of ids, as both do:
+    `_Compiled.state` plants a set by clearing the ban flags of its fakes in
+    a state with every fake banned, over an arc list kept fixed. Dijkstra
+    skips a banned config's arcs, whether banned from the start or on
+    discovery, without touching distances, predecessors or pop order. A
+    search's list is a corridor of the view's arcs, in their order: it leaves
+    out the arcs of the pairs no search plants, which are banned throughout,
+    and those out of and into privileges that no round's plan can reach, by a
+    bound on the chains through them. Dijkstra then settles fewer privileges
+    but plans the same chain every round, so the trace differs only in the
+    states expanded (Lemma G of `PlacementProblem`).
 
     A real attack path (goal derivable from real configs only) must exist.
     The loop raises Unreachable("no real attack path exists") if and only if
@@ -220,46 +224,71 @@ def evaluate_placement(
 ) -> EvaluationReport:
     """Simulate the attacker against a placement and compute the measures.
 
-    Builds the graph with the placement planted; the network's real phase is
-    generated once, by its first graph build. The seed is recorded for
-    reporting only; the simulation itself is deterministic. The
-    deception-free optimum b is planned once per network (`_baseline_cost`),
-    on the first caller's graph with every fake banned.
-    `PlacementProblem.evaluate` gives the same report by ban set on the one
-    graph its problem compiles per network, the graph its searches run on.
+    The placement is checked before the network is compiled, then planted by
+    ban set on the compiled graph, over all its arcs, so p2 counts what a
+    graph built with exactly the placement would expand. A pair on a host the
+    attacker never reaches has no config there to open. The seed is recorded
+    for reporting only; the simulation itself is deterministic.
     """
-    placement = frozenset(assignments)
-    graph = apply_assignments(network, placement)
-    baseline_cost = _baseline_cost(network, graph)
-    trace = simulate_attack(graph)
-    # the graph is built for this call; the report's plans must not keep it alive
-    for it in trace.iterations:
-        it.plan.detach()
-    return EvaluationReport.from_trace(trace, len(placement), baseline_cost, seed)
+    placement = check_placement(network, assignments)
+    compiled = _compiled(network)
+    number = compiled.number
+    opened = [number[c] for c in (config_id(*a) for a in placement) if c in number]
+    trace = simulate_attack(compiled.graph, compiled.state(opened))
+    return EvaluationReport.from_trace(trace, len(placement), compiled.baseline_cost, seed)
 
 
-def _baseline_cost(network: NetworkModel, graph: AttackGraph) -> float:
-    """The network's deception-free optimum b, planned on `graph` by the first call and kept.
+@dataclass(frozen=True)
+class _Compiled:
+    """A network's graph with every compatible pair planted, its config
+    numbering, ban flags set on every fake, and b planned with them.
 
-    `graph` is any graph generated from `network`, with any placement
-    planted. b is the cost of the optimal plan with every fake banned, kept
-    in the network's `__dict__` as `functools.cached_property` keeps a value,
-    so a network must not be mutated after use. An unreachable goal keeps
+    It holds no reference to the network, so the two are freed without the
+    cycle collector.
+
+    Lemma. b is `optimal_cost(build_attack_graph(network))` to the bit. With
+    every fake banned, Dijkstra on any decorated graph pops the same real
+    privileges, in the same order, along the same arcs, as on the undecorated
+    graph. A host the real phase reaches fires only onto planted vulns in the
+    fake phase, so its real arcs are the undecorated graph's; a host first
+    reached in the fake phase is reached only through fake arcs, so with
+    every fake banned it is never pushed. Privileges and exploits are
+    numbered in sorted id order, so the real ones keep their relative order:
+    heap ties and the arc scan order are unchanged. Banned arcs are skipped
+    with no effect on distances, predecessors or pop order. So the chain, and
+    the `fsum` over its configs, are the same to the bit.
+    """
+
+    graph: AttackGraph
+    number: dict[str, int]
+    all_fakes_banned: bytes
+    baseline_cost: float
+
+    def state(
+        self, fakes: Iterable[int], arcs: Sequence[Sequence[tuple[int, int, int]]] | None = None
+    ) -> PlanningState:
+        """A fresh planning state with the fakes numbered `fakes` open and every
+        other fake banned, scanning `arcs` (by default the view's)."""
+        view = self.graph.indexed
+        banned = bytearray(self.all_fakes_banned)
+        for c in fakes:
+            banned[c] = 0
+        return PlanningState(view.configs, view.fake, list(view.cost), banned, view.arcs if arcs is None else arcs)
+
+
+def _compiled(network: NetworkModel) -> _Compiled:
+    """The network's compiled part, built on the first call and kept in its `__dict__`.
+
+    It is kept there as `functools.cached_property` keeps a value on a frozen
+    dataclass, so a network must not be mutated after use; a copy built with
+    `dataclasses.replace` starts without it. An unreachable goal keeps
     nothing: every call raises Unreachable.
-
-    Lemma. With every fake banned, Dijkstra on any decorated graph pops the
-    same real privileges, in the same order, along the same arcs, as on the
-    undecorated graph. A host the real phase reaches fires only onto planted
-    vulns in the fake phase, so its real arcs are the undecorated graph's; a
-    host first reached in the fake phase is reached only through fake arcs,
-    so with every fake banned it is never pushed. Privileges and exploits
-    are numbered in sorted id order, so the real ones keep their relative
-    order: heap ties and the arc scan order are unchanged. Banned arcs are
-    skipped with no effect on distances, predecessors or pop order. So the
-    chain, and the `fsum` over its configs, are the same to the bit on every
-    graph of the network.
     """
-    b = vars(network).get("_baseline_cost")
-    if b is None:
-        b = vars(network)["_baseline_cost"] = optimal_plan(graph, banned_configs=graph.fake_configs()).cost
-    return b
+    compiled = vars(network).get("_compiled")
+    if compiled is None:
+        graph = apply_assignments(network, compatible_pairs(network))
+        b = optimal_plan(graph, banned_configs=graph.fake_configs()).cost
+        view = graph.indexed
+        number = {c: i for i, c in enumerate(view.configs)}
+        compiled = vars(network)["_compiled"] = _Compiled(graph, number, bytes(view.fake), b)
+    return compiled

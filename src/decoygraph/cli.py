@@ -501,7 +501,7 @@ def _sweep_cell(
         placement = frozenset(assignments)  # evaluate reads the distinct assignments, in any order
         columns = evaluated.get(placement)
         if columns is None:
-            report = problem().evaluate(placement, seed=seed)
+            report = evaluate_placement(network, placement, seed=seed)
             columns = evaluated[placement] = _report_columns(report, timings)
         row.update(columns)
         if budget:
@@ -557,10 +557,11 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
 
     The spec JSON carries: networks (generator specs {hosts, seed} or file
     refs {path}), optional catalog path, budgets, approaches, trials, and
-    base_seed; trial seeds are base_seed + trial index. Every cell on a
+    base_seed; trial seeds are base_seed + trial index. Every search on a
     network shares one PlacementProblem, built once, when the first one needs
-    it: the searches run on it, and every row is evaluated on it. A network
-    whose problem cannot be built gives an error row per cell.
+    it, and every row is evaluated by `evaluate_placement` on the same
+    compiled graph. A network whose goal is unreachable gives an error row
+    per cell.
 
     A search that reads no seed (exhaustive, or not under the random ordering)
     has its row computed at the first trial; later trials copy it with their

@@ -38,10 +38,10 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
-from .aggraph import IndexedView, apply_assignments, config_id
-from .attacker import AttackIteration, EvaluationReport, _baseline_cost, attack_total, simulate_attack
+from .aggraph import IndexedView, config_id
+from .attacker import AttackIteration, _compiled, attack_total, simulate_attack
 from .errors import ConfigurationError, Unreachable
-from .netmodel import Assignment, NetworkModel, check_placement, compatible_pairs, normalize_cost
+from .netmodel import Assignment, NetworkModel, compatible_pairs, normalize_cost
 from .planner import PlanningState, plan_with_stats
 
 ORDERINGS = ("utility", "shortest_path", "random")
@@ -145,13 +145,8 @@ def enumerate_candidates(network: NetworkModel) -> list[Assignment]:
     shape), so only the one with the smallest vulnerability id is kept.
     Order is deterministic: by host, then vuln id.
     """
-    return _fold_pairs(network, compatible_pairs(network))
-
-
-def _fold_pairs(network: NetworkModel, pairs: Iterable[Assignment]) -> list[Assignment]:
-    """The first of `pairs` per (host, config cost) class, in their order."""
     first: dict[tuple[str, float], Assignment] = {}
-    for a in pairs:
+    for a in compatible_pairs(network):
         first.setdefault((a.host_id, normalize_cost(network.catalog[a.vuln_id])), a)
     return list(first.values())
 
@@ -362,24 +357,24 @@ def expand(
 
 
 class PlacementProblem:
-    """The placement problem of one network, compiled once and shared.
+    """The placement problem of one network, shared by the searches on it.
 
-    Holds one attack graph of the network with every compatible (host, vuln)
-    pair planted, its fake configs, the undefended attack cost `baseline_cost`
-    (b), and the reachable candidates as plain assignments. b is planned
-    once per network, by the first problem or `evaluate_placement` call on
-    it, and read by every later one (the lemma is in
-    `attacker._baseline_cost`). A set of pairs is evaluated on that graph by
-    ban flags alone: its simulation bans every
-    fake config but the set's, over an arc list fixed per use (the view's,
-    or in a search the corridor of Lemma G), so every search simulation bans
-    the pairs `enumerate_candidates` folds away. Candidates the attacker can never reach leave no fake config
-    in that graph; they cannot change any subset's value, so `candidates`
-    leaves them out. Subset values, the candidates a budget can trip (as
-    `Candidate`s with their singleton utilities) and path indexes (by pool
-    size) are memoized, so every search on the network can share one problem;
-    a search refuses a problem compiled from another network. `evaluate`
-    reports on any valid placement, candidate or not, on the same graph.
+    Its graph and the undefended attack cost `baseline_cost` (b) are the
+    network's compiled part (`attacker._Compiled`, which holds the lemma on
+    b): one attack graph with every compatible (host, vuln) pair planted,
+    built once per network and shared with `evaluate_placement`. The problem
+    adds its fake configs and the reachable candidates as plain assignments.
+    A set of pairs is evaluated on that graph by ban flags alone: its
+    simulation bans every fake config but the set's, over an arc list fixed
+    per use (the view's, or in a search the corridor of Lemma G), so every
+    search simulation bans the pairs `enumerate_candidates` folds away.
+    Candidates the attacker can never reach leave no fake config in that
+    graph; they cannot change any subset's value, so `candidates` leaves them
+    out. Subset values, the candidates a budget can trip (as `Candidate`s
+    with their singleton utilities) and path indexes (by pool size) are
+    memoized per problem, so every search on the network can share one
+    problem, and an engine called without one starts from fresh memos; a
+    search refuses a problem compiled from another network.
 
     `trippable(k)` drops candidates that no attack on at most k planted fakes
     can trip. Let L(a) be the cheapest face-value source-to-goal chain through
@@ -509,30 +504,25 @@ class PlacementProblem:
     every set of at most 3 candidates with its full-arc simulation.
 
     `build_path_index` plans every branch on the empty set's corridor, with
-    limit b (Lemma H in its docstring). Only `evaluate` and `exhaustive_best`
-    plan over every arc: `evaluate` since its report counts the states
-    expanded (p2), and `exhaustive_best`, which simulates every set it does
-    not find memoized and memoizes no tails, so that on a fresh problem it
-    stays an independent oracle.
+    limit b (Lemma H in its docstring). Only `evaluate_placement` and
+    `exhaustive_best` plan over every arc: `evaluate_placement` since its
+    report counts the states expanded (p2), and `exhaustive_best`, which
+    simulates every set it does not find memoized and memoizes no tails, so
+    that on a fresh problem it stays an independent oracle.
     """
 
     def __init__(self, network: NetworkModel):
         self.network = network
-        pairs = compatible_pairs(network)
-        self.graph = apply_assignments(network, pairs)
+        compiled = self._compiled = _compiled(network)
+        self.graph = compiled.graph
         self.fake_configs = self.graph.fake_configs()
-        self.baseline_cost = _baseline_cost(network, self.graph)
-        self.candidates = tuple(a for a in _fold_pairs(network, pairs) if _fake_config(a) in self.fake_configs)
-        # A set is simulated on the graph's numbered view by ban flags alone:
-        # every fake starts banned, and planting a set clears its fakes' flags.
-        view = self.graph.indexed
-        self._number = {c: i for i, c in enumerate(view.configs)}
-        self._all_fakes_banned = bytes(view.fake)
-        self.chain_costs, self.real_routes, self._through = _fake_bounds(view)
+        self.baseline_cost = compiled.baseline_cost
+        self.candidates = tuple(a for a in enumerate_candidates(network) if _fake_config(a) in self.fake_configs)
+        self.chain_costs, self.real_routes, self._through = _fake_bounds(self.graph.indexed)
         # candidate -> index i (bit 1 << i of a set's mask), and by index its config number and L
         self._members = {a: i for i, a in enumerate(self.candidates)}
         self._by_index = tuple(
-            (self._number[_fake_config(a)], self.chain_costs[_fake_config(a)]) for a in self.candidates
+            (compiled.number[_fake_config(a)], self.chain_costs[_fake_config(a)]) for a in self.candidates
         )
         self._memo: dict[int, tuple[float, float]] = {}
         # set size -> Lemma G's corridor: per privilege, the arcs a search simulation (or, at 0, the path index) scans
@@ -610,30 +600,12 @@ class PlacementProblem:
         return corridor
 
     def _state(self, fakes: Iterable[int], size: int | None = None) -> PlanningState:
-        """A fresh planning state with the fake configs `fakes` open and every other fake banned.
+        """The compiled part's state with the fake configs `fakes` open and every other fake banned.
 
         Its arcs, fixed per use, are the view's, or with a `size` the corridor
         of that set size; the other candidates' arcs are skipped by ban flag.
         """
-        view = self.graph.indexed
-        banned = bytearray(self._all_fakes_banned)
-        for c in fakes:
-            banned[c] = 0
-        arcs = view.arcs if size is None else self._corridor(size)
-        return PlanningState(view.configs, view.fake, list(view.cost), banned, arcs)
-
-    def evaluate(self, assignments: Iterable[Assignment], seed: int = 0) -> EvaluationReport:
-        """`evaluate_placement`'s report on the placement, by ban set on the problem's graph.
-
-        The assignments are checked as `apply_assignments` checks them, and
-        the baseline is `baseline_cost`. It plans over every arc, not a
-        corridor (Lemma G), so p2 counts the states `evaluate_placement` counts.
-        """
-        placement = check_placement(self.network, assignments)
-        # a pair on a host the attacker never reaches has no config to open
-        opened = [self._number[c] for c in map(_fake_config, placement) if c in self._number]
-        trace = simulate_attack(self.graph, banned_configs=self._state(opened))
-        return EvaluationReport.from_trace(trace, len(placement), self.baseline_cost, seed)
+        return self._compiled.state(fakes, None if size is None else self._corridor(size))
 
     def trippable(self, budget: int) -> tuple[Candidate, ...]:
         """The candidates some placement of at most `budget` fakes can trip.

@@ -95,13 +95,6 @@ class AttackPlan:
         number = state.number
         return (tuple(number[c] for c in configs) for configs in self.step_configs)
 
-    def detach(self) -> None:
-        """Hold every field, so that the plan keeps no part of its graph alive.
-
-        Only a plan assembled on read holds part of its graph, its integer
-        view, and only until a field is first read.
-        """
-
     def to_dict(self) -> dict:
         return {
             "cost": self.cost,
@@ -125,16 +118,14 @@ class _ChainPlan(AttackPlan):
         # called only for attributes not set yet
         if name not in ("node_set", "exec_order", "step_configs"):
             raise AttributeError(name)
-        self.detach()
+        self._assemble()
         return vars(self)[name]
 
     def numbered_steps(self, state: "PlanningState") -> Iterable[tuple[int, ...]]:
         return ((c,) for _, c, _ in self._chain)
 
-    def detach(self) -> None:
-        view = vars(self).pop("_view", None)
-        if view is None:
-            return
+    def _assemble(self) -> None:
+        view = vars(self).pop("_view")
         chain = self._chain
         exec_order = tuple(view.exploits[e] for e, _, _ in chain)
         configs = [view.configs[c] for _, c, _ in chain]

@@ -12,9 +12,11 @@ plan costs compare exactly as floats, or from a CVSS v3 palette (subscore /
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
-from decoygraph.aggraph import AttackGraph
+from decoygraph.aggraph import AttackGraph, apply_assignments, build_attack_graph
+from decoygraph.attacker import EvaluationReport, simulate_attack
 from decoygraph.fixtures import build_h1_counterexample
 from decoygraph.netmodel import (
     EXTERNAL,
@@ -27,6 +29,7 @@ from decoygraph.netmodel import (
     default_catalog,
     generate_network,
 )
+from decoygraph.planner import optimal_cost
 
 # dyadic values with repeats to encourage cost ties
 COST_PALETTE = [0.0, 0.125, 0.25, 0.25, 0.375, 0.5, 0.5, 0.75, 1.0]
@@ -265,3 +268,16 @@ def memo_networks() -> list[NetworkModel]:
         for hosts, seed, dead in ((8, 3, 0), (12, 7, 0), (10, 4, 3), (20, 11, 4), (30, 1, 2))
     ]
     return [*nets, build_h1_counterexample(), dormant_fake_net_n2()]
+
+
+def reference_report(net: NetworkModel, placement, seed: int = 0) -> EvaluationReport:
+    """`evaluate_placement`'s report by an independent path, the oracle for its ban sets.
+
+    The attack runs on a graph built with exactly the placement planted, and
+    b is the optimum of the undecorated graph of a fresh copy of `net`, so
+    neither reads the network's compiled part.
+    """
+    placement = frozenset(placement)
+    trace = simulate_attack(apply_assignments(net, placement))
+    baseline = optimal_cost(build_attack_graph(dataclasses.replace(net)))
+    return EvaluationReport.from_trace(trace, len(placement), baseline, seed)

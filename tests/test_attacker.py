@@ -26,7 +26,7 @@ from decoygraph.placement_search import (
     exhaustive_best,
 )
 from decoygraph.planner import optimal_cost, optimal_plan, plan_with_stats
-from helpers import cut_network, cvss3_catalog, memo_networks, small_network
+from helpers import cut_network, cvss3_catalog, memo_networks, reference_report, small_network
 
 CATALOGS = pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
 
@@ -278,8 +278,9 @@ def _report_without_timings(report) -> dict:
 
 
 class TestSharedEvaluation:
-    """PlacementProblem.evaluate, by ban set on one graph per network, against
-    evaluate_placement, which builds a graph per placement and stays the reference."""
+    """evaluate_placement, by ban set on the network's one compiled graph,
+    against `helpers.reference_report`, which builds a graph per placement
+    and stays the reference."""
 
     NETWORKS = ((8, 3), (12, 7), (20, 11), (30, 3))
 
@@ -288,15 +289,14 @@ class TestSharedEvaluation:
         compared = outside = discovered = 0
         for hosts, net_seed in self.NETWORKS:
             net = generate_network(hosts, catalog or default_catalog(), net_seed)
-            problem = PlacementProblem(net)
             classes = set(enumerate_candidates(net))
             placements = [frozenset()]
             for seed in range(8):
                 placements.append(draw_budget_placement(net, 1 + seed % 4, seed))
                 placements.append(draw_placement(net, 0.5, seed))
             for seed, placement in enumerate(placements):
-                report = problem.evaluate(placement, seed=seed)
-                reference = evaluate_placement(net, placement, seed=seed)
+                report = evaluate_placement(net, placement, seed=seed)
+                reference = reference_report(net, placement, seed=seed)
                 assert _report_without_timings(report) == _report_without_timings(reference), (hosts, seed)
                 for it in report.trace.iterations:
                     if it.discovered_fake is not None:
@@ -309,7 +309,6 @@ class TestSharedEvaluation:
 
     def test_invalid_placements_raise_the_same_errors(self):
         net = generate_network(12, default_catalog(), seed=7)
-        problem = PlacementProblem(net)
         host = net.hosts["h03"]
         installed = sorted(host.installed_vulns)[0]
         compatible = compatible_vulns(net.catalog, host)[0]
@@ -323,15 +322,15 @@ class TestSharedEvaluation:
             [*valid, Assignment("h03", installed), Assignment("h03", incompatible)],
         ):
             with pytest.raises(ValidationError) as reference:
-                evaluate_placement(net, placement)
+                apply_assignments(net, placement)
             with pytest.raises(ValidationError) as shared:
-                problem.evaluate(placement)
+                evaluate_placement(net, placement)
             assert str(shared.value) == str(reference.value)
 
     def test_one_graph_per_problem(self, monkeypatch):
-        # searches, the path index and every evaluation share the problem's
-        # graph and its undefended plan
-        net = generate_network(12, default_catalog(), seed=7)
+        # evaluations, searches on a shared problem or on their own, and the
+        # path index share the network's compiled graph and its undefended plan
+        nets = [generate_network(12, default_catalog(), seed=7), generate_network(8, cvss3_catalog(), seed=3)]
         builds, baselines, indexes = [], [], []
 
         def counted_build(*args, **kwargs):
@@ -347,22 +346,26 @@ class TestSharedEvaluation:
             indexes.append(args)
             return build_path_index(*args, **kwargs)
 
-        monkeypatch.setattr(placement_search, "apply_assignments", counted_build)
+        monkeypatch.setattr(attacker, "apply_assignments", counted_build)
         monkeypatch.setattr(attacker, "optimal_plan", counted_plan)
         monkeypatch.setattr(placement_search, "build_path_index", counted_index)
-        problem = PlacementProblem(net)
-        searched = dfbnb(net, budget=2, problem=problem)
-        assert astar(net, budget=2, ordering="shortest_path", problem=problem).best_utility == searched.best_utility
-        for seed in range(5):
-            problem.evaluate(draw_budget_placement(net, 3, seed))
-        assert problem.evaluate(searched.best_assignments).total_cost == searched.best_utility
-        assert (len(builds), len(baselines), len(indexes)) == (1, 1, 1)
+        for net in nets:
+            evaluate_placement(net, ())
+            problem = PlacementProblem(net)
+            searched = dfbnb(net, budget=2, problem=problem)
+            assert astar(net, budget=2, ordering="shortest_path", problem=problem).best_utility == searched.best_utility
+            for seed in range(5):
+                evaluate_placement(net, draw_budget_placement(net, 3, seed))
+            assert evaluate_placement(net, searched.best_assignments).total_cost == searched.best_utility
+            for engine in (dfbnb, astar, exhaustive_best):
+                assert engine(net, budget=2).best_utility == searched.best_utility
+        assert (len(builds), len(baselines), len(indexes)) == (len(nets),) * 3
 
 
 class TestBaselineMemo:
-    """b, the deception-free optimum, is planned once per network by whichever
-    of evaluate_placement and PlacementProblem comes first, on its own
-    decorated graph, and read by every later one."""
+    """b, the deception-free optimum, is planned once per network, on the
+    compiled graph, by whichever of evaluate_placement and PlacementProblem
+    comes first, and read by every later one."""
 
     @pytest.mark.parametrize("first", ["evaluate_placement", "PlacementProblem"])
     def test_b_is_the_undecorated_optimum(self, first, monkeypatch):
@@ -392,22 +395,23 @@ class TestBaselineMemo:
         assert set(vars(net)) == {f.name for f in dataclasses.fields(net)} | {"_real_phase"}
 
 
-def test_reports_do_not_keep_their_graph_alive(monkeypatch):
-    # evaluate_placement builds a graph for the call; plans assembled on read
-    # hold its integer view, so the report must hold detached plans
-    views = []
-
-    def recording_build(*args):
-        graph = apply_assignments(*args)
-        views.append(weakref.ref(graph.indexed))
-        return graph
-
-    monkeypatch.setattr(attacker, "apply_assignments", recording_build)
-    net = generate_network(20, default_catalog(), 11)
-    reports = [evaluate_placement(net, draw_budget_placement(net, 3, seed)) for seed in range(4)]
+def test_a_dropped_network_frees_its_compiled_graph():
+    # The compiled part holds no reference to its network, and the reports'
+    # plans hold at most the graph's integer view, so dropping the network and
+    # its reports frees the graph without the cyclic collector.
     gc.collect()
-    assert sum(r.trace.recalculations for r in reports) > len(reports)
-    assert [view() for view in views] == [None] * len(reports)
+    gc.disable()
+    try:
+        net = generate_network(20, default_catalog(), 11)
+        reports = [evaluate_placement(net, draw_budget_placement(net, 3, seed)) for seed in range(4)]
+        assert sum(r.trace.recalculations for r in reports) > len(reports)
+        graph = vars(net)["_compiled"].graph
+        refs = [weakref.ref(graph), weakref.ref(graph.indexed)]
+        del net, reports, graph
+        freed = [ref() for ref in refs]
+    finally:
+        gc.enable()
+    assert freed == [None, None]
 
 
 def _trace_line(trace) -> str:
@@ -423,8 +427,8 @@ class TestPinnedTraces:
     Each digest covers, on generated networks over both catalogs, the traces
     of random placements on their own graphs, of random ban sets of up to
     three candidates on the problem's graph (through the path `value`
-    simulates by), and the reports of `PlacementProblem.evaluate`; wall
-    times are left out.
+    simulates by), and the reports of `evaluate_placement`; wall times are
+    left out.
     """
 
     NETWORKS = ((8, 3), (12, 7), (20, 11), (30, 1))
@@ -464,7 +468,7 @@ class TestPinnedTraces:
                 for subset in sorted(subsets, key=sorted):
                     problem._value(problem._mask(subset), inherit=False)
             for seed, placement in enumerate(placements):
-                lines.append(json.dumps(_report_without_timings(problem.evaluate(placement, seed=seed)), sort_keys=True))
+                lines.append(json.dumps(_report_without_timings(evaluate_placement(net, placement, seed=seed)), sort_keys=True))
         replanned = sum(line.count('"discovered_fake": {') > 0 for line in lines)
         assert len(lines) > len(self.NETWORKS) * 50 and replanned > len(lines) // 4, (len(lines), replanned)
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import io
 import json
 
@@ -407,6 +408,24 @@ class TestExitCodes:
         assert res.exit_code == 3
         assert "error:" in res.output
 
+    @pytest.mark.parametrize("vuln_id, code", [("wv", 2), ("fv", 3)], ids=["incompatible", "valid"])
+    def test_evaluate_checks_the_placement_before_compiling(self, tmp_path, runner, vuln_id, code):
+        # On a network whose goal is unreachable, an invalid placement is
+        # refused (2) before the network is compiled, which raises Unreachable (3).
+        net = cut_network()
+        extra = {
+            v: dataclasses.replace(net.catalog["rv"], vuln_id=v, affected_os=frozenset({os}))
+            for v, os in (("fv", "os-t"), ("wv", "os-w"))
+        }
+        path = tmp_path / "cut.json"
+        save_network(dataclasses.replace(net, catalog={**net.catalog, **extra}), path)
+        assignments = tmp_path / "fakes.json"
+        assignments.write_text(json.dumps([{"host_id": "t", "vuln_id": vuln_id, "fake": True}]))
+        res = runner.invoke(main, ["evaluate", "--network", str(path), "--assignments", str(assignments)])
+        assert res.exit_code == code, res.output
+        expected = "incompatible: wv does not affect os-t" if code == 2 else "goal p|h:t is not derivable"
+        assert expected in res.output
+
 
 def _tampered_graph_files(tmp_path, runner) -> list:
     """A 6-host network's build-graph output, broken in two ways validate_graph names, missing its
@@ -767,17 +786,17 @@ class TestSweep:
 
             return run
 
-        evaluate = PlacementProblem.evaluate
+        evaluate = cli.evaluate_placement
 
-        def counted(problem, assignments, seed=0):
-            evaluations.append((problem.network.n_hosts, frozenset(assignments)))
-            return evaluate(problem, assignments, seed)
+        def counted(network, assignments, seed=0):
+            evaluations.append((network.n_hosts, frozenset(assignments)))
+            return evaluate(network, assignments, seed)
 
         for name, engine in (("dfbnb", cli.dfbnb), ("astar", cli.astar), ("exhaustive", cli.exhaustive_best)):
             monkeypatch.setattr(cli, "exhaustive_best" if name == "exhaustive" else name, recorded(name, engine))
         for name in ("draw_budget_placement", "draw_placement"):
             monkeypatch.setattr(cli, name, drawn(getattr(cli, name)))
-        monkeypatch.setattr(PlacementProblem, "evaluate", counted)
+        monkeypatch.setattr(cli, "evaluate_placement", counted)
         rows = self._grid(tmp_path, runner, "counted", trials=3)
         runs = {("dfbnb", "utility"): 1, ("astar", "shortest-path"): 1, ("exhaustive", None): 1, ("dfbnb", "random"): 3}
         assert sorted(searches) == sorted(

@@ -49,7 +49,14 @@ from decoygraph.placement_search import (
     order_candidates,
 )
 from decoygraph.planner import optimal_plan, plan_with_stats
-from helpers import cvss3_catalog, dormant_fake_net_n1, dormant_fake_net_n2, eight_candidate_net, small_network
+from helpers import (
+    cvss3_catalog,
+    dormant_fake_net_n1,
+    dormant_fake_net_n2,
+    eight_candidate_net,
+    reference_report,
+    small_network,
+)
 
 # networks where a lure's round pays the prefix that wakes a dormant fake (tests/helpers.py)
 DORMANT_FAKE_NETS = [pytest.param(dormant_fake_net_n1(), id="N1"), pytest.param(dormant_fake_net_n2(), id="N2")]
@@ -693,8 +700,7 @@ class TestEngines:
             assert _result_key(engine(net, budget=2)) == _result_key(engine(chain_net, budget=2))
         # a placement may still plant there
         placement = [Assignment("h4", compatible_vulns(net.catalog, isolated)[0]), W1]
-        report = PlacementProblem(net).evaluate(placement)
-        assert report.total_cost == evaluate_placement(net, placement).total_cost == 3.5
+        assert evaluate_placement(net, placement).total_cost == reference_report(net, placement).total_cost == 3.5
 
     def test_search_context_needs_no_cycle_collection(self, chain_net):
         # a reorder closure over the context would keep it, and its planted
@@ -1210,7 +1216,7 @@ class TestCorridor:
         problem = PlacementProblem(_boundary_net(*subscores))
         view = problem.graph.indexed
         d = view.privileges.index("p|h:d")
-        lure = problem._number[config_id("d", "w")]
+        lure = problem._compiled.number[config_id("d", "w")]
         assert (problem._through[d] > 2 * problem.baseline_cost) == reads_high
         assert problem._through[d] == pytest.approx(2 * problem.baseline_cost)
         lure_arcs = [(p, arc) for p, arcs in enumerate(view.arcs) for arc in arcs if arc[1] == lure]
@@ -1233,7 +1239,7 @@ class TestCorridor:
             net = small_network(random.Random(9900 + seed), max_hosts=8, catalog=catalog)
             problem = PlacementProblem(net)
             view = problem.graph.indexed
-            numbers = [problem._number[config_id(a.host_id, a.vuln_id)] for a in problem.candidates]
+            numbers = [problem._compiled.number[config_id(a.host_id, a.vuln_id)] for a in problem.candidates]
             folded += any(view.fake[c] and c not in numbers for arcs in view.arcs for _, c, _ in arcs)
             for size in range(4):
                 corridor = problem._corridor(size)

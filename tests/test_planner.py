@@ -338,7 +338,7 @@ class TestNumberedInputs:
             assert plan == eager and eager == plan and digest == hash(eager)
             assert len({plan, eager, optimal_plan(g)}) == 1
             assert plan != AttackPlan(plan.node_set, plan.exec_order, plan.cost + 1.0, plan.step_configs)
-            plan.detach()
+            # reading a field assembled the plan and dropped the view
             assert "_view" not in vars(plan) and plan == eager and hash(plan) == digest
             assert plan_violations(g, plan) == []
             checked += 1
