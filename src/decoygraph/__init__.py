@@ -48,28 +48,19 @@ from .placement_search import (
     PathIndex,
     PathRecord,
     PlacementProblem,
-    SearchNode,
     SearchResult,
     astar,
     build_path_index,
     dfbnb,
     enumerate_candidates,
     exhaustive_best,
-    expand,
-    h1,
-    h2,
-    order_candidates,
 )
 from .planner import (
     AttackPlan,
     PlannerStats,
-    brute_force_plan,
-    derivable,
-    derivable_facts,
     optimal_cost,
     optimal_plan,
     plan_with_stats,
-    plan_violations,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +85,6 @@ __all__ = [
     "PathRecord",
     "PlacementProblem",
     "PlannerStats",
-    "SearchNode",
     "SearchResult",
     "SimulationTrace",
     "Unreachable",
@@ -104,28 +94,20 @@ __all__ = [
     "astar",
     "build_attack_graph",
     "build_path_index",
-    "brute_force_plan",
     "check_assignment",
     "compatible_vulns",
     "default_catalog",
-    "derivable",
-    "derivable_facts",
     "dfbnb",
     "enumerate_candidates",
     "evaluate_placement",
     "exhaustive_best",
-    "expand",
     "generate_network",
-    "h1",
-    "h2",
     "load_catalog",
     "load_graph",
     "load_network",
     "normalize_cost",
     "optimal_cost",
     "optimal_plan",
-    "order_candidates",
-    "plan_violations",
     "plan_with_stats",
     "random_budget_placement",
     "random_placement",

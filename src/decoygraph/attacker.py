@@ -240,8 +240,9 @@ def evaluate_placement(
 
 @dataclass(frozen=True)
 class _Compiled:
-    """A network's graph with every compatible pair planted, its config
-    numbering, ban flags set on every fake, and b planned with them.
+    """A network's compatible pairs, its graph with every one of them planted,
+    the graph's config numbering, ban flags set on every fake, and b planned
+    with them.
 
     It holds no reference to the network, so the two are freed without the
     cycle collector.
@@ -259,6 +260,7 @@ class _Compiled:
     the `fsum` over its configs, are the same to the bit.
     """
 
+    pairs: tuple[Assignment, ...]
     graph: AttackGraph
     number: dict[str, int]
     all_fakes_banned: bytes
@@ -286,9 +288,10 @@ def _compiled(network: NetworkModel) -> _Compiled:
     """
     compiled = vars(network).get("_compiled")
     if compiled is None:
-        graph = apply_assignments(network, compatible_pairs(network))
+        pairs = tuple(compatible_pairs(network))
+        graph = apply_assignments(network, pairs)
         b = optimal_plan(graph, banned_configs=graph.fake_configs()).cost
         view = graph.indexed
         number = {c: i for i, c in enumerate(view.configs)}
-        compiled = vars(network)["_compiled"] = _Compiled(graph, number, bytes(view.fake), b)
+        compiled = vars(network)["_compiled"] = _Compiled(pairs, graph, number, bytes(view.fake), b)
     return compiled

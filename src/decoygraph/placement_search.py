@@ -21,10 +21,9 @@ key of the problem's value memo. A node is a plain tuple: its f, the chosen
 mask and count, the open candidate indices in branching order, and its
 utility. The root is ordered on indices too, by the engines' own shortest-path
 ranker `_path_ranker` under that ordering. Every value request passes a mask
-through `_SearchContext.evaluate` to `PlacementProblem._value`. `SearchNode`,
-`expand`, `h1`, `h2`, `order_candidates` and its `_rank_by_paths` build the
-same tree from assignments; they are its reference form, which the tests
-walk beside the engines' tree and on which they check that h2 is sound.
+through `_SearchContext.evaluate` to `PlacementProblem._value`. The tests
+build the same tree from assignments as its reference form, walk it beside
+the engines' tree, and check on it that h2 is sound.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .aggraph import IndexedView, config_id
@@ -72,25 +71,6 @@ class Candidate:
 
     assignment: Assignment
     singleton_utility: float
-
-
-@dataclass(frozen=True)
-class SearchNode:
-    """One decision-tree node: committed assignments plus open candidates.
-
-    The reference form of the engines' node, a plain tuple over candidate indices (`_Node`).
-    """
-
-    chosen: tuple[Assignment, ...]
-    remaining: tuple[Candidate, ...]
-    utility: float
-    heuristic: float
-    budget: int
-    baseline_cost: float
-
-    @property
-    def f(self) -> float:
-        return self.utility + self.heuristic
 
 
 @dataclass(frozen=True)
@@ -145,94 +125,19 @@ def enumerate_candidates(network: NetworkModel) -> list[Assignment]:
     shape), so only the one with the smallest vulnerability id is kept.
     Order is deterministic: by host, then vuln id.
     """
+    return _fold(network, compatible_pairs(network))
+
+
+def _fold(network: NetworkModel, pairs: Iterable[Assignment]) -> list[Assignment]:
+    """The first of `pairs` in each (host, config cost) class, in their order."""
     first: dict[tuple[str, float], Assignment] = {}
-    for a in compatible_pairs(network):
+    for a in pairs:
         first.setdefault((a.host_id, normalize_cost(network.catalog[a.vuln_id])), a)
     return list(first.values())
 
 
 def _fake_config(assignment: Assignment) -> str:
     return config_id(assignment.host_id, assignment.vuln_id)
-
-
-def _top_utility_sum(candidates: tuple[Candidate, ...], slots: int) -> float:
-    if slots <= 0:
-        return 0.0
-    # sorted is heapq.nlargest's documented equivalent, and several times faster on these short lists;
-    # fsum, since sum() compensates only from Python 3.12 on
-    return math.fsum(sorted([c.singleton_utility for c in candidates], reverse=True)[:slots])
-
-
-def h1(node: SearchNode) -> float:
-    """Optimistic estimate: sum of the best still-open singleton utilities.
-
-    Not a sound upper bound; a combination of fakes can beat the sum of its
-    parts, so search under h1 may prune the true optimum.
-    """
-    return _top_utility_sum(node.remaining, node.budget - len(node.chosen))
-
-
-def h2(node: SearchNode) -> float:
-    """Sound upper bound: baseline plan cost plus the best open singletons."""
-    return node.baseline_cost + _top_utility_sum(node.remaining, node.budget - len(node.chosen))
-
-
-def order_candidates(
-    node: SearchNode,
-    mode: str,
-    index: PathIndex | None = None,
-    seed: int | None = None,
-) -> tuple[Candidate, ...]:
-    """Order a node's open candidates for branching.
-
-    utility: static, best singleton first. shortest_path: candidates that
-    complete a cheap fake-using path first (needs the index). random: seeded
-    shuffle, meant to be applied once at the root.
-    """
-    mode = mode.replace("-", "_")
-    if mode == "utility":
-        return tuple(sorted(node.remaining, key=lambda c: (-c.singleton_utility, c.assignment)))
-    if mode == "random":
-        items = list(node.remaining)
-        random.Random(seed).shuffle(items)
-        return tuple(items)
-    if mode == "shortest_path":
-        if index is None:
-            raise ConfigurationError("shortest-path ordering requires a path index")
-        return _rank_by_paths(index, node.remaining, frozenset(node.chosen), node.budget)
-    raise ConfigurationError(f"unknown ordering {mode!r}; expected one of {ORDERINGS}")
-
-
-def _rank_by_paths(
-    index: PathIndex,
-    remaining: tuple[Candidate, ...],
-    chosen: frozenset[Assignment],
-    budget: int,
-) -> tuple[Candidate, ...]:
-    """Rank open candidates by the cheapest path they help complete.
-
-    A path counts if its not-yet-chosen assignments are all still available
-    and fit the remaining budget. Candidates on no such path fall back to
-    utility order behind the path-backed ones. Each pooled path is scored
-    once, and its key goes to the open candidates it needs: the tree never
-    offers a chosen candidate as open, so these are all of its open ones.
-    """
-    available = {c.assignment for c in remaining}
-    slots = budget - len(chosen)
-    best_key: dict[Assignment, tuple] = {}
-    for pid, path in enumerate(index.paths):
-        need = path.assignments - chosen
-        if len(need) > slots or not need <= available:
-            continue
-        key = (len(need), path.cost, pid)
-        for a in need:
-            if a not in best_key or key < best_key[a]:
-                best_key[a] = key
-    on_path = [c for c in remaining if c.assignment in best_key]
-    on_path.sort(key=lambda c: (best_key[c.assignment], c.assignment))
-    off_path = [c for c in remaining if c.assignment not in best_key]
-    off_path.sort(key=lambda c: (-c.singleton_utility, c.assignment))
-    return tuple(on_path + off_path)
 
 
 def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathIndex:
@@ -318,42 +223,6 @@ def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathInd
         for c in sorted(cfgs, key=config_ids.__getitem__):
             push(banned | {c})
     return PathIndex(paths=tuple(records), planner_calls=calls, capped=capped)
-
-
-def expand(
-    node: SearchNode,
-    evaluate: Callable[[frozenset[Assignment]], float],
-    heuristic_fn: Callable[[SearchNode], float],
-    reorder: Callable[[tuple[Candidate, ...], tuple[Assignment, ...]], tuple[Candidate, ...]] | None = None,
-) -> tuple[SearchNode | None, SearchNode | None]:
-    """Generate the (drop-head, take-head) children, None where discarded.
-
-    A child is discarded when it can no longer fill the budget. The take-head
-    child's set is always evaluated first so its value registers with the
-    caller even if the child itself is discarded; `reorder`, when given, is
-    applied to the take-head child's open candidates only.
-
-    The engines walk the same tree on candidate indices (`_SearchContext`);
-    this is its reference form, which the tests compare them with.
-    """
-    if len(node.chosen) >= node.budget or not node.remaining:
-        return None, None
-
-    def child(chosen: tuple[Assignment, ...], remaining: tuple[Candidate, ...], utility: float) -> SearchNode:
-        bare = SearchNode(chosen, remaining, utility, 0.0, node.budget, node.baseline_cost)
-        return replace(bare, heuristic=heuristic_fn(bare))
-
-    head = node.remaining[0]
-    rest = node.remaining[1:]
-    left = None
-    if len(node.chosen) + len(rest) >= node.budget:
-        left = child(node.chosen, rest, node.utility)
-    chosen = tuple(sorted(node.chosen + (head.assignment,)))
-    value = evaluate(frozenset(chosen))
-    right = None
-    if len(chosen) + len(rest) >= node.budget:
-        right = child(chosen, reorder(rest, chosen) if reorder is not None else rest, value)
-    return left, right
 
 
 class PlacementProblem:
@@ -517,7 +386,8 @@ class PlacementProblem:
         self.graph = compiled.graph
         self.fake_configs = self.graph.fake_configs()
         self.baseline_cost = compiled.baseline_cost
-        self.candidates = tuple(a for a in enumerate_candidates(network) if _fake_config(a) in self.fake_configs)
+        # the compiled pairs, folded as `enumerate_candidates` folds them
+        self.candidates = tuple(a for a in _fold(network, compiled.pairs) if _fake_config(a) in self.fake_configs)
         self.chain_costs, self.real_routes, self._through = _fake_bounds(self.graph.indexed)
         # candidate -> index i (bit 1 << i of a set's mask), and by index its config number and L
         self._members = {a: i for i, a in enumerate(self.candidates)}
@@ -809,7 +679,13 @@ class _SearchContext:
         return (utility + (self.bound_base + top), mask, count, open_, utility)
 
     def children(self, node: _Node) -> tuple[_Node | None, _Node | None]:
-        """`expand` on the integer tree: the (drop-head, take-head) children, None where discarded."""
+        """The (drop-head, take-head) children, None where discarded.
+
+        A child is discarded when it can no longer fill the budget. The
+        take-head child's set is always evaluated first, so its value registers
+        even if the child itself is discarded; the ranker, under the
+        shortest-path ordering, reorders the take-head child's open candidates only.
+        """
         _, mask, count, open_, utility = node
         head, rest = open_[0], open_[1:]
         budget = self.budget
@@ -840,11 +716,17 @@ class _SearchContext:
 def _path_ranker(
     index: PathIndex, problem: PlacementProblem, singletons: list[float], budget: int
 ) -> Callable[[tuple[int, ...], int], tuple[int, ...]]:
-    """`_rank_by_paths` on candidate indices: ranks open indices against a chosen mask by the same keys.
+    """Rank open candidate indices, against a chosen mask, by the cheapest path they help complete.
+
+    A pooled path counts if its candidates not yet chosen are all open and fit
+    the remaining budget; a candidate's key is (candidates the path still
+    needs, its cost, its position) of its best such path. Candidates on no
+    such path follow in utility order.
 
     Built once per search, it lists the paths through each candidate from the
-    paths' masks. It closes over neither the problem nor a search context: a closure reaching
-    the context would keep it (and its problem) alive until a cyclic collection.
+    paths' masks. It closes over neither the problem nor a search context: a
+    closure reaching the context would keep it (and its problem) alive until
+    a cyclic collection.
     """
     masks = [problem._mask(path.assignments) for path in index.paths]
     paths_of: dict[int, list[int]] = {}

@@ -1,12 +1,7 @@
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import HealthCheck, settings
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from decoygraph import build_attack_graph, default_catalog
 from decoygraph.fixtures import build_h1_counterexample, build_searchspace_k2

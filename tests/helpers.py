@@ -190,24 +190,39 @@ def eight_candidate_net() -> NetworkModel:
     )
 
 
-def _dormant_fake_net(second_fake: bool) -> NetworkModel:
-    """Fakes that stay dormant until a lure's round pays their shared prefix.
+# the hosts of the dormant fakes after x, in turn
+_DORMANT_HOSTS = "yzwvus"
+
+
+def dormant_fake_chain(m: int) -> NetworkModel:
+    """m fakes that stay dormant until a lure's round pays their shared prefix.
 
     Each cost is a V2 subscore / 10, and each host runs its own OS. Routes
     to the goal t: entry -> r (0.90) -> t (0.10), the undefended attack,
-    b = 1.0; entry -> a1 (0.35) -> d -> m (0.30) -> t, where d has real vuln
+    b = 1.0; entry -> a1 (0.35) -> d -> host m (0.30) -> t, where d has real vuln
     rd (0.35) and takes the lure a (0.05); and a1 -> h (0.30) -> x -> t,
-    where host x has no real vuln and takes fake x (0.30). With
-    `second_fake`, host y, also without a real vuln, takes fake x2 (0.60)
-    on h -> y -> t.
+    where host x has no real vuln and takes fake x (0.30). Each further
+    fake i = 2..m is x<i> (0.60) on its own host, y, z, w, ... in turn, also
+    without a real vuln, on h -> host -> t; m is at most 7.
+
+    Without the lure every route through h costs more than b, so the m fakes
+    alone are worth 1.0. With it, round 1 pays 0.40 for a1 and trips a; a1 is
+    then free, so round 2 takes h and x for 0.60 and trips x; h is then free
+    too, so each further round pays 0.60 for one more fake, which its route
+    (0.70) offers below d's (0.75); the last round pays 0.75 through d.
+    N1 (m = 1): value({x, a}) = 1.75, so adding a gains 0.75, more than
+    min(b, the real route to d) = 0.70. N2 (m = 2): value({x, x2, a}) = 2.35,
+    so adding a gains 1.35, more than b. N3 (m = 3): 2.95, a gain of 1.95.
     """
+    if not 1 <= m <= len(_DORMANT_HOSTS) + 1:
+        raise ValueError(f"a dormant-fake chain holds 1 to {len(_DORMANT_HOSTS) + 1} fakes, got {m}")
     costs = {"a1": 3.5, "d": 3.5, "m": 3.0, "t": 1.0, "h": 3.0, "r": 9.0}
     fakes = {"x": ("x", 3.0), "d": ("a", 0.5)}
     edges = {(EXTERNAL, "a1"), ("a1", "d"), ("d", "m"), ("m", "t"), ("a1", "h"), ("h", "x"), ("x", "t")}
     edges |= {(EXTERNAL, "r"), ("r", "t")}
-    if second_fake:
-        fakes["y"] = ("x2", 6.0)
-        edges |= {("h", "y"), ("y", "t")}
+    for i, host in enumerate(_DORMANT_HOSTS[: m - 1], start=2):
+        fakes[host] = (f"x{i}", 6.0)
+        edges |= {("h", host), (host, "t")}
     catalog = {f"r{host}": _vuln(f"r{host}", f"os-{host}", subscore) for host, subscore in costs.items()}
     catalog.update({vuln: _vuln(vuln, f"os-{host}", subscore) for host, (vuln, subscore) in fakes.items()})
     hosts = {
@@ -217,20 +232,6 @@ def _dormant_fake_net(second_fake: bool) -> NetworkModel:
     return NetworkModel(
         hosts=hosts, reachability=frozenset(edges), attacker_entry=EXTERNAL, goal=Goal(host_id="t"), catalog=catalog
     )
-
-
-def dormant_fake_net_n1() -> NetworkModel:
-    """N1: value({x}) = 1.0, since the route through x costs 1.05 > b, but
-    value({x, a}) = 1.75. Round 1 pays 0.40 for a1 and trips a; a1 is then
-    free, so round 2 takes h and x for 0.60 and trips x; round 3 pays 0.75
-    through d. Adding a gains 0.75, more than min(b, the real route to d) = 0.70."""
-    return _dormant_fake_net(second_fake=False)
-
-
-def dormant_fake_net_n2() -> NetworkModel:
-    """N2, N1 with fake x2 on y: value({x, x2}) = 1.0 and value({x, x2, a}) = 2.35
-    (rounds 0.40, 0.60, 0.60, 0.75). Adding a gains 1.35, more than b."""
-    return _dormant_fake_net(second_fake=True)
 
 
 def cut_network() -> NetworkModel:
@@ -267,7 +268,7 @@ def memo_networks() -> list[NetworkModel]:
         for catalog in (default_catalog(), cvss3_catalog())
         for hosts, seed, dead in ((8, 3, 0), (12, 7, 0), (10, 4, 3), (20, 11, 4), (30, 1, 2))
     ]
-    return [*nets, build_h1_counterexample(), dormant_fake_net_n2()]
+    return [*nets, build_h1_counterexample(), dormant_fake_chain(2)]
 
 
 def reference_report(net: NetworkModel, placement, seed: int = 0) -> EvaluationReport:

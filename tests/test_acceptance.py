@@ -30,26 +30,23 @@ from decoygraph.placement_random import random_budget_placement, random_placemen
 from decoygraph.placement_search import (
     Candidate,
     PlacementProblem,
-    SearchNode,
     astar,
     dfbnb,
     enumerate_candidates,
     exhaustive_best,
-    expand,
-    h1,
-    h2,
 )
-from decoygraph.planner import brute_force_plan, derivable, optimal_cost, optimal_plan
+from decoygraph.planner import optimal_cost, optimal_plan
 from helpers import (
     COST_PALETTE,
     CVSS3_PALETTE,
     cvss3_catalog,
-    dormant_fake_net_n1,
-    dormant_fake_net_n2,
+    dormant_fake_chain,
     eight_candidate_net,
     random_attack_graph,
     small_network,
 )
+from planner_oracles import brute_force_plan, derivable
+from reference_tree import SearchNode, expand, h1, h2
 
 LURE_FAKES = (
     Assignment(host_id="f1", vuln_id="fv-1"),
@@ -234,8 +231,9 @@ def test_criterion_4_heuristic_bound_sweep():
         # CVSS v3 costs; 3 of its 13 candidates are untrippable at K=3
         ("v3 random-10", small_network(random.Random(10), max_hosts=5, catalog=cvss3_catalog()), 3),
         # a lure's round pays the prefix that wakes a dormant fake
-        ("N1", dormant_fake_net_n1(), 2),
-        ("N2", dormant_fake_net_n2(), 3),
+        ("N1", dormant_fake_chain(1), 2),
+        ("N2", dormant_fake_chain(2), 3),
+        ("N3", dormant_fake_chain(3), 4),
     ]
     for seed in (0, 1, 2, 4):
         net = small_network(random.Random(seed), max_hosts=4)
@@ -273,8 +271,9 @@ def test_criterion_5_optimizer_equivalence(suite):
         ("v3-net10 K2", v3_net10, 2),
         ("v3-net10 K3", v3_net10, 3),
         ("v3-net20 K2", v3_net20, 2),
-        ("N1 K2", _Instance("N1", dormant_fake_net_n1()), 2),
-        ("N2 K3", _Instance("N2", dormant_fake_net_n2()), 3),
+        ("N1 K2", _Instance("N1", dormant_fake_chain(1)), 2),
+        ("N2 K3", _Instance("N2", dormant_fake_chain(2)), 3),
+        ("N3 K4", _Instance("N3", dormant_fake_chain(3)), 4),
     ]
     import math
 

@@ -4,12 +4,15 @@ import dataclasses
 import gc
 import hashlib
 import heapq
+import importlib
 import json
+import pkgutil
 import random
 from itertools import combinations
 
 import pytest
 
+import decoygraph
 from decoygraph import placement_search
 from decoygraph.aggraph import apply_assignments, config_id
 from decoygraph.attacker import evaluate_placement, simulate_attack
@@ -34,32 +37,26 @@ from decoygraph.placement_search import (
     PathIndex,
     PathRecord,
     PlacementProblem,
-    SearchNode,
     _path_ranker,
-    _rank_by_paths,
     _SearchContext,
     astar,
     build_path_index,
     dfbnb,
     enumerate_candidates,
     exhaustive_best,
-    expand,
-    h1,
-    h2,
-    order_candidates,
 )
 from decoygraph.planner import optimal_plan, plan_with_stats
 from helpers import (
     cvss3_catalog,
-    dormant_fake_net_n1,
-    dormant_fake_net_n2,
+    dormant_fake_chain,
     eight_candidate_net,
     reference_report,
     small_network,
 )
+from reference_tree import SearchNode, _rank_by_paths, expand, h1, h2, order_candidates
 
 # networks where a lure's round pays the prefix that wakes a dormant fake (tests/helpers.py)
-DORMANT_FAKE_NETS = [pytest.param(dormant_fake_net_n1(), id="N1"), pytest.param(dormant_fake_net_n2(), id="N2")]
+DORMANT_FAKE_NETS = [pytest.param(dormant_fake_chain(m), id=f"N{m}") for m in (1, 2, 3)]
 
 W1 = Assignment(host_id="h1", vuln_id="w1")
 W2 = Assignment(host_id="h2", vuln_id="w2")
@@ -118,6 +115,28 @@ class TestCandidates:
         cands = problem.trippable(3)
         assert [c.assignment for c in cands] == [W1, W2, W3]
         assert [c.singleton_utility for c in cands] == [3.5, 3.5, 3.5]
+
+    def test_compatible_pairs_are_listed_once_per_network(self, monkeypatch):
+        # the network's compiled part lists its pairs; problems fold those
+        calls = []
+        listed = placement_search.compatible_pairs
+
+        def counted(network):
+            calls.append(network)
+            return listed(network)
+
+        for info in pkgutil.iter_modules(decoygraph.__path__):
+            module = importlib.import_module(f"decoygraph.{info.name}")
+            if hasattr(module, "compatible_pairs"):
+                monkeypatch.setattr(module, "compatible_pairs", counted)
+        net = generate_network(12, default_catalog(), seed=7)
+        evaluate_placement(net, [Assignment("h01", "CVE-2016-0800")])
+        PlacementProblem(net)
+        PlacementProblem(net)
+        dfbnb(net, budget=2)
+        astar(net, budget=2)
+        exhaustive_best(net, budget=1)
+        assert calls == [net]
 
 
 def _search_inputs(problem: PlacementProblem) -> str:
@@ -500,8 +519,9 @@ def _criterion_4_cases():
         ("three-chain K3", build_searchspace_k2(), 3),
         ("eight-candidate", eight_candidate_net(), 3),
         ("v3 random-10", small_network(random.Random(10), max_hosts=5, catalog=cvss3_catalog()), 3),
-        ("N1", dormant_fake_net_n1(), 2),
-        ("N2", dormant_fake_net_n2(), 3),
+        ("N1", dormant_fake_chain(1), 2),
+        ("N2", dormant_fake_chain(2), 3),
+        ("N3", dormant_fake_chain(3), 4),
     ]
     for seed in (0, 1, 2, 4):
         net = small_network(random.Random(seed), max_hosts=4)
@@ -817,14 +837,15 @@ def _boundary_net(entry_fake, middle, goal):
 
 
 class TestDormantFakeNetworks:
-    """N1 and N2: paying a lure's prefix makes a dormant fake's path the cheapest, so
-    adding the lure gains more than min(b, hr(a)) on N1, and more than b on N2."""
+    """N1, N2 and N3: paying a lure's prefix makes a dormant fake's path the cheapest, so
+    adding the lure gains more than min(b, hr(a)) on N1, and more than b on N2 and N3."""
 
     @pytest.mark.parametrize(
         "net, dormant, alone, with_lure",
         [
-            pytest.param(dormant_fake_net_n1(), {("x", "x")}, 1.0, 1.75, id="N1"),
-            pytest.param(dormant_fake_net_n2(), {("x", "x"), ("y", "x2")}, 1.0, 2.35, id="N2"),
+            pytest.param(dormant_fake_chain(1), {("x", "x")}, 1.0, 1.75, id="N1"),
+            pytest.param(dormant_fake_chain(2), {("x", "x"), ("y", "x2")}, 1.0, 2.35, id="N2"),
+            pytest.param(dormant_fake_chain(3), {("x", "x"), ("y", "x2"), ("z", "x3")}, 1.0, 2.95, id="N3"),
         ],
     )
     def test_recorded_values(self, net, dormant, alone, with_lure):

@@ -12,12 +12,8 @@ from decoygraph.netmodel import default_catalog, generate_network
 from decoygraph.planner import (
     AttackPlan,
     PlanningState,
-    brute_force_plan,
-    derivable,
-    derivable_facts,
     optimal_cost,
     optimal_plan,
-    plan_violations,
     plan_with_stats,
 )
 from decoygraph.placement_search import enumerate_candidates
@@ -28,6 +24,7 @@ from helpers import (
     random_attack_graph,
     random_unit_rule_graph,
 )
+from planner_oracles import brute_force_plan, derivable, derivable_facts, plan_violations
 
 from decoygraph.aggraph import build_attack_graph
 

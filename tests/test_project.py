@@ -1,17 +1,21 @@
 """Checks on the project as shipped: the README's examples run as documented,
-and no package module imports a name it never uses."""
+the package exports exactly what its `__init__` imports, and no package
+module imports a name it never uses."""
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import importlib
 import io
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 from click.testing import CliRunner
 
+import decoygraph
 from decoygraph.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +55,50 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch):
     for args in commands:
         res = runner.invoke(main, args[1:])
         assert res.exit_code == 0, (args, res.output)
+
+
+# the reference search tree and the planner's oracles, which live beside the tests
+MOVED_TO_TESTS = (
+    "SearchNode",
+    "expand",
+    "h1",
+    "h2",
+    "order_candidates",
+    "brute_force_plan",
+    "plan_violations",
+    "derivable",
+    "derivable_facts",
+)
+
+
+def test_star_import_gives_every_exported_name():
+    namespace: dict = {}
+    exec("from decoygraph import *", namespace)
+    assert set(decoygraph.__all__) <= set(namespace)
+
+
+def test_all_lists_exactly_the_names_init_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(imported) == len(set(imported))
+    assert sorted(decoygraph.__all__) == sorted(imported)
+
+
+def test_no_package_module_defines_a_name_moved_to_the_tests():
+    modules = [importlib.import_module(f"decoygraph.{info.name}") for info in pkgutil.iter_modules(decoygraph.__path__)]
+    assert len(modules) >= 8
+    found = [
+        f"{module.__name__}.{name}"
+        for module in [decoygraph, *modules]
+        for name in MOVED_TO_TESTS
+        if hasattr(module, name)
+    ]
+    assert found == []
 
 
 def _unused_imports(path: Path) -> list[str]:
