@@ -94,9 +94,10 @@ class AttackGraph:
     """An attack graph; graphs equal when their nine fields do.
 
     Loaded and hand-built graphs are given all nine fields and scan `edges`
-    for their integer view. Generated graphs (`_generate`) are born with the
-    view, and derive the string-keyed node sets, edges and provenance from it
-    on first read.
+    once, into `requirements` and `grants`; their integer view and
+    `validate_graph` read those. Generated graphs (`_generate`) are born with
+    the view, and derive the string-keyed node sets, edges and provenance
+    from it on first read.
     """
 
     privilege_nodes: frozenset[str]
@@ -141,45 +142,27 @@ class AttackGraph:
 
         Unit-rule means every exploit requires exactly one privilege and one
         config node. Generated graphs are born with it; other graphs build it
-        in one pass over the edges, numbering their configs by the same rule,
-        so a loaded copy of a generated graph has the view it was born with.
-        `requirements` and `grants` are not read off it: they scan the edges,
-        for the general planner and the oracles.
+        from `requirements` and `grants`, numbering their configs by the same
+        rule, so a loaded copy of a generated graph has the view it was born
+        with.
         """
         privileges = tuple(sorted(self.privilege_nodes))
-        exploits = tuple(sorted(self.exploit_nodes))
         p_index = {p: i for i, p in enumerate(privileges)}
-        e_index = {e: i for i, e in enumerate(exploits)}
         if self.source not in p_index or self.goal not in p_index:
             return None
-        required: list[int | None] = [None] * len(exploits)
-        config: list[str | None] = [None] * len(exploits)
-        grants: list[list[int]] = [[] for _ in exploits]
-        for a, b in self.edges:
-            e = e_index.get(a)
-            if e is None:
-                e = e_index.get(b)
-                if e is not None and a in p_index:
-                    grants[e].append(p_index[a])
-            elif b in p_index:
-                if required[e] is not None:
-                    return None
-                required[e] = p_index[b]
-            else:
-                if config[e] is not None:
-                    return None
-                config[e] = b
-        if None in required or None in config or not self.config_nodes.issuperset(config):
-            return None
+        exploits = tuple(sorted(self.exploit_nodes))
+        requirements, grants = self.requirements, self.grants
         c_index: dict[str, int] = {}
-        for c in config:
-            c_index.setdefault(c, len(c_index))
+        arcs: list[list[tuple[int, int, int]]] = [[] for _ in privileges]
+        for e, exploit in enumerate(exploits):
+            privs, confs = requirements[exploit]
+            if len(privs) != 1 or len(confs) != 1 or confs[0] not in self.config_nodes:
+                return None
+            c = c_index.setdefault(confs[0], len(c_index))
+            arcs[p_index[privs[0]]].extend((e, c, p_index[q]) for q in grants[exploit])
         for c in sorted(self.config_nodes - c_index.keys()):
             c_index[c] = len(c_index)
         configs = tuple(c_index)
-        arcs: list[list[tuple[int, int, int]]] = [[] for _ in privileges]
-        for e, p in enumerate(required):
-            arcs[p].extend((e, c_index[config[e]], q) for q in sorted(grants[e]))
         return IndexedView(
             privileges=privileges,
             exploits=exploits,
@@ -480,10 +463,11 @@ class _GeneratedGraph(AttackGraph):
     The planner and the attacker read only the view (costs and fake flags
     included) and, when a fake is discovered, the provenance. The string-keyed
     fields are derived on first read, and `requirements` and `grants`, which
-    only the general planner and the oracles read, are scanned from the
-    derived edges. `dataclasses.replace` builds a copy through
-    `AttackGraph.__init__`, with all nine fields given and the view scanned
-    from its edges.
+    only the general planner, `validate_graph` and the oracles read, are
+    scanned from the derived edges; the view is never rebuilt from them.
+    `dataclasses.replace` builds a copy through `AttackGraph.__init__`, with
+    all nine fields given and the view built from its `requirements` and
+    `grants`.
     """
 
     @classmethod
@@ -565,19 +549,15 @@ def validate_graph(graph: AttackGraph) -> list[str]:
             violations.append(f"edge ({a}, {b}): exploit may only require privilege or config")
         elif a in nc:
             violations.append(f"edge ({a}, {b}): config nodes have no requirements")
-    outgoing: dict[str, set[str]] = {n: set() for n in all_nodes}
-    for a, b in graph.edges:
-        if a in outgoing:
-            outgoing[a].add(b)
+    requirements = graph.requirements
     for e in sorted(ne):
-        if not outgoing[e]:
+        if not any(requirements[e]):
             violations.append(f"exploit {e} has no requirements")
+    supported = {p for granted in graph.grants.values() for p in granted}
     for p in sorted(np):
         # The source is an axiom; the goal may exist unsupported in networks
         # where it is simply not attackable.
-        if p in (graph.source, graph.goal):
-            continue
-        if not any(t in ne for t in outgoing[p]):
+        if p not in supported and p not in (graph.source, graph.goal):
             violations.append(f"privilege {p} has no supporting exploit")
     if set(graph.config_cost) != set(nc):
         violations.append("config_cost domain differs from the config node set")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import click
 
-from .aggraph import apply_assignments, build_attack_graph, load_graph
+from .aggraph import apply_assignments, load_graph, save_graph
 from .attacker import EvaluationReport, evaluate_placement, simulate_attack
 from .errors import ConfigurationError, Unreachable, ValidationError
 from .fixtures import EXPECTED, FIXTURES
@@ -37,6 +37,7 @@ from .netmodel import (
 )
 from .placement_random import draw_budget_placement, draw_placement
 from .placement_search import PlacementProblem, SearchResult, astar, dfbnb, exhaustive_best
+from .planner import optimal_plan
 
 _CSV_COLUMNS = [
     "network_id",
@@ -112,12 +113,30 @@ def _assignments_payload(assignments) -> list[dict]:
     return [a.to_dict() for a in sorted(assignments)]
 
 
+def _untime_trace(trace: dict) -> None:
+    """Drop the planner's wall time from a simulation trace's dict."""
+    trace["planning_effort"].pop("elapsed_ms", None)
+
+
 def _report_payload(report: EvaluationReport, timings: bool) -> dict:
     payload = report.to_dict()
     if not timings:
         payload["p2_ms"] = None
-        payload["trace"]["planning_effort"].pop("elapsed_ms", None)
+        _untime_trace(payload["trace"])
     return payload
+
+
+def _row(network_id: str, network: NetworkModel, approach: str, budget: int | str, seed: int, trial: int) -> dict:
+    """A CSV row with its identifying columns set and every other column empty."""
+    return {
+        **dict.fromkeys(_CSV_COLUMNS, ""),
+        "network_id": network_id,
+        "n_hosts": network.n_hosts,
+        "approach": approach,
+        "budget": budget,
+        "seed": seed,
+        "trial": trial,
+    }
 
 
 def _report_columns(report: EvaluationReport, timings: bool) -> dict:
@@ -167,13 +186,14 @@ def generate(hosts: int, seed: int, dead_hosts: int, catalog_path: str | None, o
 def build_graph_cmd(
     network_path: str, catalog_path: str | None, assignments_path: str | None, out: str | None
 ) -> None:
-    """Build the attack graph, with fakes applied when assignments are given."""
+    """Build the attack graph, with fakes applied when assignments are given.
+
+    With no assignments the placement is empty, and `apply_assignments`
+    gives the baseline graph.
+    """
     network = _load_network_file(network_path, catalog_path)
-    if assignments_path:
-        graph = apply_assignments(network, _load_assignments(assignments_path))
-    else:
-        graph = build_attack_graph(network)
-    _emit(graph.to_json(), out)
+    assignments = _load_assignments(assignments_path) if assignments_path else ()
+    _emit(apply_assignments(network, assignments).to_json(), out)
 
 
 @main.command()
@@ -183,8 +203,6 @@ def build_graph_cmd(
 @_guarded
 def plan(graph_path: str, fmt: str, out: str | None) -> None:
     """Compute the cheapest attack plan on a graph, at face value."""
-    from .planner import optimal_plan
-
     graph = load_graph(graph_path)
     result = optimal_plan(graph)
     if fmt == "json":
@@ -262,7 +280,7 @@ def obfuscate_random_cmd(
     }
     _emit(_dumps(payload), out)
     if out_graph:
-        Path(out_graph).write_text(apply_assignments(network, assignments).to_json())
+        save_graph(apply_assignments(network, assignments), out_graph)
 
 
 @obfuscate.command("search")
@@ -315,8 +333,7 @@ def obfuscate_search_cmd(
     }
     _emit(_dumps(payload), out)
     if out_graph:
-        graph = apply_assignments(network, result.best_assignments)
-        Path(out_graph).write_text(graph.to_json())
+        save_graph(apply_assignments(network, result.best_assignments), out_graph)
 
 
 @main.command()
@@ -347,7 +364,7 @@ def simulate(
     trace = simulate_attack(graph)
     payload = trace.to_dict()
     if not timings:
-        payload["planning_effort"].pop("elapsed_ms", None)
+        _untime_trace(payload)
     _emit(_dumps(payload), out)
 
 
@@ -376,15 +393,7 @@ def evaluate(
     if fmt == "json":
         _emit(_dumps(_report_payload(report, timings)), out)
         return
-    row = {
-        **dict.fromkeys(_CSV_COLUMNS, ""),
-        "network_id": Path(network_path).stem,
-        "n_hosts": network.n_hosts,
-        "approach": "evaluate",
-        **_report_columns(report, timings),
-        "seed": seed,
-        "trial": 0,
-    }
+    row = {**_row(Path(network_path).stem, network, "evaluate", "", seed, 0), **_report_columns(report, timings)}
     _emit(_rows_to_csv([row]), out)
 
 
@@ -404,6 +413,13 @@ def _spec(value, kind: type, name: str):
     """A sweep spec value that must have the JSON type `kind`; a bool is not an integer."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigurationError(f"sweep spec {name} must be {_SPEC_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _count(value, name: str) -> int:
+    """A sweep spec value that must be a non-negative integer."""
+    if _spec(value, int, name) < 0:
+        raise ConfigurationError(f"sweep spec {name} must be a non-negative integer, got {value!r}")
     return value
 
 
@@ -473,15 +489,7 @@ def _sweep_cell(
     is evaluated once, and later rows with it copy its columns.
     """
     name = approach.get("name", "")
-    row = {
-        **dict.fromkeys(_CSV_COLUMNS, ""),
-        "network_id": network_id,
-        "n_hosts": network.n_hosts,
-        "approach": _approach_label(approach),
-        "budget": budget,
-        "seed": seed,
-        "trial": trial,
-    }
+    row = _row(network_id, network, _approach_label(approach), budget, seed, trial)
     try:
         result = None
         if name == "random":
@@ -576,12 +584,12 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
         if catalog_path is not None:
             _spec(catalog_path, str, "catalog")
         networks = [_network_spec(net_spec) for net_spec in _spec(spec.get("networks", []), list, "networks")]
-        budgets = [_spec(budget, int, "budget") for budget in _spec(spec.get("budgets", [1]), list, "budgets")]
+        budgets = [_count(budget, "budget") for budget in _spec(spec.get("budgets", [1]), list, "budgets")]
         approaches = [
             _spec(approach, dict, "approach")
             for approach in _spec(spec.get("approaches", [{"name": "random"}]), list, "approaches")
         ]
-        trials = _spec(spec.get("trials", 1), int, "trials")
+        trials = _count(spec.get("trials", 1), "trials")
         base_seed = _spec(spec.get("base_seed", 0), int, "base_seed")
     except ConfigurationError as exc:
         raise ConfigurationError(f"{exc} (in {spec_path})") from None

@@ -35,13 +35,13 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .aggraph import IndexedView, config_id
 from .attacker import AttackIteration, _compiled, attack_total, simulate_attack
 from .errors import ConfigurationError, Unreachable
 from .netmodel import Assignment, NetworkModel, compatible_pairs, normalize_cost
-from .planner import PlanningState, plan_with_stats
+from .planner import PlanningState, _dijkstra, plan_with_stats
 
 ORDERINGS = ("utility", "shortest_path", "random")
 HEURISTICS = ("h1", "h2")
@@ -134,10 +134,6 @@ def _fold(network: NetworkModel, pairs: Iterable[Assignment]) -> list[Assignment
     for a in pairs:
         first.setdefault((a.host_id, normalize_cost(network.catalog[a.vuln_id])), a)
     return list(first.values())
-
-
-def _fake_config(assignment: Assignment) -> str:
-    return config_id(assignment.host_id, assignment.vuln_id)
 
 
 def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathIndex:
@@ -387,12 +383,12 @@ class PlacementProblem:
         self.fake_configs = self.graph.fake_configs()
         self.baseline_cost = compiled.baseline_cost
         # the compiled pairs, folded as `enumerate_candidates` folds them
-        self.candidates = tuple(a for a in _fold(network, compiled.pairs) if _fake_config(a) in self.fake_configs)
+        self.candidates = tuple(a for a in _fold(network, compiled.pairs) if config_id(*a) in self.fake_configs)
         self.chain_costs, self.real_routes, self._through = _fake_bounds(self.graph.indexed)
         # candidate -> index i (bit 1 << i of a set's mask), and by index its config number and L
         self._members = {a: i for i, a in enumerate(self.candidates)}
         self._by_index = tuple(
-            (compiled.number[_fake_config(a)], self.chain_costs[_fake_config(a)]) for a in self.candidates
+            (compiled.number[config_id(*a)], self.chain_costs[config_id(*a)]) for a in self.candidates
         )
         self._memo: dict[int, tuple[float, float]] = {}
         # set size -> Lemma G's corridor: per privilege, the arcs a search simulation (or, at 0, the path index) scans
@@ -491,7 +487,7 @@ class PlacementProblem:
             self._value(0)
             kept = []
             for i, (a, (_, chain)) in enumerate(zip(self.candidates, self._by_index)):
-                config = _fake_config(a)
+                config = config_id(*a)
                 face, route = self.graph.config_cost[config], self.real_routes[config]
                 if _within(chain, budget * b) and _within(face, min(b, route)):
                     kept.append(Candidate(a, self._value(1 << i)))
@@ -546,8 +542,9 @@ def _fake_bounds(view: IndexedView) -> tuple[dict[str, float], dict[str, float],
     config, over the (from, to) privileges of its arcs; a fake whose chain
     cannot reach the goal gets inf. The real route is the largest, over the
     privileges the config's exploits grant, of their face-cost distance from
-    the source over the arcs of real configs (hr of Lemma D); inf where no
-    real route exists.
+    the source over the arcs of real configs (hr of Lemma D), from a third
+    Dijkstra forward with every fake banned; inf where no real route exists.
+    All three run the planner's kernel, `planner._dijkstra`, to completion.
     """
     costs, fake = view.cost, view.fake
     backward: list[list[tuple[int, int, int]]] = [[] for _ in view.privileges]
@@ -558,9 +555,10 @@ def _fake_bounds(view: IndexedView) -> tuple[dict[str, float], dict[str, float],
             backward[q].append((e, c, p))
             if fake[c]:
                 ends.setdefault(c, []).append((p, q))
-    head = _distances(view.arcs, costs, view.source)
-    real = _distances([[arc for arc in arcs if not fake[arc[1]]] for arcs in view.arcs], costs, view.source)
-    tail = _distances(backward, costs, view.goal)
+    none_banned = bytes(len(costs))
+    head = _dijkstra(view.arcs, costs, none_banned, view.source)[0]
+    tail = _dijkstra(backward, costs, none_banned, view.goal)[0]
+    real = _dijkstra(view.arcs, costs, bytes(fake), view.source)[0]
     chains: dict[str, float] = {}
     routes: dict[str, float] = {}
     for c, pairs in ends.items():
@@ -568,23 +566,6 @@ def _fake_bounds(view: IndexedView) -> tuple[dict[str, float], dict[str, float],
         chains[config] = min(head[p] + costs[c] + tail[q] for p, q in pairs)
         routes[config] = max(real[q] for _, q in pairs)
     return chains, routes, [h + t for h, t in zip(head, tail)]
-
-
-def _distances(arcs: Sequence[Sequence[tuple[int, int, int]]], costs: Sequence[float], start: int) -> list[float]:
-    """Single-source shortest distances over per-privilege (exploit, config, head) arcs, each weighing `costs[config]`."""
-    dist = [math.inf] * len(arcs)
-    dist[start] = 0.0
-    heap = [(0.0, start)]
-    while heap:
-        d, p = heapq.heappop(heap)
-        if d > dist[p]:
-            continue
-        for _, c, q in arcs[p]:
-            nd = d + costs[c]
-            if nd < dist[q]:
-                dist[q] = nd
-                heapq.heappush(heap, (nd, q))
-    return dist
 
 
 class _SearchContext:

@@ -27,7 +27,10 @@ out the arcs of configs banned for the whole simulation, which changes
 nothing, and those of privileges no plan of its simulation can reach, which
 keeps the plan but settles fewer privileges (Lemma G of
 `placement_search.PlacementProblem`). Best-first search turns the
-state back into an id-keyed cost table and ban set at its entry.
+state back into an id-keyed cost table and ban set at its entry. One
+Dijkstra loop, `_dijkstra`, serves the plans and the search's bounds
+(`placement_search._fake_bounds`): it returns the distances and each
+privilege's predecessor arc, and a plan reads its chain off those.
 
 The Dijkstra plan is read off the predecessor chain from the goal back to the
 source, and the chain in order is the execution order: each chain exploit's
@@ -286,25 +289,35 @@ def _empty_plan(graph: AttackGraph) -> AttackPlan:
 # ---------------------------------------------------------------------------
 
 
-def _dijkstra_plan(graph: AttackGraph, state: PlanningState) -> tuple[AttackPlan, int]:
-    view = graph.indexed
-    arcs, costs, banned = state.arcs, state.costs, state.banned
-    source, goal = view.source, view.goal
-    n = len(view.privileges)
+def _dijkstra(
+    arcs: Sequence[Sequence[tuple[int, int, int]]],
+    costs: Sequence[float],
+    banned: Sequence[int],
+    source: int,
+    goal: int | None = None,
+) -> tuple[list[float], list[tuple[int, int, int] | None], list[int], int]:
+    """Dijkstra over per-privilege (exploit, config, granted privilege) arcs, each weighing `costs[config]`.
+
+    Arcs whose config is flagged in `banned` are skipped, as if left out. The
+    search stops once `goal` settles (never when it is None). Returns each
+    privilege's distance from `source`, the arc that reaches it on its best
+    chain and the privilege that arc leaves (-1 where none), and the number
+    of privileges settled.
+    """
+    n = len(arcs)
     dist = [_INF] * n
     dist[source] = 0.0
-    # privilege -> the arc that reaches it on the best chain, and the privilege that arc leaves
     pred: list[tuple[int, int, int] | None] = [None] * n
     via = [-1] * n
     heap: list[tuple[float, int]] = [(0.0, source)]
     pop, push = heapq.heappop, heapq.heappush
-    expanded = 0
+    settled = 0
     while heap:
         d, p = pop(heap)
         # a distance is only ever lowered strictly, so the one entry at dist[p] settles p
         if d > dist[p]:
             continue
-        expanded += 1
+        settled += 1
         if p == goal:
             break
         for arc in arcs[p]:
@@ -317,6 +330,13 @@ def _dijkstra_plan(graph: AttackGraph, state: PlanningState) -> tuple[AttackPlan
                 pred[q] = arc
                 via[q] = p
                 push(heap, (nd, q))
+    return dist, pred, via, settled
+
+
+def _dijkstra_plan(graph: AttackGraph, state: PlanningState) -> tuple[AttackPlan, int]:
+    view = graph.indexed
+    source, goal = view.source, view.goal
+    dist, pred, via, expanded = _dijkstra(state.arcs, state.costs, state.banned, source, goal)
     if dist[goal] == _INF:
         raise Unreachable(f"goal {graph.goal} is not derivable")
     chain = []
@@ -326,7 +346,7 @@ def _dijkstra_plan(graph: AttackGraph, state: PlanningState) -> tuple[AttackPlan
         p = via[p]
     chain.reverse()
     # chain order is execution order; the argument is in the module docstring
-    cost = math.fsum(costs[c] for c in {c for _, c, _ in chain})
+    cost = math.fsum(state.costs[c] for c in {c for _, c, _ in chain})
     return _ChainPlan(view, tuple(chain), cost), expanded
 
 

@@ -174,6 +174,116 @@ class TestValidateCatchesTampering:
         assert validate_graph(bad)
 
 
+# chain_graph's nodes: the chain internet -> h1 -> h2 -> h3 (the goal), one exploit and one config per step
+_P1, _P2, _C1 = priv_id("h1"), priv_id("h2"), config_id("h1", "rv-h1")
+_E1, _E2 = exploit_id("h1", "rv-h1", "internet"), exploit_id("h2", "rv-h2", "h1")
+# a config and an exploit that chain_graph does not have
+_GHOST, _E9 = config_id("ghost", "x"), exploit_id("h9", "x", "h1")
+
+
+# name -> (per field, a callable giving chain_graph's new value; the exact violations, in order)
+_TAMPERINGS = {
+    "privilege/exploit overlap": (
+        dict(exploit_nodes=lambda g: g.exploit_nodes | {_P1}),
+        [
+            "node sets privilege/exploit overlap: ['p|h:h1']",
+            f"edge ({_P1}, {_E1}): exploit may only require privilege or config",
+        ],
+    ),
+    "privilege/config overlap": (
+        dict(
+            config_nodes=lambda g: g.config_nodes | {_P1},
+            config_cost=lambda g: {**g.config_cost, _P1: 0.5},
+            fake_flag=lambda g: {**g.fake_flag, _P1: False},
+        ),
+        [
+            "node sets privilege/config overlap: ['p|h:h1']",
+            f"edge ({_P1}, {_E1}): config nodes have no requirements",
+        ],
+    ),
+    "exploit/config overlap": (
+        dict(
+            config_nodes=lambda g: g.config_nodes | {_E1},
+            config_cost=lambda g: {**g.config_cost, _E1: 0.5},
+            fake_flag=lambda g: {**g.fake_flag, _E1: False},
+        ),
+        [
+            f"node sets exploit/config overlap: ['{_E1}']",
+            f"edge ({_E1}, {_C1}): config nodes have no requirements",
+            f"edge ({_E1}, p|h:internet): config nodes have no requirements",
+        ],
+    ),
+    "goal": (dict(goal=lambda g: "p|h:ghost"), ["goal p|h:ghost is not a privilege node"]),
+    # the old source becomes a privilege like any other, with no supporting exploit
+    "source": (
+        dict(source=lambda g: "p|h:ghost"),
+        ["source p|h:ghost is not a privilege node", "privilege p|h:internet has no supporting exploit"],
+    ),
+    "unknown node": (
+        dict(edges=lambda g: g.edges | {(_E1, _GHOST)}),
+        [f"edge ({_E1}, {_GHOST}) references an unknown node"],
+    ),
+    "privilege requires a non-exploit": (
+        dict(edges=lambda g: g.edges | {(_P1, _C1)}),
+        [f"edge ({_P1}, {_C1}): privilege may only require an exploit"],
+    ),
+    "exploit requires an exploit": (
+        dict(edges=lambda g: g.edges | {(_E1, _E2)}),
+        [f"edge ({_E1}, {_E2}): exploit may only require privilege or config"],
+    ),
+    "config has requirements": (
+        dict(edges=lambda g: g.edges | {(_C1, _P1)}),
+        [f"edge ({_C1}, {_P1}): config nodes have no requirements"],
+    ),
+    "exploit without requirements": (
+        dict(exploit_nodes=lambda g: g.exploit_nodes | {_E9}),
+        [f"exploit {_E9} has no requirements"],
+    ),
+    # an edge to an unknown node still counts as a requirement
+    "exploit requiring only an unknown node": (
+        dict(exploit_nodes=lambda g: g.exploit_nodes | {_E9}, edges=lambda g: g.edges | {(_E9, _GHOST)}),
+        [f"edge ({_E9}, {_GHOST}) references an unknown node"],
+    ),
+    "privilege without a supporting exploit": (
+        dict(edges=lambda g: g.edges - {(_P2, _E2)}),
+        [f"privilege {_P2} has no supporting exploit"],
+    ),
+    # only an edge to an exploit supports a privilege
+    "privilege requiring only a config": (
+        dict(edges=lambda g: g.edges - {(_P2, _E2)} | {(_P2, _C1)}),
+        [f"edge ({_P2}, {_C1}): privilege may only require an exploit", f"privilege {_P2} has no supporting exploit"],
+    ),
+    "config_cost domain": (
+        dict(config_cost=lambda g: {c: v for c, v in g.config_cost.items() if c != _C1}),
+        ["config_cost domain differs from the config node set"],
+    ),
+    "cost range": (
+        dict(config_cost=lambda g: {**g.config_cost, _C1: 1.5}),
+        [f"config {_C1} cost 1.5 outside [0, 1]"],
+    ),
+    "fake_flag domain": (
+        dict(fake_flag=lambda g: {c: v for c, v in g.fake_flag.items() if c != _C1}),
+        ["fake_flag domain differs from the config node set"],
+    ),
+    "fake flag without provenance": (
+        dict(fake_flag=lambda g: {**g.fake_flag, _C1: True}),
+        [f"config {_C1}: fake flag and provenance disagree"],
+    ),
+    "provenance of an unknown node": (
+        dict(provenance=lambda g: {"p|h:ghost": Assignment("ghost", "x")}),
+        ["provenance references unknown node p|h:ghost"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _TAMPERINGS)
+def test_validate_graph_names_each_violation(chain_graph, name):
+    changes, expected = _TAMPERINGS[name]
+    assert validate_graph(chain_graph) == []
+    bad = dataclasses.replace(chain_graph, **{field: change(chain_graph) for field, change in changes.items()})
+    assert validate_graph(bad) == expected
+
+
 @given(st.integers(min_value=3, max_value=10), st.integers(min_value=0, max_value=30))
 def test_generated_graphs_always_validate(n, seed):
     net = generate_network(n, default_catalog(), seed=seed)

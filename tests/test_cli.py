@@ -627,6 +627,31 @@ class TestSweep:
     @pytest.mark.parametrize(
         "field, value, message",
         [
+            ("budgets", [-1, 0], "budget must be a non-negative integer, got -1"),
+            ("trials", -1, "trials must be a non-negative integer, got -1"),
+            ("trials", "2", "trials must be an integer, got '2'"),
+        ],
+        ids=["negative-budget", "negative-trials", "string-trials"],
+    )
+    def test_budgets_and_trials_must_be_non_negative_integers(self, tmp_path, runner, field, value, message):
+        spec = {"networks": [{"hosts": 12, "seed": 7}], "approaches": [{"name": "random"}], field: value}
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 2, res.output
+        assert f"error: sweep spec {message} (in {tmp_path / 'spec.json'})" in res.output
+        assert not out.exists()
+
+    def test_zero_budget_and_zero_trials_are_accepted(self, tmp_path, runner):
+        spec = {"networks": [{"hosts": 4, "seed": 1}], "budgets": [0]}
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 0, res.output
+        assert [row["budget"] for row in _rows(out.read_text())] == ["0"]
+        res, out = self._sweep(tmp_path, runner, {**spec, "trials": 0})
+        assert res.exit_code == 0, res.output
+        assert _rows(out.read_text()) == []
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
             ("budgets", 2, "budgets must be a list"),
             ("networks", [5], "network must be an object"),
             ("approaches", ["random"], "approach must be an object"),
