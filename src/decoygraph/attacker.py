@@ -135,24 +135,22 @@ def attack_total(rounds: Iterable[AttackIteration]) -> float:
     return total
 
 
-def simulate_attack(
-    graph: AttackGraph, banned_configs: Iterable[str] | PlanningState = ()
-) -> SimulationTrace:
+def simulate_attack(graph: AttackGraph, state: PlanningState | None = None) -> SimulationTrace:
     """Run the plan/fail/replan loop to completion and return the trace.
 
-    Everything happens on the one graph given. `banned_configs` takes configs
-    out of play from the start; `evaluate_placement` and `PlacementProblem`
-    ban the fake configs of the pairs a placement does not plant, so one
-    graph with every compatible pair planted serves every placement. The
-    loop keeps its state by config number (`PlanningState`): each round plans
-    at face value with the configs paid so far zeroed, and walks the plan's
-    steps through the configs each one requires; the graph's adjacency is not
-    read, and config ids are only looked up for the trace. When the plan
-    trips a fake, the discovered assignment's own config is banned, which
-    leaves the planner exactly the plans of the graph regenerated without
-    that assignment.
+    Everything happens on the one graph given, and the loop plays out on
+    `state`, a fresh `PlanningState` of it that the loop consumes; None
+    starts at face cost with nothing banned. The state's ban flags take
+    configs out of play from the start: `evaluate_placement` and
+    `PlacementProblem` ban the fake configs of the pairs a placement does not
+    plant, so one graph with every compatible pair planted serves every
+    placement. Each round plans at face value with the configs paid so far
+    zeroed in the state, and walks the plan's steps through the configs each
+    one requires; the graph's adjacency is not read, and config ids are only
+    looked up for the trace. When the plan trips a fake, the discovered
+    assignment's own config is banned, which leaves the planner exactly the
+    plans of the graph regenerated without that assignment.
 
-    A caller may pass a fresh `PlanningState` instead of ids, as both do:
     `_Compiled.state` plants a set by clearing the ban flags of its fakes in
     a state with every fake banned, over an arc list kept fixed. Dijkstra
     skips a banned config's arcs, whether banned from the start or on
@@ -171,10 +169,8 @@ def simulate_attack(
     round bans a fake it had not banned before, and once none is left the
     planner raises.
     """
-    if isinstance(banned_configs, PlanningState):
-        state = banned_configs
-    else:
-        state = PlanningState.of(graph, banned_configs=banned_configs)
+    if state is None:
+        state = PlanningState.of(graph)
     names, fake, working = state.names, state.fake, state.costs
     iterations: list[AttackIteration] = []
     # the planner's effort, each counter summed in round order
@@ -182,7 +178,7 @@ def simulate_attack(
     elapsed_ms = 0.0
     while True:
         try:
-            plan, stats = plan_with_stats(graph, costs=state)
+            plan, stats = plan_with_stats(graph, state)
         except Unreachable:
             raise Unreachable("no real attack path exists") from None
         expanded += stats.expanded_states
@@ -232,17 +228,20 @@ def evaluate_placement(
     """
     placement = check_placement(network, assignments)
     compiled = _compiled(network)
-    number = compiled.number
-    opened = [number[c] for c in (config_id(*a) for a in placement) if c in number]
-    trace = simulate_attack(compiled.graph, compiled.state(opened))
+    fakes = compiled.fakes
+    trace = simulate_attack(compiled.graph, compiled.state(fakes[a] for a in placement if a in fakes))
     return EvaluationReport.from_trace(trace, len(placement), compiled.baseline_cost, seed)
 
 
 @dataclass(frozen=True)
 class _Compiled:
-    """A network's compatible pairs, its graph with every one of them planted,
-    the graph's config numbering, ban flags set on every fake, and b planned
-    with them.
+    """A network's graph with every compatible pair planted, the config
+    number of each pair the attacker reaches, ban flags set on every fake,
+    and b planned with them.
+
+    `fakes` maps each compatible pair whose fake config the graph holds to
+    that config's number in the graph's view, in `compatible_pairs` order; a
+    pair on a host the attacker never reaches has no config there.
 
     It holds no reference to the network, so the two are freed without the
     cycle collector.
@@ -260,9 +259,8 @@ class _Compiled:
     the `fsum` over its configs, are the same to the bit.
     """
 
-    pairs: tuple[Assignment, ...]
+    fakes: dict[Assignment, int]
     graph: AttackGraph
-    number: dict[str, int]
     all_fakes_banned: bytes
     baseline_cost: float
 
@@ -293,5 +291,6 @@ def _compiled(network: NetworkModel) -> _Compiled:
         b = optimal_plan(graph, banned_configs=graph.fake_configs()).cost
         view = graph.indexed
         number = {c: i for i, c in enumerate(view.configs)}
-        compiled = vars(network)["_compiled"] = _Compiled(pairs, graph, number, bytes(view.fake), b)
+        fakes = {a: number[c] for a in pairs if (c := config_id(*a)) in number}
+        compiled = vars(network)["_compiled"] = _Compiled(fakes, graph, bytes(view.fake), b)
     return compiled

@@ -8,6 +8,7 @@ or configuration errors, 3 when the goal is unreachable.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import io
@@ -454,22 +455,19 @@ def _approach_label(approach: dict) -> str:
 _ROW_ERRORS = (ValidationError, ConfigurationError, Unreachable)
 
 
-def _problem_once(network: NetworkModel) -> Callable[[], PlacementProblem]:
-    """The network's PlacementProblem, built on the first call; later calls
-    return it or raise its build's row error again (an unreachable goal)."""
-    built: list[PlacementProblem | Exception] = []
-
-    def problem() -> PlacementProblem:
-        if not built:
-            try:
-                built.append(PlacementProblem(network))
-            except _ROW_ERRORS as exc:
-                built.append(exc)
-        if isinstance(built[0], Exception):
-            raise built[0].with_traceback(None)
-        return built[0]
-
-    return problem
+def _sweep_network(net_spec: dict, catalog_path: str | None, spec_path: str) -> tuple[str, NetworkModel]:
+    """A sweep spec network entry's id and network, read from its file or
+    generated; a generator error names the entry and the spec."""
+    if "path" in net_spec:
+        network = _load_network_file(net_spec["path"], catalog_path)
+        return net_spec.get("id", Path(net_spec["path"]).stem), network
+    hosts, seed = net_spec["hosts"], net_spec.get("seed", 0)
+    catalog = _catalog_from_option(catalog_path)
+    try:
+        network = generate_network(hosts, catalog, seed, dead_hosts=net_spec.get("dead_hosts", 0))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"network spec {net_spec!r}: {exc} (in {spec_path})") from None
+    return net_spec.get("id", f"gen-{hosts}-{seed}"), network
 
 
 def _sweep_cell(
@@ -565,11 +563,13 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
 
     The spec JSON carries: networks (generator specs {hosts, seed} or file
     refs {path}), optional catalog path, budgets, approaches, trials, and
-    base_seed; trial seeds are base_seed + trial index. Every search on a
-    network shares one PlacementProblem, built once, when the first one needs
-    it, and every row is evaluated by `evaluate_placement` on the same
-    compiled graph. A network whose goal is unreachable gives an error row
-    per cell.
+    base_seed; trial seeds are base_seed + trial index. Every network entry
+    is read or generated before the first row, so a bad one ends the sweep
+    before any work, and a network is held only while its rows are computed.
+    Every search on a network shares one PlacementProblem, built when the
+    first one needs it, and every row is evaluated by `evaluate_placement` on
+    the same compiled graph. A network whose goal is unreachable gives an
+    error row per cell; each of its search rows tries the build again.
 
     A search that reads no seed (exhaustive, or not under the random ordering)
     has its row computed at the first trial; later trials copy it with their
@@ -593,18 +593,12 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
         base_seed = _spec(spec.get("base_seed", 0), int, "base_seed")
     except ConfigurationError as exc:
         raise ConfigurationError(f"{exc} (in {spec_path})") from None
+    # every network before the first row, each let go once its rows are done
+    loaded = collections.deque(_sweep_network(net_spec, catalog_path, spec_path) for net_spec in networks)
     rows: list[dict] = []
-    for net_spec in networks:
-        if "path" in net_spec:
-            network = _load_network_file(net_spec["path"], catalog_path)
-            network_id = net_spec.get("id", Path(net_spec["path"]).stem)
-        else:
-            catalog = _catalog_from_option(catalog_path)
-            network = generate_network(
-                net_spec["hosts"], catalog, net_spec.get("seed", 0), dead_hosts=net_spec.get("dead_hosts", 0)
-            )
-            network_id = net_spec.get("id", f"gen-{net_spec['hosts']}-{net_spec.get('seed', 0)}")
-        problem, evaluated = _problem_once(network), {}
+    while loaded:
+        network_id, network = loaded.popleft()
+        problem, evaluated = functools.cache(functools.partial(PlacementProblem, network)), {}
         for approach in approaches:
             given = {**_SEARCH_DEFAULTS, **approach}
             seed_free = approach.get("name") == "search" and not _reads_seed(given["algorithm"], given["ordering"])

@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .aggraph import IndexedView, config_id
+from .aggraph import IndexedView
 from .attacker import AttackIteration, _compiled, attack_total, simulate_attack
 from .errors import ConfigurationError, Unreachable
 from .netmodel import Assignment, NetworkModel, compatible_pairs, normalize_cost
@@ -195,7 +195,7 @@ def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathInd
         for c in banned:
             flags[c] = 1
         try:
-            plan = plan_with_stats(full, costs=state)[0]
+            plan = plan_with_stats(full, state)[0]
         except Unreachable:
             return
         finally:
@@ -228,28 +228,32 @@ class PlacementProblem:
     network's compiled part (`attacker._Compiled`, which holds the lemma on
     b): one attack graph with every compatible (host, vuln) pair planted,
     built once per network and shared with `evaluate_placement`. The problem
-    adds its fake configs and the reachable candidates as plain assignments.
+    adds the reachable candidates as plain assignments; inside it, a fake
+    config is named by its number in the graph's view (`_Compiled.fakes`).
     A set of pairs is evaluated on that graph by ban flags alone: its
     simulation bans every fake config but the set's, over an arc list fixed
     per use (the view's, or in a search the corridor of Lemma G), so every
     search simulation bans the pairs `enumerate_candidates` folds away.
     Candidates the attacker can never reach leave no fake config in that
     graph; they cannot change any subset's value, so `candidates` leaves them
-    out. Subset values, the candidates a budget can trip (as `Candidate`s
-    with their singleton utilities) and path indexes (by pool size) are
-    memoized per problem, so every search on the network can share one
-    problem, and an engine called without one starts from fresh memos; a
-    search refuses a problem compiled from another network.
+    out. It folds `_Compiled.fakes`, the reached pairs: folding and the reach
+    filter commute, since both act per host. Subset values, the candidates a
+    budget can trip (as `Candidate`s with their singleton utilities) and path
+    indexes (by pool size) are memoized per problem, so every search on the
+    network can share one problem, and an engine called without one starts
+    from fresh memos; a search refuses a problem compiled from another
+    network.
 
     `trippable(k)` drops candidates that no attack on at most k planted fakes
     can trip. Let L(a) be the cheapest face-value source-to-goal chain through
     fake a on the planted graph, with nothing banned (`chain_costs`). Let c(a)
     be a's face cost, and hr(a) the face-cost distance from the source to the
     privilege a's exploit grants, dst(a), over real configs only
-    (`real_routes`). A folded pair has the host, cost and exploit shape of
-    the candidate kept for its (host, cost) class, so its edges run parallel
-    to that candidate's, and L and hr are what they are with the candidates
-    alone planted. A lower L would only keep more candidates, which is sound.
+    (`real_routes`); both lists are indexed by config number. A folded pair
+    has the host, cost and exploit shape of the candidate kept for its
+    (host, cost) class, so its edges run parallel to that candidate's, and L
+    and hr are what they are with the candidates alone planted. A lower L
+    would only keep more candidates, which is sound.
 
     Lemma A. If a appears in some round's plan against a set S with |S| <= k,
     then L(a) <= k*b. The round's plan costs at most b: only fakes are ever
@@ -380,16 +384,13 @@ class PlacementProblem:
         self.network = network
         compiled = self._compiled = _compiled(network)
         self.graph = compiled.graph
-        self.fake_configs = self.graph.fake_configs()
         self.baseline_cost = compiled.baseline_cost
-        # the compiled pairs, folded as `enumerate_candidates` folds them
-        self.candidates = tuple(a for a in _fold(network, compiled.pairs) if config_id(*a) in self.fake_configs)
+        # the reached pairs, folded as `enumerate_candidates` folds them
+        self.candidates = tuple(_fold(network, compiled.fakes))
         self.chain_costs, self.real_routes, self._through = _fake_bounds(self.graph.indexed)
         # candidate -> index i (bit 1 << i of a set's mask), and by index its config number and L
         self._members = {a: i for i, a in enumerate(self.candidates)}
-        self._by_index = tuple(
-            (compiled.number[config_id(*a)], self.chain_costs[config_id(*a)]) for a in self.candidates
-        )
+        self._by_index = tuple((c, self.chain_costs[c]) for c in map(compiled.fakes.__getitem__, self.candidates))
         self._memo: dict[int, tuple[float, float]] = {}
         # set size -> Lemma G's corridor: per privilege, the arcs a search simulation (or, at 0, the path index) scans
         self._corridors: dict[int, tuple[_Arcs, ...]] = {}
@@ -424,7 +425,7 @@ class PlacementProblem:
                     return parent[0]
         # a search plans inside its set size's corridor (Lemma G), the oracle over every arc
         state = self._state((by_index[i][0] for i in indices), len(indices) if inherit else None)
-        trace = simulate_attack(self.graph, banned_configs=state)
+        trace = simulate_attack(self.graph, state)
         rounds = trace.iterations
         memo[mask] = (trace.total_cost, _reach(rounds, self.graph.config_cost))
         if inherit:
@@ -484,12 +485,11 @@ class PlacementProblem:
         kept = self._trippable.get(budget)
         if kept is None:
             b = self.baseline_cost
+            face_costs = self.graph.indexed.cost
             self._value(0)
             kept = []
-            for i, (a, (_, chain)) in enumerate(zip(self.candidates, self._by_index)):
-                config = config_id(*a)
-                face, route = self.graph.config_cost[config], self.real_routes[config]
-                if _within(chain, budget * b) and _within(face, min(b, route)):
+            for i, (a, (c, chain)) in enumerate(zip(self.candidates, self._by_index)):
+                if _within(chain, budget * b) and _within(face_costs[c], min(b, self.real_routes[c])):
                     kept.append(Candidate(a, self._value(1 << i)))
             kept = self._trippable[budget] = tuple(kept)
         return kept
@@ -531,9 +531,10 @@ def _reach(rounds: Iterable[AttackIteration], face_costs: dict[str, float]) -> f
     return reach
 
 
-def _fake_bounds(view: IndexedView) -> tuple[dict[str, float], dict[str, float], list[float]]:
-    """Per fake config its chain cost L and the real route to the host it
-    grants; per privilege p, head(p) + tail(p).
+def _fake_bounds(view: IndexedView) -> tuple[list[float], list[float], list[float]]:
+    """By config number, each fake config's chain cost L and the real route
+    to the host it grants (inf on real configs); per privilege p, head(p) +
+    tail(p).
 
     head and tail are the face-cost distances from the source and to the
     goal, from one Dijkstra forward from the source and one backward from
@@ -559,12 +560,11 @@ def _fake_bounds(view: IndexedView) -> tuple[dict[str, float], dict[str, float],
     head = _dijkstra(view.arcs, costs, none_banned, view.source)[0]
     tail = _dijkstra(backward, costs, none_banned, view.goal)[0]
     real = _dijkstra(view.arcs, costs, bytes(fake), view.source)[0]
-    chains: dict[str, float] = {}
-    routes: dict[str, float] = {}
+    chains = [math.inf] * len(costs)
+    routes = [math.inf] * len(costs)
     for c, pairs in ends.items():
-        config = view.configs[c]
-        chains[config] = min(head[p] + costs[c] + tail[q] for p, q in pairs)
-        routes[config] = max(real[q] for _, q in pairs)
+        chains[c] = min(head[p] + costs[c] + tail[q] for p, q in pairs)
+        routes[c] = max(real[q] for _, q in pairs)
     return chains, routes, [h + t for h, t in zip(head, tail)]
 
 

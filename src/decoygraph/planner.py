@@ -15,8 +15,9 @@ search over achieved-fact sets. The tests hold both to a brute-force subset
 enumerator.
 
 Both engines read a `PlanningState`: costs, ban flags and fake flags listed
-by config number. `plan_with_stats` numbers id-keyed costs and bans once per
-call; the attacker keeps one state per simulation instead. Dijkstra runs on
+by config number, the one input `plan_with_stats` takes. `optimal_plan`, the
+id-keyed entry, numbers its costs and bans into a state once per call; the
+attacker keeps one state per simulation instead. Dijkstra runs on
 the graph's integer view (`AttackGraph.indexed`): privileges and exploits
 numbered in sorted id order, so heap ties between equal distances still break
 by privilege id, configs numbered in order of first use along the exploits,
@@ -469,26 +470,21 @@ def _bestfirst_plan(graph: AttackGraph, state: PlanningState) -> tuple[AttackPla
 # ---------------------------------------------------------------------------
 
 
-def plan_with_stats(
-    graph: AttackGraph,
-    costs: Mapping[str, float] | PlanningState | None = None,
-    banned_configs: Iterable[str] = (),
-) -> tuple[AttackPlan, PlannerStats]:
-    """Optimal plan plus search-effort counters.
+def plan_with_stats(graph: AttackGraph, state: PlanningState | None = None) -> tuple[AttackPlan, PlannerStats]:
+    """Optimal plan plus search-effort counters, planned on `state`.
 
-    `costs` is a full config -> cost table (the simulator's, with paid
-    configs zeroed) and defaults to `graph.config_cost`; `banned_configs`
-    removes configs from consideration entirely. Both are numbered once, into
-    a `PlanningState`, which the engines read. A caller that plans many times
-    on one graph passes its own state as `costs` instead, and `banned_configs`
-    is then not read.
+    `state` holds the costs and ban flags by config number (`PlanningState`);
+    None plans at face cost with nothing banned. A caller that plans many
+    times on one graph keeps one state and changes its costs and flags
+    between calls; `optimal_plan` takes id-keyed costs and bans instead.
     Raises Unreachable when no plan exists. The engines raise it themselves,
     with the same message: Dijkstra when it never settles the goal, best-first
     when the goal's max-cost relaxation from the start state is infinite or
     its frontier runs dry. Both happen exactly when the goal is not derivable
     from the unbanned configs, so no separate derivability check runs first.
     """
-    state = costs if isinstance(costs, PlanningState) else PlanningState.of(graph, costs, banned_configs)
+    if state is None:
+        state = PlanningState.of(graph)
     started = time.perf_counter()
     if graph.unit_rule:
         plan, expanded = _dijkstra_plan(graph, state)
@@ -504,16 +500,15 @@ def optimal_plan(
     costs: Mapping[str, float] | None = None,
     banned_configs: Iterable[str] = (),
 ) -> AttackPlan:
-    return plan_with_stats(graph, costs, banned_configs)[0]
+    """The cheapest plan for the id-keyed `costs`, a full config -> cost
+    table (None: `graph.config_cost`), with `banned_configs` out of play."""
+    return plan_with_stats(graph, PlanningState.of(graph, costs, banned_configs))[0]
 
 
-def optimal_cost(
-    graph: AttackGraph,
-    costs: Mapping[str, float] | None = None,
-) -> float:
+def optimal_cost(graph: AttackGraph) -> float:
     """Cost of the cheapest plan with every config taken at face value.
 
     Fake flags are ignored: this is the cost the attacker believes the
     cheapest attack has.
     """
-    return optimal_plan(graph, costs).cost
+    return optimal_plan(graph).cost

@@ -11,11 +11,11 @@ from itertools import combinations
 import pytest
 
 from decoygraph import attacker
-from decoygraph.aggraph import AttackGraph, apply_assignments, build_attack_graph
+from decoygraph.aggraph import AttackGraph, apply_assignments, build_attack_graph, config_id
 from decoygraph.attacker import evaluate_placement, simulate_attack
 from decoygraph.errors import Unreachable, ValidationError
 from decoygraph import placement_search
-from decoygraph.netmodel import Assignment, compatible_vulns, default_catalog, generate_network
+from decoygraph.netmodel import Assignment, Host, compatible_pairs, compatible_vulns, default_catalog, generate_network
 from decoygraph.placement_random import draw_budget_placement, draw_placement, random_placement
 from decoygraph.placement_search import (
     PlacementProblem,
@@ -25,7 +25,7 @@ from decoygraph.placement_search import (
     enumerate_candidates,
     exhaustive_best,
 )
-from decoygraph.planner import optimal_cost, optimal_plan, plan_with_stats
+from decoygraph.planner import PlanningState, optimal_cost, optimal_plan, plan_with_stats
 from helpers import cut_network, cvss3_catalog, memo_networks, reference_report, small_network
 
 CATALOGS = pytest.mark.parametrize("catalog", [None, cvss3_catalog()], ids=["dyadic", "cvss3"])
@@ -260,7 +260,7 @@ class TestBanSetOracle:
             for it, (_, stats) in zip(trace.iterations, rounds):
                 reference = apply_assignments(net, placement - found)
                 costs = {**reference.config_cost, **dict.fromkeys(zeroed, 0.0)}
-                plan, ref_stats = plan_with_stats(reference, costs=costs)
+                plan, ref_stats = plan_with_stats(reference, PlanningState.of(reference, costs))
                 assert it.plan == plan, f"seed {seed}"
                 assert stats.expanded_states == ref_stats.expanded_states, f"seed {seed}"
                 if it.discovered_fake is not None:
@@ -275,6 +275,17 @@ def _report_without_timings(report) -> dict:
     payload.pop("p2_ms")
     payload["trace"]["planning_effort"].pop("elapsed_ms")
     return payload
+
+
+def _with_unreached_host(net):
+    """`net` plus a host h99 with an edge out to h03 and none in, on h03's OS:
+    its pairs are compatible, but the attacker never reaches it."""
+    h03 = net.hosts["h03"]
+    return dataclasses.replace(
+        net,
+        hosts={**net.hosts, "h99": Host("h99", h03.os, layer=h03.layer)},
+        reachability=net.reachability | {("h99", "h03")},
+    )
 
 
 class TestSharedEvaluation:
@@ -326,6 +337,37 @@ class TestSharedEvaluation:
             with pytest.raises(ValidationError) as shared:
                 evaluate_placement(net, placement)
             assert str(shared.value) == str(reference.value)
+
+    def test_a_pair_the_attacker_never_reaches_opens_nothing(self):
+        net = _with_unreached_host(generate_network(12, default_catalog(), seed=7))
+        lonely = [a for a in compatible_pairs(net) if a.host_id == "h99"]
+        assert lonely and not set(lonely) & set(attacker._compiled(net).fakes)
+        placements = [frozenset(lonely[:1]), frozenset(lonely)]
+        placements += [frozenset(lonely[:2]) | draw_budget_placement(net, 1 + seed % 3, seed) for seed in range(6)]
+        reports = [evaluate_placement(net, placement, seed=seed) for seed, placement in enumerate(placements)]
+        for seed, (placement, report) in enumerate(zip(placements, reports)):
+            reference = reference_report(net, placement, seed=seed)
+            assert _report_without_timings(report) == _report_without_timings(reference), seed
+        # the lone host's pairs trip nothing, and some mixed placements trip a reached fake
+        assert [report.p4 for report in reports[:2]] == [0.0, 0.0]
+        assert sum(report.p1 > 1 for report in reports) >= 2
+
+    @CATALOGS
+    def test_compiled_fakes_number_the_reached_pairs(self, catalog):
+        # keys: the compatible pairs whose config the compiled graph holds, in
+        # pair order; values: the view's number for that config
+        nets = [generate_network(hosts, catalog or default_catalog(), seed) for hosts, seed in self.NETWORKS]
+        nets.append(_with_unreached_host(generate_network(12, catalog or default_catalog(), 7)))
+        unreached = 0
+        for net in nets:
+            compiled = attacker._compiled(net)
+            configs = [config_id(a.host_id, a.vuln_id) for a in compatible_pairs(net)]
+            reached = [(a, c) for a, c in zip(compatible_pairs(net), configs) if c in compiled.graph.config_nodes]
+            assert list(compiled.fakes) == [a for a, _ in reached], net.n_hosts
+            names = compiled.graph.indexed.configs
+            assert [names[i] for i in compiled.fakes.values()] == [c for _, c in reached], net.n_hosts
+            unreached += len(configs) - len(reached)
+        assert unreached >= 3, unreached
 
     def test_one_graph_per_problem(self, monkeypatch):
         # evaluations, searches on a shared problem or on their own, and the

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -734,7 +735,7 @@ class TestSweep:
         ]
 
     def test_each_network_builds_its_problem_once(self, tmp_path, runner, monkeypatch):
-        # a failed build is remembered too: each cut-network row re-raises its error
+        # a failed build is not remembered: each cut-network search row builds again and re-raises its error
         builds = []
 
         def counted(network):
@@ -757,7 +758,7 @@ class TestSweep:
         assert res.exit_code == 0, res.output
         rows = _rows(out.read_text())
         assert [row["error"].startswith("Unreachable") for row in rows] == [True] * 10 + [False] * 10
-        assert builds == [2, 6]
+        assert builds == [2] * 6 + [6]
 
     # two networks, every kind of approach: seed-free searches, a seeded one and both random draws
     _TRIAL_SPEC = {
@@ -884,6 +885,45 @@ class TestSweep:
         assert res.exit_code == 2, res.output
         assert f"error: {message}" in res.output
         assert cells == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "network, message",
+        [
+            ({"hosts": 2, "seed": 1}, "n_hosts too small to populate all three layers"),
+            ({"hosts": 12, "seed": 1, "dead_hosts": -2}, "dead_hosts must be in [0, n_hosts)"),
+        ],
+        ids=["too-few-hosts", "negative-dead-hosts"],
+    )
+    def test_generator_error_fails_before_any_row(self, tmp_path, runner, monkeypatch, network, message):
+        ran = []
+        for name in ("dfbnb", "astar", "exhaustive_best", "evaluate_placement"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: ran.append(name))
+        spec = {"networks": [{"hosts": 12, "seed": 7}, network], "approaches": [{"name": "random"}, {"name": "search"}]}
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 2, res.output
+        assert res.output == f"error: network spec {network!r}: {message} (in {tmp_path / 'spec.json'})\n"
+        assert ran == [] and not out.exists()
+
+    def test_a_network_is_let_go_once_its_rows_are_done(self, tmp_path, runner, monkeypatch):
+        # each network's compiled graph goes with it, so a sweep holds one at a time
+        alive, generate, evaluate = [], cli.generate_network, cli.evaluate_placement
+
+        def generated(*args, **kwargs):
+            network = generate(*args, **kwargs)
+            alive.append(weakref.ref(network))
+            return network
+
+        def counted(network, assignments, seed=0):
+            live.add(tuple(ref() is not None for ref in alive))
+            return evaluate(network, assignments, seed)
+
+        live: set[tuple[bool, ...]] = set()
+        monkeypatch.setattr(cli, "generate_network", generated)
+        monkeypatch.setattr(cli, "evaluate_placement", counted)
+        spec = {"networks": [{"hosts": 8, "seed": 3}, {"hosts": 12, "seed": 7}], "approaches": [{"name": "search"}]}
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 0, res.output
+        assert live == {(True, True), (False, True)}
 
     def test_path_index_is_kept_per_pool_size(self):
         network = generate_network(12, default_catalog(), seed=7)

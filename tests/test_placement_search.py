@@ -45,7 +45,7 @@ from decoygraph.placement_search import (
     enumerate_candidates,
     exhaustive_best,
 )
-from decoygraph.planner import optimal_plan, plan_with_stats
+from decoygraph.planner import PlanningState, optimal_plan, plan_with_stats
 from helpers import (
     cvss3_catalog,
     dormant_fake_chain,
@@ -143,7 +143,7 @@ def _search_inputs(problem: PlacementProblem) -> str:
     """What the searches read from a problem, as JSON: the candidates, their
     chain costs and real routes, the trippable candidates with their singleton
     utilities for budgets 1 to 3, and the path index of pool size 100."""
-    configs = [config_id(a.host_id, a.vuln_id) for a in problem.candidates]
+    configs = [problem._compiled.fakes[a] for a in problem.candidates]
     return json.dumps(
         {
             "candidates": [a.to_dict() for a in problem.candidates],
@@ -337,7 +337,7 @@ def _full_arc_path_index(problem: PlacementProblem, pool_size: int) -> PathIndex
         if plan.cost < problem.baseline_cost:
             heapq.heappush(heap, (plan.cost, calls, banned, plan))
 
-    push(problem.fake_configs - {config_id(a.host_id, a.vuln_id) for a in problem.candidates})
+    push(problem.graph.fake_configs() - {config_id(a.host_id, a.vuln_id) for a in problem.candidates})
     while heap and len(records) < pool_size:
         cost, _, banned, plan = heapq.heappop(heap)
         cfgs = frozenset(plan.node_set & full.config_nodes)
@@ -389,9 +389,9 @@ class TestCorridorPathIndex:
         problem = PlacementProblem(net)
         arcs = []
 
-        def recording_plan(graph, costs=None, banned_configs=()):
-            arcs.append(costs.arcs)
-            return plan_with_stats(graph, costs, banned_configs)
+        def recording_plan(graph, state=None):
+            arcs.append(state.arcs)
+            return plan_with_stats(graph, state)
 
         monkeypatch.setattr(placement_search, "plan_with_stats", recording_plan)
         index = build_path_index(problem, 100)
@@ -856,7 +856,7 @@ class TestDormantFakeNetworks:
         problem = PlacementProblem(net)
         assert problem.baseline_cost == 1.0 and problem.candidates == tuple(sorted(dormant | {lure}))
         assert [problem.value(dormant), problem.value(dormant | {lure})] == attacked
-        assert with_lure - alone > min(problem.baseline_cost, problem.real_routes[config_id("d", "a")])
+        assert with_lure - alone > min(problem.baseline_cost, problem.real_routes[problem._compiled.fakes[lure]])
 
 
 class TestTrippableFilter:
@@ -875,8 +875,8 @@ class TestTrippableFilter:
             for size in range(budget + 1):
                 for combo in combinations(assignments, size):
                     subset = frozenset(combo)
-                    banned = problem.fake_configs - {config_id(a.host_id, a.vuln_id) for a in subset}
-                    trace = simulate_attack(problem.graph, banned_configs=banned)
+                    banned = problem.graph.fake_configs() - {config_id(a.host_id, a.vuln_id) for a in subset}
+                    trace = simulate_attack(problem.graph, PlanningState.of(problem.graph, banned_configs=banned))
                     tripped = {it.discovered_fake for it in trace.iterations} - {None}
                     assert tripped <= kept, f"{where}, K={budget}, {sorted(subset)}"
                     assert problem.value(subset) == problem.value(subset & kept), f"{where}, K={budget}"
@@ -912,7 +912,7 @@ class TestTrippableFilter:
         net = _boundary_net(*subscores)
         problem = PlacementProblem(net)
         lure = Assignment(host_id="d", vuln_id="w")
-        chain = problem.chain_costs[config_id("d", "w")]
+        chain = problem.chain_costs[problem._compiled.fakes[lure]]
         assert (chain > 2 * problem.baseline_cost) == reads_high
         assert chain == pytest.approx(2 * problem.baseline_cost)
         assert [c.assignment for c in problem.trippable(2)] == [lure]
@@ -980,13 +980,14 @@ class TestRealRouteFilter:
                 by_route += sum(
                     1
                     for a in assignments
-                    if a not in kept and problem.chain_costs[config_id(a.host_id, a.vuln_id)] <= budget * problem.baseline_cost
+                    if a not in kept
+                    and problem.chain_costs[problem._compiled.fakes[a]] <= budget * problem.baseline_cost
                 )
                 for size in range(budget + 1):
                     for combo in combinations(assignments, size):
                         subset = frozenset(combo)
-                        banned = problem.fake_configs - {config_id(a.host_id, a.vuln_id) for a in subset}
-                        trace = simulate_attack(problem.graph, banned_configs=banned)
+                        banned = problem.graph.fake_configs() - {config_id(a.host_id, a.vuln_id) for a in subset}
+                        trace = simulate_attack(problem.graph, PlanningState.of(problem.graph, banned_configs=banned))
                         tripped = {it.discovered_fake for it in trace.iterations} - {None}
                         assert tripped <= kept, f"seed {seed}, K={budget}, {sorted(subset)}"
                         assert problem.value(subset) == problem.value(subset & kept), f"seed {seed}, K={budget}"
@@ -999,9 +1000,10 @@ class TestRealRouteFilter:
         problem = PlacementProblem(net)
         lure, dear = Assignment(host_id="d", vuln_id="a"), Assignment(host_id="d", vuln_id="b")
         lure_cost = problem.graph.config_cost[config_id("d", "a")]
-        assert lure_cost == problem.real_routes[config_id("d", "a")] == problem.real_routes[config_id("d", "b")]
+        fakes = problem._compiled.fakes
+        assert lure_cost == problem.real_routes[fakes[lure]] == problem.real_routes[fakes[dear]]
         assert lure_cost < problem.graph.config_cost[config_id("d", "b")]
-        assert problem.chain_costs[config_id("d", "b")] <= 2 * problem.baseline_cost
+        assert problem.chain_costs[fakes[dear]] <= 2 * problem.baseline_cost
         assert problem.candidates == (lure, dear)
         assert [c.assignment for c in problem.trippable(2)] == [lure]
         trace = simulate_attack(problem.graph)
@@ -1092,8 +1094,8 @@ class TestTailReuse:
         face = problem.graph.config_cost
 
         def attack(subset):
-            banned = problem.fake_configs - {config_id(a.host_id, a.vuln_id) for a in subset}
-            return simulate_attack(problem.graph, banned_configs=banned)
+            banned = problem.graph.fake_configs() - {config_id(a.host_id, a.vuln_id) for a in subset}
+            return simulate_attack(problem.graph, PlanningState.of(problem.graph, banned_configs=banned))
 
         assignments = sorted(problem.candidates)
         for size in (3, 2, 1, 0):
@@ -1163,8 +1165,8 @@ class TestCorridor:
         for size in range(4):
             for combo in combinations(problem.candidates, size):
                 fakes = [problem._by_index[problem._members[a]][0] for a in combo]
-                full = simulate_attack(problem.graph, banned_configs=problem._state(fakes))
-                inside = simulate_attack(problem.graph, banned_configs=problem._state(fakes, size))
+                full = simulate_attack(problem.graph, problem._state(fakes))
+                inside = simulate_attack(problem.graph, problem._state(fakes, size))
                 at = f"{where}, {sorted(combo)}"
                 assert inside.iterations == full.iterations, at
                 assert inside.total_cost == full.total_cost, at
@@ -1237,7 +1239,7 @@ class TestCorridor:
         problem = PlacementProblem(_boundary_net(*subscores))
         view = problem.graph.indexed
         d = view.privileges.index("p|h:d")
-        lure = problem._compiled.number[config_id("d", "w")]
+        lure = problem._compiled.fakes[Assignment("d", "w")]
         assert (problem._through[d] > 2 * problem.baseline_cost) == reads_high
         assert problem._through[d] == pytest.approx(2 * problem.baseline_cost)
         lure_arcs = [(p, arc) for p, arcs in enumerate(view.arcs) for arc in arcs if arc[1] == lure]
@@ -1260,7 +1262,7 @@ class TestCorridor:
             net = small_network(random.Random(9900 + seed), max_hosts=8, catalog=catalog)
             problem = PlacementProblem(net)
             view = problem.graph.indexed
-            numbers = [problem._compiled.number[config_id(a.host_id, a.vuln_id)] for a in problem.candidates]
+            numbers = [problem._compiled.fakes[a] for a in problem.candidates]
             folded += any(view.fake[c] and c not in numbers for arcs in view.arcs for _, c, _ in arcs)
             for size in range(4):
                 corridor = problem._corridor(size)

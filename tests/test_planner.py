@@ -234,7 +234,7 @@ def _outputs_digest(calls) -> str:
     digest = hashlib.sha256()
     for graph, costs, banned in calls:
         try:
-            plan, stats = plan_with_stats(graph, costs=costs, banned_configs=banned)
+            plan, stats = plan_with_stats(graph, PlanningState.of(graph, costs, banned))
             line = json.dumps([plan.to_dict(), stats.expanded_states])
         except Unreachable as exc:
             line = f"Unreachable: {exc}"
@@ -308,13 +308,13 @@ class TestNumberedInputs:
                     state.arcs = [tuple(arc for arc in arcs if not state.banned[arc[1]]) for arcs in view.arcs]
                     pruned += state.arcs != list(view.arcs)
                 try:
-                    expected, expected_stats = plan_with_stats(g, costs=costs, banned_configs=banned)
+                    expected, expected_stats = plan_with_stats(g, PlanningState.of(g, costs, banned))
                 except Unreachable as exc:
                     with pytest.raises(Unreachable, match=str(exc)):
-                        plan_with_stats(g, costs=state)
+                        plan_with_stats(g, state)
                     unreachable += 1
                     continue
-                plan, stats = plan_with_stats(g, costs=state)
+                plan, stats = plan_with_stats(g, state)
                 assert plan.to_dict() == expected.to_dict(), f"seed {seed}"
                 assert plan.step_configs == expected.step_configs, f"seed {seed}"
                 assert stats.expanded_states == expected_stats.expanded_states, f"seed {seed}"
