@@ -21,12 +21,12 @@ from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import json
 
 from .errors import ValidationError
-from .netmodel import Assignment, Catalog, NetworkModel, check_placement, malformed, normalize_cost
+from .netmodel import Assignment, NetworkModel, check_placement, malformed, normalize_cost
 
 
 class NodeKind:
@@ -95,9 +95,9 @@ class AttackGraph:
 
     Loaded and hand-built graphs are given all nine fields and scan `edges`
     once, into `requirements` and `grants`; their integer view and
-    `validate_graph` read those. Generated graphs (`_generate`) are born with
-    the view, and derive the string-keyed node sets, edges and provenance
-    from it on first read.
+    `validate_graph` read those. Generated graphs (`_GeneratedGraph`) are
+    generated on first read, view included, and derive the string-keyed node
+    sets, edges and provenance from the view and their rows.
     """
 
     privilege_nodes: frozenset[str]
@@ -141,10 +141,10 @@ class AttackGraph:
         """Integer-indexed view for the Dijkstra planner; None unless the graph is unit-rule.
 
         Unit-rule means every exploit requires exactly one privilege and one
-        config node. Generated graphs are born with it; other graphs build it
-        from `requirements` and `grants`, numbering their configs by the same
-        rule, so a loaded copy of a generated graph has the view it was born
-        with.
+        config node. Generated graphs build it with the rest of the graph;
+        other graphs build it from `requirements` and `grants`, numbering their
+        configs by the same rule, so a loaded copy of a generated graph has the
+        view it was generated with.
         """
         privileges = tuple(sorted(self.privilege_nodes))
         p_index = {p: i for i, p in enumerate(privileges)}
@@ -279,54 +279,94 @@ class AttackGraph:
 
 
 def build_attack_graph(network: NetworkModel) -> AttackGraph:
-    """Generate the baseline graph (no fake assignments applied)."""
-    return _generate(network, [])
+    """The baseline graph (no fake assignments applied), generated on first read."""
+    return _GeneratedGraph._unread(network, [])
 
 
 def apply_assignments(network: NetworkModel, assignments: Iterable[Assignment]) -> AttackGraph:
-    """Regenerate the graph with the fake assignments planted.
+    """The graph with the fake assignments planted, generated on first read.
 
     Nodes absent from the baseline graph carry provenance pointing at the
     assignment that first enabled them; configs matching an assignment's own
     (host, vuln) are flagged fake. apply_assignments(network, ()) equals
     build_attack_graph(network). Each distinct assignment must pass
-    `check_assignment`.
+    `check_assignment`, which is checked at the call.
     """
-    return _generate(network, check_placement(network, assignments))
+    return _GeneratedGraph._unread(network, check_placement(network, assignments))
 
 
-def _generate(network: NetworkModel, planted: list[Assignment]) -> AttackGraph:
+# one row per exploit: (id, attacking host, target host, config, first cause)
+_Row = tuple[str, str, str, str, Assignment | None]
+
+
+def _generate(network: NetworkModel, planted: list[Assignment]) -> dict:
     """Least fixpoint of the remote rule, real vulns first, then with `planted` added.
 
-    `planted` holds the distinct assignments, sorted. The real phase is the
-    same for every placement, so it runs once per network object
-    (`_real_phase`). Each call copies the parts it extends and runs the fake
-    phase on the copies: the memo is never mutated, and it holds no graph,
-    view or plan, so graphs built on one network share nothing but plain data.
+    `planted` holds the distinct assignments, sorted. Returns the graph's
+    parts by attribute name: `goal`, `source`, `config_cost`, `fake_flag`,
+    `indexed` and the rows and causes its other fields are derived from.
     """
-    real = _real_phase(network)
+    children: dict[str, list[str]] = {}
+    for src, dst in sorted(network.reachability):
+        children.setdefault(src, []).append(dst)
+    vulns = {h.host_id: sorted(h.installed_vulns) for h in network.sorted_hosts()}
     # an assignment is its (host, vuln) pair, so this finds the planted object by pair
     planted_at = {a: a for a in planted}
-    rows = list(real.rows)
-    host_cause: dict[str, Assignment | None] = dict.fromkeys(real.reached)
-    cost = dict(real.cost)
-    fake = dict.fromkeys(cost, False)
+    rows: list[_Row] = []
+    # A host enters a frontier once per phase, so no exploit is created twice.
+    # Every node the real phase creates has no cause, and every node the fake
+    # phase creates has one, so the causes are the provenance (the goal aside).
+    host_cause: dict[str, Assignment | None] = {network.attacker_entry: None}
+    cost: dict[str, float] = {}
+    fake: dict[str, bool] = {}
     config_cause: dict[str, Assignment] = {}
+    # a config costs what its vuln costs, so each vuln is priced (and checked) once
+    prices: dict[str, float] = {}
+
+    def wave(frontier: list[str], onto: Mapping[str, list[str]]) -> list[str]:
+        """One breadth-first wave: fire every rule from the frontier's hosts onto
+        the vulns `onto` lists per host, and return the hosts first reached,
+        sorted. Sorted order at every level keeps first-cause attribution
+        deterministic."""
+        fresh: list[str] = []
+        for x in frontier:
+            x_cause = host_cause[x]
+            for dst in children.get(x, ()):
+                for vuln in onto.get(dst, ()):
+                    assignment = planted_at.get((dst, vuln))
+                    cause = x_cause if assignment is None else assignment
+                    cid = config_id(dst, vuln)
+                    rows.append((exploit_id(dst, vuln, x), x, dst, cid, cause))
+                    if cid not in cost:
+                        vuln_cost = prices.get(vuln)
+                        if vuln_cost is None:
+                            vuln_cost = prices[vuln] = normalize_cost(network.catalog[vuln])
+                        cost[cid] = vuln_cost
+                        fake[cid] = assignment is not None
+                        if cause is not None:
+                            config_cause[cid] = cause
+                    if dst not in host_cause:
+                        host_cause[dst] = cause
+                        fresh.append(dst)
+        fresh.sort()
+        return fresh
+
+    frontier = [network.attacker_entry]
+    while frontier:
+        frontier = wave(frontier, vulns)
     if planted:
         # Second phase: fakes join the rule base. The real phase is a complete
         # fixpoint, so the hosts it reached have fired every real rule already;
         # they only fire onto planted vulns. Hosts first reached from here on
         # fire onto everything.
-        prices = dict(real.prices)
-        wave = _waves(network.catalog, real.children, planted_at, rows, host_cause, cost, prices, fake, config_cause)
         fakes: dict[str, list[str]] = {}
         for host, vuln in planted:
             fakes.setdefault(host, []).append(vuln)
-        # check_placement keeps planted vulns off the installed lists, so no duplicates
-        every = {**real.vulns, **{h: sorted(real.vulns[h] + vulns) for h, vulns in fakes.items()}}
         frontier = wave(sorted(host_cause), fakes)
+        # check_placement keeps planted vulns off the installed lists, so no duplicates
+        vulns.update((h, sorted(vulns[h] + planted_vulns)) for h, planted_vulns in fakes.items())
         while frontier:
-            frontier = wave(frontier, every)
+            frontier = wave(frontier, vulns)
     goal_host = network.goal.host_id
     # The goal privilege always exists, supported or not (derivability is the
     # planner's concern), and never has provenance: it belongs to the baseline.
@@ -334,7 +374,6 @@ def _generate(network: NetworkModel, planted: list[Assignment]) -> AttackGraph:
 
     # Exploits numbered in sorted id order, which is not the order of their
     # (host, vuln, host) parts: "h1|" sorts after "h10", "v1|" after "v1x".
-    # The real rows come sorted by id, so the sort merges the fake phase's in.
     rows.sort(key=itemgetter(0))
     # privilege ids share the prefix "p|h:", so they sort as their hosts do
     hosts = sorted(host_cause)
@@ -355,143 +394,52 @@ def _generate(network: NetworkModel, planted: list[Assignment]) -> AttackGraph:
         cost=tuple(map(cost.__getitem__, configs)),
         fake=tuple(map(fake.__getitem__, configs)),
     )
-    return _GeneratedGraph._born(view, cost, fake, rows, host_cause, config_cause)
-
-
-# one row per exploit: (id, attacking host, target host, config, first cause)
-_Row = tuple[str, str, str, str, Assignment | None]
-
-
-@dataclass(frozen=True)
-class _RealPhase:
-    """The real phase of `_generate` on one network: plain data, never mutated.
-
-    `children` lists each host's reachable hosts and `vulns` each host's
-    installed vulns, sorted; `rows` are the real exploits, sorted by id;
-    `reached` lists the hosts reached, in the order they were reached, all
-    with cause None; `cost` prices each real config and `prices` each vuln.
-    """
-
-    children: dict[str, list[str]]
-    vulns: dict[str, list[str]]
-    rows: tuple[_Row, ...]
-    reached: tuple[str, ...]
-    cost: dict[str, float]
-    prices: dict[str, float]
-
-
-def _real_phase(network: NetworkModel) -> _RealPhase:
-    """`_generate`'s real phase, run on the first call and kept in the network's `__dict__`.
-
-    It is kept there as `functools.cached_property` keeps a value on a frozen
-    dataclass, so a network must not be mutated after use. A copy built with
-    `dataclasses.replace` starts without it.
-    """
-    memo = vars(network).get("_real_phase")
-    if memo is None:
-        children: dict[str, list[str]] = {}
-        for src, dst in sorted(network.reachability):
-            children.setdefault(src, []).append(dst)
-        vulns = {h.host_id: sorted(h.installed_vulns) for h in network.sorted_hosts()}
-        rows: list[_Row] = []
-        # A host enters a frontier once per phase, so no exploit is created twice.
-        # Every node the real phase creates has no cause, and every node the fake
-        # phase creates has one, so the causes are the provenance (the goal aside).
-        host_cause: dict[str, Assignment | None] = {network.attacker_entry: None}
-        cost: dict[str, float] = {}
-        prices: dict[str, float] = {}
-        wave = _waves(network.catalog, children, {}, rows, host_cause, cost, prices, {}, {})
-        frontier = [network.attacker_entry]
-        while frontier:
-            frontier = wave(frontier, vulns)
-        rows.sort(key=itemgetter(0))
-        memo = vars(network)["_real_phase"] = _RealPhase(children, vulns, tuple(rows), tuple(host_cause), cost, prices)
-    return memo
-
-
-def _waves(
-    catalog: Catalog,
-    children: Mapping[str, list[str]],
-    planted_at: Mapping[Assignment, Assignment],
-    rows: list[_Row],
-    host_cause: dict[str, Assignment | None],
-    cost: dict[str, float],
-    prices: dict[str, float],
-    fake: dict[str, bool],
-    config_cause: dict[str, Assignment],
-) -> Callable[[list[str], Mapping[str, list[str]]], list[str]]:
-    """`wave(frontier, vulns)`: one breadth-first wave of the remote rule, extending the given state in place.
-
-    A wave fires every rule from the frontier's hosts onto `vulns`, and
-    returns the hosts first reached, sorted. Sorted order at every level
-    keeps first-cause attribution deterministic. `host_cause` maps each
-    reached host to the assignment that first enabled its privilege; a
-    config costs what its vuln costs, so each vuln is priced (and checked)
-    once, in `prices`.
-    """
-
-    def wave(frontier: list[str], vulns: Mapping[str, list[str]]) -> list[str]:
-        fresh: list[str] = []
-        for x in frontier:
-            x_cause = host_cause[x]
-            for dst in children.get(x, ()):
-                for vuln in vulns.get(dst, ()):
-                    assignment = planted_at.get((dst, vuln))
-                    cause = x_cause if assignment is None else assignment
-                    cid = config_id(dst, vuln)
-                    rows.append((exploit_id(dst, vuln, x), x, dst, cid, cause))
-                    if cid not in cost:
-                        vuln_cost = prices.get(vuln)
-                        if vuln_cost is None:
-                            vuln_cost = prices[vuln] = normalize_cost(catalog[vuln])
-                        cost[cid] = vuln_cost
-                        fake[cid] = assignment is not None
-                        if cause is not None:
-                            config_cause[cid] = cause
-                    if dst not in host_cause:
-                        host_cause[dst] = cause
-                        fresh.append(dst)
-        fresh.sort()
-        return fresh
-
-    return wave
+    return dict(
+        goal=view.privileges[view.goal],
+        source=view.privileges[view.source],
+        config_cost=cost,
+        fake_flag=fake,
+        indexed=view,
+        _rows=rows,
+        _host_cause=host_cause,
+        _config_cause=config_cause,
+    )
 
 
 class _GeneratedGraph(AttackGraph):
-    """A graph from `_generate`, born with its integer view.
+    """A graph from `build_attack_graph` or `apply_assignments`, generated on first read.
 
-    The planner and the attacker read only the view (costs and fake flags
-    included) and, when a fake is discovered, the provenance. The string-keyed
-    fields are derived on first read, and `requirements` and `grants`, which
-    only the general planner, `validate_graph` and the oracles read, are
-    scanned from the derived edges; the view is never rebuilt from them.
-    `dataclasses.replace` builds a copy through `AttackGraph.__init__`, with
-    all nine fields given and the view built from its `requirements` and
-    `grants`.
+    It holds its network and placement until any part is read, then runs
+    `_generate` once and lets the network go, so a graph nobody reads costs
+    only the placement check, and a graph kept by its network's compiled part
+    is no cycle. The planner and the attacker read only the integer view
+    (costs and fake flags included) and, when a fake is discovered, the
+    provenance. The string-keyed fields are derived from the rows on first
+    read, and `requirements` and `grants`, which only the general planner,
+    `validate_graph` and the oracles read, are scanned from the derived
+    edges; the view is never rebuilt from them. `dataclasses.replace` builds
+    a copy through `AttackGraph.__init__`, with all nine fields given and the
+    view built from its `requirements` and `grants`.
     """
 
     @classmethod
-    def _born(
-        cls,
-        view: IndexedView,
-        cost: dict[str, float],
-        fake: dict[str, bool],
-        rows: list[_Row],
-        host_cause: dict[str, Assignment | None],
-        config_cause: dict[str, Assignment],
-    ) -> "_GeneratedGraph":
+    def _unread(cls, network: NetworkModel, planted: list[Assignment]) -> "_GeneratedGraph":
         graph = cls.__new__(cls)
-        vars(graph).update(
-            goal=view.privileges[view.goal],
-            source=view.privileges[view.source],
-            config_cost=cost,
-            fake_flag=fake,
-            indexed=view,
-            _rows=rows,
-            _host_cause=host_cause,
-            _config_cause=config_cause,
-        )
+        vars(graph).update(_network=network, _planted=planted)
         return graph
+
+    def __getattr__(self, name: str):
+        # reached only for a name the instance and its class lack
+        network = vars(self).pop("_network", None)
+        if network is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        vars(self).update(_generate(network, vars(self).pop("_planted")))
+        return getattr(self, name)
+
+    @cached_property
+    def indexed(self) -> IndexedView | None:
+        # a dataclasses.replace copy has no network and scans its edges
+        return self.__getattr__("indexed") if "_network" in vars(self) else super().indexed
 
     @cached_property
     def privilege_nodes(self) -> frozenset[str]:

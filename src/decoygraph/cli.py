@@ -106,7 +106,7 @@ def _load_assignments(path: str) -> tuple[Assignment, ...]:
     with malformed(path, "assignments"):
         data = json.loads(Path(path).read_text())
         if isinstance(data, dict):
-            data = data.get("assignments", [])
+            data = data["assignments"]
         return tuple(sorted(Assignment.from_dict(item) for item in data))
 
 
@@ -354,6 +354,8 @@ def simulate(
     out: str | None,
 ) -> None:
     """Replay the attacker's plan/fail/replan loop and emit the trace."""
+    if graph_path and (network_path or catalog_path or assignments_path):
+        raise ConfigurationError("--graph goes alone; --catalog and --assignments go with --network")
     if network_path:
         network = _load_network_file(network_path, catalog_path)
         assignments = _load_assignments(assignments_path) if assignments_path else ()
@@ -455,16 +457,21 @@ def _approach_label(approach: dict) -> str:
 _ROW_ERRORS = (ValidationError, ConfigurationError, Unreachable)
 
 
-def _sweep_network(net_spec: dict, catalog_path: str | None, spec_path: str) -> tuple[str, NetworkModel]:
+def _sweep_network(net_spec: dict, catalog: Catalog | None, spec_path: str) -> tuple[str, NetworkModel]:
     """A sweep spec network entry's id and network, read from its file or
-    generated; a generator error names the entry and the spec."""
+    generated; a generator error names the entry and the spec.
+
+    `catalog` is the spec's, read once for every entry, or None: a file then
+    keeps its bundled catalog, and a network is generated on the built-in one.
+    """
     if "path" in net_spec:
-        network = _load_network_file(net_spec["path"], catalog_path)
+        network = load_network(net_spec["path"], catalog)
         return net_spec.get("id", Path(net_spec["path"]).stem), network
     hosts, seed = net_spec["hosts"], net_spec.get("seed", 0)
-    catalog = _catalog_from_option(catalog_path)
     try:
-        network = generate_network(hosts, catalog, seed, dead_hosts=net_spec.get("dead_hosts", 0))
+        network = generate_network(
+            hosts, default_catalog() if catalog is None else catalog, seed, dead_hosts=net_spec.get("dead_hosts", 0)
+        )
     except ConfigurationError as exc:
         raise ConfigurationError(f"network spec {net_spec!r}: {exc} (in {spec_path})") from None
     return net_spec.get("id", f"gen-{hosts}-{seed}"), network
@@ -593,8 +600,9 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
         base_seed = _spec(spec.get("base_seed", 0), int, "base_seed")
     except ConfigurationError as exc:
         raise ConfigurationError(f"{exc} (in {spec_path})") from None
+    catalog = load_catalog(catalog_path) if catalog_path else None
     # every network before the first row, each let go once its rows are done
-    loaded = collections.deque(_sweep_network(net_spec, catalog_path, spec_path) for net_spec in networks)
+    loaded = collections.deque(_sweep_network(net_spec, catalog, spec_path) for net_spec in networks)
     rows: list[dict] = []
     while loaded:
         network_id, network = loaded.popleft()

@@ -174,11 +174,11 @@ class NetworkModel:
     the distinguished external location.
 
     A network is validated when it is built and must not be mutated after
-    use: its first graph build keeps the real phase of graph generation, and
-    its first evaluation or `PlacementProblem` its compiled graph and the
-    deception-free optimum b, in the instance's `__dict__`, as
-    `functools.cached_property` keeps a value on a frozen dataclass. A copy
-    made with `dataclasses.replace` starts without them.
+    use: its first evaluation or `PlacementProblem` keeps its compiled graph
+    and the deception-free optimum b in the instance's `__dict__`, as
+    `functools.cached_property` keeps a value on a frozen dataclass, and a
+    graph built on it is generated when first read. A copy made with
+    `dataclasses.replace` starts without them.
     """
 
     hosts: dict[str, Host]

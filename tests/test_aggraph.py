@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import dataclasses
 import gc
 import hashlib
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from decoygraph import aggraph
 from decoygraph.aggraph import (
     AttackGraph,
     NodeKind,
@@ -343,7 +343,7 @@ def _prefix_ids_network():
 
 
 def test_generated_and_loaded_graphs_agree():
-    """A generated graph equals its serialized copy, and was born with the view the copy scans from its edges."""
+    """A generated graph equals its serialized copy, and generates the view the copy scans from its edges."""
     checked = 0
     prefix_net = _prefix_ids_network()
     # string order: "h10|" before "h1|", and "v1x|" before "v1|"; all three are in the baseline graph
@@ -357,7 +357,8 @@ def test_generated_and_loaded_graphs_agree():
         graphs = [build_attack_graph(net), apply_assignments(net, compatible_pairs(net))]
         graphs += [random_placement(net, (0.25, 0.5, 1.0)[seed % 3], seed)[1] for seed in range(6)]
         for graph in graphs:
-            born = graph.__dict__["indexed"]
+            born = graph.indexed
+            assert "requirements" not in vars(graph)
             loaded = AttackGraph.from_dict(json.loads(graph.to_json()))
             assert graph == loaded and loaded == graph
             assert "indexed" not in loaded.__dict__
@@ -374,35 +375,50 @@ def _graph_fields(graph: AttackGraph) -> list:
     return [getattr(graph, f.name) for f in dataclasses.fields(AttackGraph)] + [graph.indexed]
 
 
-class TestRealPhaseMemo:
-    """A network's real phase runs once, on its first graph build; a build on a
-    warm network must equal the build on a fresh copy, which runs it anew."""
+class TestGenerateOnFirstRead:
+    """A graph is generated on the first read of any part, once, and then lets
+    its network go; a build on a used network equals the build on a fresh copy."""
 
-    def test_warm_builds_equal_fresh_ones(self):
+    def test_builds_on_a_used_network_equal_fresh_ones(self):
         fake_reached = 0
         for net in memo_networks():
             pairs = compatible_pairs(net)
             placements = [(), pairs] + [draw for draw, _ in (random_placement(net, 0.5, seed) for seed in range(3))]
-            memo = copy.deepcopy(vars(net)["_real_phase"])
-            # A, B, A for each neighbouring pair, so that a build that changed the memo shows on the next one
+            # A, B, A for each neighbouring pair, so that a build that changed the network shows on the next one
             for a, b in zip(placements, placements[1:]):
                 for placement in (a, b, a):
                     fresh = apply_assignments(dataclasses.replace(net), placement)
                     assert _graph_fields(apply_assignments(net, placement)) == _graph_fields(fresh)
-            assert vars(net)["_real_phase"] == memo
+            assert set(vars(net)) == {f.name for f in dataclasses.fields(net)}
             # hosts whose privilege only a fake enables
             planted, bare = apply_assignments(net, pairs), build_attack_graph(net)
             fake_reached += bool(planted.privilege_nodes - bare.privilege_nodes)
         assert fake_reached == 8
 
-    def test_the_memo_keeps_no_graph_alive(self):
+    @pytest.mark.parametrize("part", [f.name for f in dataclasses.fields(AttackGraph)] + ["indexed", "requirements"])
+    def test_the_first_read_generates_once(self, part, monkeypatch):
+        calls = []
+        generate = aggraph._generate
+        monkeypatch.setattr(aggraph, "_generate", lambda *args: calls.append(args) or generate(*args))
         net = generate_network(12, default_catalog(), seed=7)
         graph = apply_assignments(net, compatible_pairs(net))
-        refs = [weakref.ref(graph), weakref.ref(graph.indexed)]
-        del graph
+        assert random_placement(net, 0.5, 0)[0] and build_attack_graph(net)
+        assert calls == []
+        getattr(graph, part)
+        assert len(calls) == 1
+        assert _graph_fields(graph) and graph.requirements and graph.grants and graph.to_json()
+        assert len(calls) == 1
+
+    def test_a_read_graph_holds_no_network(self):
+        net = generate_network(12, default_catalog(), seed=7)
+        graph = apply_assignments(net, compatible_pairs(net))
+        network = weakref.ref(net)
+        del net
         gc.collect()
-        assert "_real_phase" in vars(net)
-        assert [ref() for ref in refs] == [None, None]
+        assert network() is not None
+        assert graph.provenance
+        gc.collect()
+        assert network() is None
 
 
 def test_equality_reads_every_field(lure_net):

@@ -434,7 +434,7 @@ class TestBaselineMemo:
         for call in (lambda: evaluate_placement(net, ()), lambda: PlacementProblem(net)) * 2:
             with pytest.raises(Unreachable):
                 call()
-        assert set(vars(net)) == {f.name for f in dataclasses.fields(net)} | {"_real_phase"}
+        assert set(vars(net)) == {f.name for f in dataclasses.fields(net)}
 
 
 def test_a_dropped_network_frees_its_compiled_graph():

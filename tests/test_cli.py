@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from decoygraph import cli
 from decoygraph.cli import main
-from decoygraph.netmodel import default_catalog, generate_network, save_network
+from decoygraph.netmodel import catalog_to_json, default_catalog, generate_network, save_network
 from decoygraph.placement_search import PlacementProblem, build_path_index
 from helpers import cut_network
 
@@ -235,6 +235,20 @@ class TestSimulate:
         res = runner.invoke(main, ["simulate"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("given", [["--network"], ["--catalog"], ["--assignments"], ["--network", "--assignments"]])
+    def test_a_graph_with_other_inputs_is_an_error(self, tmp_path, runner, chain_bundle, given):
+        graph, catalog, assignments = tmp_path / "g.json", tmp_path / "cat.json", tmp_path / "fakes.json"
+        res = runner.invoke(
+            main, ["obfuscate", "random", "--network", str(chain_bundle), "--budget", "2", "--out-graph", str(graph)]
+        )
+        assert res.exit_code == 0, res.output
+        catalog.write_text(catalog_to_json(default_catalog()))
+        assignments.write_text(json.dumps([{"host_id": "h1", "vuln_id": "w1"}]))
+        paths = {"--network": chain_bundle, "--catalog": catalog, "--assignments": assignments}
+        res = runner.invoke(main, ["simulate", "--graph", str(graph), *(x for o in given for x in (o, str(paths[o])))])
+        assert res.exit_code == 2, res.output
+        assert res.output == "error: --graph goes alone; --catalog and --assignments go with --network\n"
+
 
 class TestEvaluate:
     def test_json_report(self, tmp_path, runner, chain_bundle):
@@ -329,8 +343,12 @@ class TestExitCodes:
             [["h1", "w1"]],
             [{"host_id": ["a"], "vuln_id": "v"}],
             [{"host_id": "h01", "vuln_id": 7}],
+            {"assignment": [{"host_id": "h1", "vuln_id": "w1"}]},
         ],
-        ids=["no-vuln-id", "not-a-list", "not-fake", "int-entry", "string-entry", "pair-entry", "list-id", "int-id"],
+        ids=[
+            "no-vuln-id", "not-a-list", "not-fake", "int-entry", "string-entry", "pair-entry", "list-id", "int-id",
+            "no-assignments-key",
+        ],
     )
     def test_malformed_assignments_file(self, tmp_path, runner, chain_bundle, assignments):
         path = tmp_path / "fakes.json"
@@ -861,6 +879,23 @@ class TestSweep:
         for first, *copies in zip(*[iter(rows)] * 3):
             assert first["trial"] == "0" and first["search_ms"] and first["p2_ms"]
             assert copies == [dict(first, seed=str(5 + t), trial=str(t)) for t in (1, 2)]
+
+    def test_the_spec_catalog_is_read_once(self, tmp_path, runner, monkeypatch):
+        reads, load = [], cli.load_catalog
+        monkeypatch.setattr(cli, "load_catalog", lambda path: reads.append(path) or load(path))
+        bundle, catalog = tmp_path / "net.json", tmp_path / "cat.json"
+        save_network(generate_network(8, default_catalog(), seed=5), bundle)
+        catalog.write_text(catalog_to_json(default_catalog()))
+        networks = [{"hosts": 8, "seed": 3}, {"hosts": 10, "seed": 4, "dead_hosts": 2}, {"hosts": 12, "seed": 7}]
+        spec = {"networks": [*networks, {"path": str(bundle)}], "approaches": [{"name": "random"}, {"name": "search"}]}
+        rows = []
+        # the built-in catalog, named in a file, given as "" or left out
+        for given in ({"catalog": str(catalog)}, {"catalog": ""}, {}):
+            res, out = self._sweep(tmp_path, runner, {**spec, **given})
+            assert res.exit_code == 0, res.output
+            rows.append(out.read_text())
+        assert reads == [str(catalog)]
+        assert rows[0] == rows[1] == rows[2] and len(_rows(rows[0])) == 8
 
     def test_non_string_catalog_is_a_configuration_error(self, tmp_path, runner):
         res, out = self._sweep(tmp_path, runner, {"networks": [{"hosts": 4, "seed": 1}], "catalog": 5})
