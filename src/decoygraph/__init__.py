@@ -44,7 +44,6 @@ from .netmodel import (
 )
 from .placement_random import random_budget_placement, random_placement
 from .placement_search import (
-    Candidate,
     PathIndex,
     PathRecord,
     PlacementProblem,
@@ -70,7 +69,6 @@ __all__ = [
     "AttackIteration",
     "AttackPlan",
     "Assignment",
-    "Candidate",
     "Catalog",
     "ConfigurationError",
     "CvssVersion",

@@ -44,9 +44,14 @@ class AttackIteration:
 
 @dataclass(frozen=True)
 class SimulationTrace:
+    """The rounds of one attack and the planner's effort summed over them."""
+
     iterations: tuple[AttackIteration, ...]
-    total_cost: float
     planning_effort: PlannerStats
+
+    @property
+    def total_cost(self) -> float:
+        return attack_total(self.iterations)
 
     @property
     def recalculations(self) -> int:
@@ -62,50 +67,44 @@ class SimulationTrace:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """The four success measures plus the trace they were derived from.
+    """The four success measures of an attack, read off its trace.
 
     p1 counts plan recalculations, p2 is the accumulated planning effort,
-    p3 the attack cost relative to the deception-free optimum, p4 the share
-    of placed fakes the attacker actually tripped over.
+    p3 the attack cost relative to the deception-free optimum `baseline_cost`,
+    p4 the share of the `n_assignments` placed fakes the attacker actually
+    tripped over. An empty placement reports p4 = 1.0 by convention, flagged.
     """
 
-    p1: int
-    p2: PlannerStats
-    p3: float
-    p4: float
-    p4_by_convention: bool
+    trace: SimulationTrace
     n_assignments: int
     baseline_cost: float
-    total_cost: float
     seed: int
-    trace: SimulationTrace
 
-    @classmethod
-    def from_trace(
-        cls, trace: SimulationTrace, n_assignments: int, baseline_cost: float, seed: int
-    ) -> "EvaluationReport":
-        """The measures of an attack, traced against `n_assignments` planted fakes.
+    @property
+    def p1(self) -> int:
+        return self.trace.recalculations
 
-        An empty placement reports p4 = 1.0 by convention, flagged.
-        """
-        p1 = trace.recalculations
-        if baseline_cost == 0:
-            p3 = 1.0 if trace.total_cost == 0 else math.inf
-        else:
-            p3 = trace.total_cost / baseline_cost
-        by_convention = not n_assignments
-        return cls(
-            p1=p1,
-            p2=trace.planning_effort,
-            p3=p3,
-            p4=1.0 if by_convention else (p1 - 1) / n_assignments,
-            p4_by_convention=by_convention,
-            n_assignments=n_assignments,
-            baseline_cost=baseline_cost,
-            total_cost=trace.total_cost,
-            seed=seed,
-            trace=trace,
-        )
+    @property
+    def p2(self) -> PlannerStats:
+        return self.trace.planning_effort
+
+    @property
+    def total_cost(self) -> float:
+        return self.trace.total_cost
+
+    @property
+    def p3(self) -> float:
+        if self.baseline_cost == 0:
+            return 1.0 if self.total_cost == 0 else math.inf
+        return self.total_cost / self.baseline_cost
+
+    @property
+    def p4_by_convention(self) -> bool:
+        return not self.n_assignments
+
+    @property
+    def p4(self) -> float:
+        return 1.0 if self.p4_by_convention else (self.p1 - 1) / self.n_assignments
 
     def to_dict(self) -> dict:
         return {
@@ -206,11 +205,7 @@ def simulate_attack(graph: AttackGraph, state: PlanningState | None = None) -> S
         for c in before:
             working[c] = 0.0
         state.banned[discovered_config] = 1
-    return SimulationTrace(
-        iterations=tuple(iterations),
-        total_cost=attack_total(iterations),
-        planning_effort=PlannerStats(expanded, heuristic_evals, elapsed_ms),
-    )
+    return SimulationTrace(tuple(iterations), PlannerStats(expanded, heuristic_evals, elapsed_ms))
 
 
 def evaluate_placement(
@@ -230,7 +225,7 @@ def evaluate_placement(
     compiled = _compiled(network)
     fakes = compiled.fakes
     trace = simulate_attack(compiled.graph, compiled.state(fakes[a] for a in placement if a in fakes))
-    return EvaluationReport.from_trace(trace, len(placement), compiled.baseline_cost, seed)
+    return EvaluationReport(trace, len(placement), compiled.baseline_cost, seed)
 
 
 @dataclass(frozen=True)

@@ -571,8 +571,9 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
     The spec JSON carries: networks (generator specs {hosts, seed} or file
     refs {path}), optional catalog path, budgets, approaches, trials, and
     base_seed; trial seeds are base_seed + trial index. Every network entry
-    is read or generated before the first row, so a bad one ends the sweep
-    before any work, and a network is held only while its rows are computed.
+    is read or generated before the first row, so a bad one, or two with one
+    id, ends the sweep before any work, and a network is held only while its
+    rows are computed.
     Every search on a network shares one PlacementProblem, built when the
     first one needs it, and every row is evaluated by `evaluate_placement` on
     the same compiled graph. A network whose goal is unreachable gives an
@@ -603,6 +604,9 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
     catalog = load_catalog(catalog_path) if catalog_path else None
     # every network before the first row, each let go once its rows are done
     loaded = collections.deque(_sweep_network(net_spec, catalog, spec_path) for net_spec in networks)
+    shared = [network_id for network_id, n in collections.Counter(i for i, _ in loaded).items() if n > 1]
+    if shared:
+        raise ConfigurationError(f"network id {shared[0]!r} is given to more than one network (in {spec_path})")
     rows: list[dict] = []
     while loaded:
         network_id, network = loaded.popleft()

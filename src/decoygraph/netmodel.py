@@ -83,11 +83,18 @@ class VulnerabilityRecord:
             vuln_id=data["vuln_id"],
             cvss_version=CvssVersion(data["cvss_version"]),
             exploitability_subscore=float(data["exploitability_subscore"]),
-            affected_os=frozenset(data["affected_os"]),
+            affected_os=_names(data["affected_os"], "affected_os"),
         )
 
 
 Catalog = dict[str, VulnerabilityRecord]
+
+
+def _names(value, field: str) -> frozenset[str]:
+    """A file's list of names as a set; TypeError on a string, whose characters would read as names."""
+    if isinstance(value, str):
+        raise TypeError(f"{field} must be a list, got the string {value!r}")
+    return frozenset(value)
 
 
 @dataclass(frozen=True)
@@ -118,7 +125,7 @@ class Host:
         return cls(
             host_id=data["host_id"],
             os=data["os"],
-            installed_vulns=frozenset(data.get("installed_vulns", ())),
+            installed_vulns=_names(data.get("installed_vulns", ()), "installed_vulns"),
             layer=Layer(data.get("layer", Layer.INTERNAL)),
         )
 

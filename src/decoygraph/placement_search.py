@@ -66,14 +66,6 @@ _Node = tuple[float, int, int, tuple[int, ...], float]
 
 
 @dataclass(frozen=True)
-class Candidate:
-    """An open candidate of a search tree and its value planted alone."""
-
-    assignment: Assignment
-    singleton_utility: float
-
-
-@dataclass(frozen=True)
 class SearchResult:
     best_assignments: tuple[Assignment, ...]
     best_utility: float
@@ -238,7 +230,7 @@ class PlacementProblem:
     graph; they cannot change any subset's value, so `candidates` leaves them
     out. It folds `_Compiled.fakes`, the reached pairs: folding and the reach
     filter commute, since both act per host. Subset values, the candidates a
-    budget can trip (as `Candidate`s with their singleton utilities) and path
+    budget can trip (by index, each valued alone into the memo) and path
     indexes (by pool size) are memoized per problem, so every search on the
     network can share one problem, and an engine called without one starts
     from fresh memos; a search refuses a problem compiled from another
@@ -394,7 +386,7 @@ class PlacementProblem:
         self._memo: dict[int, tuple[float, float]] = {}
         # set size -> Lemma G's corridor: per privilege, the arcs a search simulation (or, at 0, the path index) scans
         self._corridors: dict[int, tuple[_Arcs, ...]] = {}
-        self._trippable: dict[int, tuple[Candidate, ...]] = {}
+        self._trippable: dict[int, tuple[int, ...]] = {}
         self._indexes: dict[int, PathIndex] = {}
 
     def value(self, assignments: frozenset[Assignment]) -> float:
@@ -427,10 +419,10 @@ class PlacementProblem:
         state = self._state((by_index[i][0] for i in indices), len(indices) if inherit else None)
         trace = simulate_attack(self.graph, state)
         rounds = trace.iterations
-        memo[mask] = (trace.total_cost, _reach(rounds, self.graph.config_cost))
+        entry = memo[mask] = (trace.total_cost, _reach(rounds, self.graph.config_cost))
         if inherit:
             self._memoize_tails(mask, rounds)
-        return trace.total_cost
+        return entry[0]
 
     def _memoize_tails(self, mask: int, rounds: tuple[AttackIteration, ...]) -> None:
         """Lemma F: while round i tripped its fake at the first step, the set
@@ -474,12 +466,12 @@ class PlacementProblem:
         """
         return self._compiled.state(fakes, None if size is None else self._corridor(size))
 
-    def trippable(self, budget: int) -> tuple[Candidate, ...]:
-        """The candidates some placement of at most `budget` fakes can trip.
+    def trippable(self, budget: int) -> tuple[int, ...]:
+        """The indices into `candidates` of those some placement of at most `budget` fakes can trip.
 
         Those with L(a) <= budget * baseline_cost (Lemma A) and
-        c(a) <= min(baseline_cost, hr(a)) (Lemma D), in `candidates` order,
-        each with its singleton utility; memoized per budget. The empty set is
+        c(a) <= min(baseline_cost, hr(a)) (Lemma D), in index order, each
+        valued alone into the memo; memoized per budget. The empty set is
         valued first, so singletons can inherit from it.
         """
         kept = self._trippable.get(budget)
@@ -488,9 +480,10 @@ class PlacementProblem:
             face_costs = self.graph.indexed.cost
             self._value(0)
             kept = []
-            for i, (a, (c, chain)) in enumerate(zip(self.candidates, self._by_index)):
+            for i, (c, chain) in enumerate(self._by_index):
                 if _within(chain, budget * b) and _within(face_costs[c], min(b, self.real_routes[c])):
-                    kept.append(Candidate(a, self._value(1 << i)))
+                    self._value(1 << i)
+                    kept.append(i)
             kept = self._trippable[budget] = tuple(kept)
         return kept
 
@@ -628,15 +621,13 @@ class _SearchContext:
         self.budget = min(self.budget, len(trippable))
         return self.root_over(trippable)
 
-    def root_over(self, candidates: tuple[Candidate, ...]) -> _Node:
-        """The root of the tree over `candidates`, some of the problem's in their order, ordered for branching."""
+    def root_over(self, indices: tuple[int, ...]) -> _Node:
+        """The root of the tree over the candidates of `indices`, in index order, ordered for branching."""
         problem = self.problem
         singletons = self.singletons = [0.0] * len(problem.candidates)
-        open_ = []
-        for c in candidates:
-            i = problem._members[c.assignment]
-            singletons[i] = c.singleton_utility
-            open_.append(i)
+        open_ = list(indices)
+        for i in open_:
+            singletons[i] = problem._value(1 << i)  # a memo hit after `trippable`
         if self.ordering == "shortest_path":
             self.reorder = _path_ranker(problem.path_index(self.pool_size), problem, singletons, self.budget)
         root_value = self.evaluate(0)

@@ -281,4 +281,4 @@ def reference_report(net: NetworkModel, placement, seed: int = 0) -> EvaluationR
     placement = frozenset(placement)
     trace = simulate_attack(apply_assignments(net, placement))
     baseline = optimal_cost(build_attack_graph(dataclasses.replace(net)))
-    return EvaluationReport.from_trace(trace, len(placement), baseline, seed)
+    return EvaluationReport(trace, len(placement), baseline, seed)

@@ -3,9 +3,11 @@
 The engines (`dfbnb`, `astar`) walk the decision tree on candidate indices
 and bitmasks (`placement_search._SearchContext`). `SearchNode`, `expand`,
 `h1`, `h2`, `order_candidates` and its `_rank_by_paths` build the same tree
-from `SearchNode`s: `TestEngineTree` walks both node for node, criterion 4
-checks on this form that h2 is sound and that h1 is not, and `TestRanking`
-holds `_rank_by_paths` and the engines' `_path_ranker` to the same orders.
+from `SearchNode`s over `Candidate`s (`candidates_of` makes them from a
+problem's candidate indices): `TestEngineTree` walks both node for node,
+criterion 4 checks on this form that h2 is sound and that h1 is not, and
+`TestRanking` holds `_rank_by_paths` and the engines' `_path_ranker` to the
+same orders.
 """
 
 from __future__ import annotations
@@ -13,11 +15,25 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 from decoygraph.errors import ConfigurationError
 from decoygraph.netmodel import Assignment
-from decoygraph.placement_search import ORDERINGS, Candidate, PathIndex
+from decoygraph.placement_search import ORDERINGS, PathIndex, PlacementProblem
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """An open candidate of a search tree and its value planted alone."""
+
+    assignment: Assignment
+    singleton_utility: float
+
+
+def candidates_of(problem: PlacementProblem, indices: Iterable[int]) -> tuple[Candidate, ...]:
+    """The problem's candidates of `indices`, in that order, each with its value planted alone."""
+    chosen = [problem.candidates[i] for i in indices]
+    return tuple(Candidate(a, problem.value(frozenset({a}))) for a in chosen)
 
 
 @dataclass(frozen=True)

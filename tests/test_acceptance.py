@@ -28,7 +28,6 @@ from decoygraph.fixtures import build_h1_counterexample, build_searchspace_k2
 from decoygraph.netmodel import Assignment, default_catalog, generate_network
 from decoygraph.placement_random import random_budget_placement, random_placement
 from decoygraph.placement_search import (
-    Candidate,
     PlacementProblem,
     astar,
     dfbnb,
@@ -46,7 +45,7 @@ from helpers import (
     small_network,
 )
 from planner_oracles import brute_force_plan, derivable
-from reference_tree import SearchNode, expand, h1, h2
+from reference_tree import Candidate, SearchNode, candidates_of, expand, h1, h2
 
 LURE_FAKES = (
     Assignment(host_id="f1", vuln_id="fv-1"),
@@ -116,7 +115,8 @@ def test_criterion_2_lure_fixture_worked_values():
     assert optimal_cost(decorated) == 9.0
     actual = simulate_attack(decorated).total_cost
     assert actual == 22.0
-    candidates = PlacementProblem(net).trippable(2)
+    problem = PlacementProblem(net)
+    candidates = candidates_of(problem, problem.trippable(2))
     root = SearchNode(
         chosen=(),
         remaining=candidates,
@@ -181,7 +181,7 @@ def _full_tree_heuristic_violations(net, budget, trippable=False):
 
     if trippable:
         problem = PlacementProblem(net)
-        candidates = problem.trippable(min(budget, len(problem.candidates)))
+        candidates = candidates_of(problem, problem.trippable(min(budget, len(problem.candidates))))
     else:
         candidates = [Candidate(a, utility({a})) for a in enumerate_candidates(net)]
     budget = min(budget, len(candidates))

@@ -375,7 +375,15 @@ class TestExitCodes:
             assert f"error: {graph}: malformed graph file (ValueError: an assignment's fake must be true" in res.output
 
     @pytest.mark.parametrize(
-        "breakage", ["no-hosts", "host-without-os", "one-element-pair", "catalog-entry-without-os"]
+        "breakage",
+        [
+            "no-hosts",
+            "host-without-os",
+            "one-element-pair",
+            "catalog-entry-without-os",
+            "installed-vulns-string",
+            "affected-os-string",
+        ],
     )
     def test_malformed_network_file(self, tmp_path, runner, chain_bundle, breakage):
         bundle = json.loads(chain_bundle.read_text())
@@ -385,6 +393,13 @@ class TestExitCodes:
             del bundle["network"]["hosts"][0]["os"]
         elif breakage == "one-element-pair":
             bundle["network"]["reachability"][0] = bundle["network"]["reachability"][0][:1]
+        elif breakage == "installed-vulns-string":
+            # a string is not read as a list of its characters
+            host = bundle["network"]["hosts"][0]
+            host["installed_vulns"] = host["installed_vulns"][0]
+        elif breakage == "affected-os-string":
+            entry = bundle["catalog"][0]
+            entry["affected_os"] = entry["affected_os"][0]
         else:
             del bundle["catalog"][0]["affected_os"]
         path = tmp_path / "net.json"
@@ -409,8 +424,13 @@ class TestExitCodes:
             ("cat.json", '[{"vuln_id": "x"}]', "KeyError: 'cvss_version'"),
             ("cat.csv", "vuln_id,exploitability_subscore,affected_os\nx,1.0,linux\n", "KeyError: 'cvss_version'"),
             ("short.csv", "vuln_id,cvss_version,exploitability_subscore,affected_os\nx,V2\n", "ValueError"),
+            (
+                "os.json",
+                '[{"vuln_id": "x", "cvss_version": "V2", "exploitability_subscore": 10.0, "affected_os": "win10"}]',
+                "TypeError: affected_os must be a list",
+            ),
         ],
-        ids=["json-missing-field", "csv-missing-column", "csv-short-row"],
+        ids=["json-missing-field", "csv-missing-column", "csv-short-row", "json-os-string"],
     )
     def test_malformed_catalog_file(self, tmp_path, runner, name, text, error):
         network = tmp_path / "n4.json"
@@ -919,6 +939,26 @@ class TestSweep:
         res, out = self._sweep(tmp_path, runner, {"networks": [{"hosts": 4, "seed": 1}, network]})
         assert res.exit_code == 2, res.output
         assert f"error: {message}" in res.output
+        assert cells == [] and not out.exists()
+
+    @pytest.mark.parametrize("shared", ["file-stem", "explicit"])
+    def test_networks_sharing_an_id_fail_before_any_row(self, tmp_path, runner, monkeypatch, shared):
+        cells = []
+        monkeypatch.setattr(cli, "_sweep_cell", lambda *args: cells.append(args))
+        if shared == "file-stem":
+            networks = []
+            for folder, hosts in (("a", 8), ("b", 12)):
+                (tmp_path / folder).mkdir()
+                save_network(generate_network(hosts, default_catalog(), seed=1), tmp_path / folder / "net.json")
+                networks.append({"path": str(tmp_path / folder / "net.json")})
+            network_id = "net"
+        else:
+            networks = [{"hosts": 8, "seed": 3, "id": "n"}, {"hosts": 12, "seed": 7, "id": "n"}]
+            network_id = "n"
+        res, out = self._sweep(tmp_path, runner, {"networks": networks, "trials": 1})
+        assert res.exit_code == 2, res.output
+        message = f"network id {network_id!r} is given to more than one network (in {tmp_path / 'spec.json'})"
+        assert res.output == f"error: {message}\n"
         assert cells == [] and not out.exists()
 
     @pytest.mark.parametrize(

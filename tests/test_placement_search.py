@@ -33,7 +33,6 @@ from decoygraph.netmodel import (
     normalize_cost,
 )
 from decoygraph.placement_search import (
-    Candidate,
     PathIndex,
     PathRecord,
     PlacementProblem,
@@ -53,7 +52,7 @@ from helpers import (
     reference_report,
     small_network,
 )
-from reference_tree import SearchNode, _rank_by_paths, expand, h1, h2, order_candidates
+from reference_tree import SearchNode, _rank_by_paths, candidates_of, expand, h1, h2, order_candidates
 
 # networks where a lure's round pays the prefix that wakes a dormant fake (tests/helpers.py)
 DORMANT_FAKE_NETS = [pytest.param(dormant_fake_chain(m), id=f"N{m}") for m in (1, 2, 3)]
@@ -112,7 +111,7 @@ class TestCandidates:
         problem = PlacementProblem(chain_net)
         # the memo's bits and the search root both rely on the sorted order
         assert problem.candidates == tuple(sorted(problem.candidates))
-        cands = problem.trippable(3)
+        cands = candidates_of(problem, problem.trippable(3))
         assert [c.assignment for c in cands] == [W1, W2, W3]
         assert [c.singleton_utility for c in cands] == [3.5, 3.5, 3.5]
 
@@ -150,7 +149,10 @@ def _search_inputs(problem: PlacementProblem) -> str:
             "chain_costs": [problem.chain_costs[c] for c in configs],
             "real_routes": [problem.real_routes[c] for c in configs],
             "trippable": [
-                [[c.assignment.to_dict(), c.singleton_utility] for c in problem.trippable(budget)]
+                [
+                    [c.assignment.to_dict(), c.singleton_utility]
+                    for c in candidates_of(problem, problem.trippable(budget))
+                ]
                 for budget in (1, 2, 3)
             ],
             "paths": [
@@ -213,7 +215,8 @@ def _node(chosen, remaining, budget, baseline, utility=0.0):
 
 @pytest.fixture
 def chain_candidates(chain_net):
-    return PlacementProblem(chain_net).trippable(3)
+    problem = PlacementProblem(chain_net)
+    return candidates_of(problem, problem.trippable(3))
 
 
 class TestHeuristics:
@@ -244,7 +247,8 @@ class TestHeuristics:
     def test_lure_root_bounds(self, lure_net):
         # the optimistic estimate undershoots the best pair here (20 < 22)
         # while the sound bound stays above it (30 >= 22)
-        cands = PlacementProblem(lure_net).trippable(2)
+        problem = PlacementProblem(lure_net)
+        cands = candidates_of(problem, problem.trippable(2))
         node = _node((), cands, 2, 10.0)
         assert h1(node) == 20.0
         assert h2(node) == 30.0
@@ -542,14 +546,11 @@ class TestEngineTree:
         ctx = _SearchContext(net, budget, ordering, heuristic, 3, 100, engine_problem)
         if trippable:
             root = ctx.root()
-            candidates = reference_problem.trippable(min(budget, len(reference_problem.candidates)))
+            indices = reference_problem.trippable(min(budget, len(reference_problem.candidates)))
         else:
-            candidates = tuple(
-                Candidate(a, reference_problem.value(frozenset({a}))) for a in reference_problem.candidates
-            )
-            root = ctx.root_over(
-                tuple(Candidate(a, engine_problem.value(frozenset({a}))) for a in engine_problem.candidates)
-            )
+            indices = range(len(reference_problem.candidates))
+            root = ctx.root_over(tuple(indices))
+        candidates = candidates_of(reference_problem, indices)
         budget = min(budget, len(candidates))
         assert ctx.budget == budget
         heuristic_fn = h1 if heuristic == "h1" else h2
@@ -870,7 +871,7 @@ class TestTrippableFilter:
         problem = PlacementProblem(net)
         assignments = sorted(problem.candidates)
         for budget in (1, 2, 3):
-            kept = {c.assignment for c in problem.trippable(budget)}
+            kept = {problem.candidates[i] for i in problem.trippable(budget)}
             dropped += len(assignments) - len(kept)
             for size in range(budget + 1):
                 for combo in combinations(assignments, size):
@@ -915,7 +916,7 @@ class TestTrippableFilter:
         chain = problem.chain_costs[problem._compiled.fakes[lure]]
         assert (chain > 2 * problem.baseline_cost) == reads_high
         assert chain == pytest.approx(2 * problem.baseline_cost)
-        assert [c.assignment for c in problem.trippable(2)] == [lure]
+        assert [problem.candidates[i] for i in problem.trippable(2)] == [lure]
         assert problem.trippable(1) == ()
 
     def test_exhaustive_keeps_every_candidate(self):
@@ -976,7 +977,7 @@ class TestRealRouteFilter:
             problem = PlacementProblem(net)
             assignments = sorted(problem.candidates)
             for budget in (1, 2, 3):
-                kept = {c.assignment for c in problem.trippable(budget)}
+                kept = {problem.candidates[i] for i in problem.trippable(budget)}
                 by_route += sum(
                     1
                     for a in assignments
@@ -1005,7 +1006,7 @@ class TestRealRouteFilter:
         assert lure_cost < problem.graph.config_cost[config_id("d", "b")]
         assert problem.chain_costs[fakes[dear]] <= 2 * problem.baseline_cost
         assert problem.candidates == (lure, dear)
-        assert [c.assignment for c in problem.trippable(2)] == [lure]
+        assert [problem.candidates[i] for i in problem.trippable(2)] == [lure]
         trace = simulate_attack(problem.graph)
         assert [it.discovered_fake for it in trace.iterations] == [lure, None]
 

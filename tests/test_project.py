@@ -59,6 +59,7 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch):
 
 # the reference search tree and the planner's oracles, which live beside the tests
 MOVED_TO_TESTS = (
+    "Candidate",
     "SearchNode",
     "expand",
     "h1",
