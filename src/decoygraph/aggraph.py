@@ -67,15 +67,15 @@ def config_owner(node_id: str) -> tuple[str, str]:
 class IndexedView:
     """A unit-rule graph's privileges, exploits and configs as integers.
 
-    Privileges and exploits are numbered in sorted id order, so comparing two
-    indices compares their ids. Configs are numbered in order of first use
-    along the exploits, then those no exploit requires, in sorted id order;
-    the costs and fake flags are listed by that number. Per privilege, the
-    arcs are (exploit, config, granted privilege) for each exploit requiring
-    it, one per privilege the exploit grants, in exploit order and then in
-    privilege order. The planner's Dijkstra scans these arcs and never reads
-    a config id. Its plans keep their chain of arcs and this view, and read
-    their exploit, config and privilege ids off the view on first use.
+    Privileges, exploits and configs are numbered in sorted id order, so
+    comparing two indices compares their ids. The costs and fake flags are
+    listed by config number; the fake flags, as bytes, are also the ban flags
+    that ban every fake. Per privilege, the arcs are (exploit, config,
+    granted privilege) for each exploit requiring it, one per privilege the
+    exploit grants, in exploit order and then in privilege order. The
+    planner's Dijkstra scans these arcs and never reads a config id. Its
+    plans keep their chain of arcs and this view, and read their exploit,
+    config and privilege ids off the view on first use.
     """
 
     privileges: tuple[str, ...]
@@ -86,7 +86,7 @@ class IndexedView:
     arcs: tuple[tuple[tuple[int, int, int], ...], ...]
     # per config: its face cost and whether it is fake
     cost: tuple[float, ...]
-    fake: tuple[bool, ...]
+    fake: bytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,27 +142,24 @@ class AttackGraph:
 
         Unit-rule means every exploit requires exactly one privilege and one
         config node. Generated graphs build it with the rest of the graph;
-        other graphs build it from `requirements` and `grants`, numbering their
-        configs by the same rule, so a loaded copy of a generated graph has the
-        view it was generated with.
+        other graphs build it from `requirements` and `grants`, numbering every
+        node in sorted id order as generation does, so a loaded copy of a
+        generated graph has the view it was generated with.
         """
         privileges = tuple(sorted(self.privilege_nodes))
         p_index = {p: i for i, p in enumerate(privileges)}
         if self.source not in p_index or self.goal not in p_index:
             return None
         exploits = tuple(sorted(self.exploit_nodes))
+        configs = tuple(sorted(self.config_nodes))
+        c_index = {c: i for i, c in enumerate(configs)}
         requirements, grants = self.requirements, self.grants
-        c_index: dict[str, int] = {}
         arcs: list[list[tuple[int, int, int]]] = [[] for _ in privileges]
         for e, exploit in enumerate(exploits):
             privs, confs = requirements[exploit]
-            if len(privs) != 1 or len(confs) != 1 or confs[0] not in self.config_nodes:
+            if len(privs) != 1 or len(confs) != 1 or confs[0] not in c_index:
                 return None
-            c = c_index.setdefault(confs[0], len(c_index))
-            arcs[p_index[privs[0]]].extend((e, c, p_index[q]) for q in grants[exploit])
-        for c in sorted(self.config_nodes - c_index.keys()):
-            c_index[c] = len(c_index)
-        configs = tuple(c_index)
+            arcs[p_index[privs[0]]].extend((e, c_index[confs[0]], p_index[q]) for q in grants[exploit])
         return IndexedView(
             privileges=privileges,
             exploits=exploits,
@@ -171,7 +168,7 @@ class AttackGraph:
             goal=p_index[self.goal],
             arcs=tuple(map(tuple, arcs)),
             cost=tuple(self.config_cost[c] for c in configs),
-            fake=tuple(self.fake_flag.get(c, False) for c in configs),
+            fake=bytes(self.fake_flag.get(c, False) for c in configs),
         )
 
     @property
@@ -378,12 +375,12 @@ def _generate(network: NetworkModel, planted: list[Assignment]) -> dict:
     # privilege ids share the prefix "p|h:", so they sort as their hosts do
     hosts = sorted(host_cause)
     p_index = {h: i for i, h in enumerate(hosts)}
-    # configs numbered in order of first use along the sorted exploits
-    c_index: dict[str, int] = {}
+    # configs numbered in sorted id order too, which their (host, vuln) parts need not follow
+    configs = tuple(sorted(cost))
+    c_index = {c: i for i, c in enumerate(configs)}
     arcs: list[list[tuple[int, int, int]]] = [[] for _ in hosts]
     for e, (_, x, dst, cid, _) in enumerate(rows):
-        arcs[p_index[x]].append((e, c_index.setdefault(cid, len(c_index)), p_index[dst]))
-    configs = tuple(c_index)
+        arcs[p_index[x]].append((e, c_index[cid], p_index[dst]))
     view = IndexedView(
         privileges=tuple(map(priv_id, hosts)),
         exploits=tuple(map(itemgetter(0), rows)),
@@ -392,7 +389,7 @@ def _generate(network: NetworkModel, planted: list[Assignment]) -> dict:
         goal=p_index[goal_host],
         arcs=tuple(map(tuple, arcs)),
         cost=tuple(map(cost.__getitem__, configs)),
-        fake=tuple(map(fake.__getitem__, configs)),
+        fake=bytes(map(fake.__getitem__, configs)),
     )
     return dict(
         goal=view.privileges[view.goal],

@@ -197,9 +197,9 @@ def simulate_attack(graph: AttackGraph, state: PlanningState | None = None) -> S
             iterations.append(AttackIteration(plan, paid, None, frozenset()))
             break
         paid = math.fsum(working[c] for c in before.union(configs))
-        # Several fakes on one exploit: the attacker learns the one whose
-        # config node id sorts first. Generated graphs never hit this case.
-        discovered_config = fake_reqs[0] if len(fake_reqs) == 1 else min(fake_reqs, key=names.__getitem__)
+        # Several fakes on one exploit: the attacker learns the one whose config
+        # id sorts first, the lowest number. Generated graphs never hit this case.
+        discovered_config = min(fake_reqs)
         discovered = graph.provenance[names[discovered_config]]
         iterations.append(AttackIteration(plan, paid, discovered, frozenset(map(names.__getitem__, before))))
         for c in before:
@@ -231,8 +231,8 @@ def evaluate_placement(
 @dataclass(frozen=True)
 class _Compiled:
     """A network's graph with every compatible pair planted, the config
-    number of each pair the attacker reaches, ban flags set on every fake,
-    and b planned with them.
+    number of each pair the attacker reaches, and b planned with every fake
+    banned (the view's fake flags are those ban flags).
 
     `fakes` maps each compatible pair whose fake config the graph holds to
     that config's number in the graph's view, in `compatible_pairs` order; a
@@ -256,7 +256,6 @@ class _Compiled:
 
     fakes: dict[Assignment, int]
     graph: AttackGraph
-    all_fakes_banned: bytes
     baseline_cost: float
 
     def state(
@@ -265,7 +264,7 @@ class _Compiled:
         """A fresh planning state with the fakes numbered `fakes` open and every
         other fake banned, scanning `arcs` (by default the view's)."""
         view = self.graph.indexed
-        banned = bytearray(self.all_fakes_banned)
+        banned = bytearray(view.fake)
         for c in fakes:
             banned[c] = 0
         return PlanningState(view.configs, view.fake, list(view.cost), banned, view.arcs if arcs is None else arcs)
@@ -287,5 +286,5 @@ def _compiled(network: NetworkModel) -> _Compiled:
         view = graph.indexed
         number = {c: i for i, c in enumerate(view.configs)}
         fakes = {a: number[c] for a in pairs if (c := config_id(*a)) in number}
-        compiled = vars(network)["_compiled"] = _Compiled(fakes, graph, bytes(view.fake), b)
+        compiled = vars(network)["_compiled"] = _Compiled(fakes, graph, b)
     return compiled

@@ -467,14 +467,12 @@ def _sweep_network(net_spec: dict, catalog: Catalog | None, spec_path: str) -> t
     if "path" in net_spec:
         network = load_network(net_spec["path"], catalog)
         return net_spec.get("id", Path(net_spec["path"]).stem), network
-    hosts, seed = net_spec["hosts"], net_spec.get("seed", 0)
+    hosts, seed, dead = net_spec["hosts"], net_spec.get("seed", 0), net_spec.get("dead_hosts", 0)
     try:
-        network = generate_network(
-            hosts, default_catalog() if catalog is None else catalog, seed, dead_hosts=net_spec.get("dead_hosts", 0)
-        )
+        network = generate_network(hosts, default_catalog() if catalog is None else catalog, seed, dead_hosts=dead)
     except ConfigurationError as exc:
         raise ConfigurationError(f"network spec {net_spec!r}: {exc} (in {spec_path})") from None
-    return net_spec.get("id", f"gen-{hosts}-{seed}"), network
+    return net_spec.get("id", f"gen-{hosts}-{seed}" + (f"-d{dead}" if dead else "")), network
 
 
 def _sweep_cell(

@@ -241,7 +241,13 @@ class NetworkModel:
 
     @classmethod
     def from_dict(cls, data: Mapping, catalog: Catalog) -> "NetworkModel":
-        hosts = {h["host_id"]: Host.from_dict(h) for h in data["hosts"]}
+        """The network `to_dict` wrote; ValidationError on a host given twice."""
+        hosts: dict[str, Host] = {}
+        for entry in data["hosts"]:
+            host = Host.from_dict(entry)
+            if host.host_id in hosts:
+                raise ValidationError(f"duplicate host {host.host_id}")
+            hosts[host.host_id] = host
         return cls(
             hosts=hosts,
             reachability=frozenset((a, b) for a, b in data["reachability"]),

@@ -73,7 +73,10 @@ class SearchResult:
     expanded_nodes: int
     generated_nodes: int
     elapsed_ms: float
-    budget_used: int
+
+    @property
+    def budget_used(self) -> int:
+        return len(self.best_assignments)
 
     def to_dict(self) -> dict:
         return {
@@ -135,9 +138,9 @@ def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathInd
     starting with the folded pairs banned; only plans strictly cheaper than
     the deception-free optimum `baseline_cost` (b) are kept, since costlier
     ones cannot lure a cost-minimizing attacker off the real path. Dedup is
-    by config-number set. A plan's configs are pushed as bans in config id
-    order (configs are numbered by first use, not by id), so call numbers,
-    which break cost ties in the heap, follow ids. The build stops at the
+    by config-number set. A plan's configs are pushed as bans in config
+    number order, which is id order, so call numbers, which break cost ties
+    in the heap, follow ids. The build stops at the
     record that fills the pool, before planning its plan's branches. At most
     `_POOL_CALL_FACTOR` * `pool_size` planner calls (at least 200) are made;
     `capped` says whether that cap refused one.
@@ -164,11 +167,10 @@ def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathInd
     only the states expanded fall.
     """
     full = problem.graph
-    config_ids = full.indexed.configs
     # every candidate open, every folded pair banned, over the empty set's corridor
-    state = problem._state((c for c, _ in problem._by_index), 0)
+    state = problem._state(problem._configs, 0)
     flags = state.banned
-    owner = {c: a for a, (c, _) in zip(problem.candidates, problem._by_index)}
+    owner = dict(zip(problem._configs, problem.candidates))
     records: list[PathRecord] = []
     seen_cfg: set[frozenset[int]] = set()
     # (cost, call number, branch bans, plan): the call number breaks cost ties in push order
@@ -208,7 +210,7 @@ def build_path_index(problem: PlacementProblem, pool_size: int = 100) -> PathInd
             records.append(PathRecord(cost=cost, assignments=fakes))
             if len(records) == pool_size:
                 break  # the pool is full: none of this plan's branches would be popped
-        for c in sorted(cfgs, key=config_ids.__getitem__):
+        for c in sorted(cfgs):
             push(banned | {c})
     return PathIndex(paths=tuple(records), planner_calls=calls, capped=capped)
 
@@ -283,7 +285,7 @@ class PlacementProblem:
     The memo maps each valued set S to (value, reach), keyed by S's bitmask,
     in which candidate i, `candidates[i]`, is bit 1 << i; the candidates are
     sorted, so the bits follow their order. `_members` maps a candidate to
-    its index, and `_by_index` holds each index's config number and L.
+    its index, and `_configs` holds each index's config number.
     `_value` takes the mask: the search tree passes its masks straight
     through, and `value` computes a set's mask once. The reach R(S) is
     the largest plan_i.cost + Z_i over the rounds i of S's attack, where Z_i
@@ -380,9 +382,9 @@ class PlacementProblem:
         # the reached pairs, folded as `enumerate_candidates` folds them
         self.candidates = tuple(_fold(network, compiled.fakes))
         self.chain_costs, self.real_routes, self._through = _fake_bounds(self.graph.indexed)
-        # candidate -> index i (bit 1 << i of a set's mask), and by index its config number and L
+        # candidate -> index i (bit 1 << i of a set's mask), and by index its config number
         self._members = {a: i for i, a in enumerate(self.candidates)}
-        self._by_index = tuple((c, self.chain_costs[c]) for c in map(compiled.fakes.__getitem__, self.candidates))
+        self._configs = tuple(map(compiled.fakes.__getitem__, self.candidates))
         self._memo: dict[int, tuple[float, float]] = {}
         # set size -> Lemma G's corridor: per privilege, the arcs a search simulation (or, at 0, the path index) scans
         self._corridors: dict[int, tuple[_Arcs, ...]] = {}
@@ -408,15 +410,16 @@ class PlacementProblem:
         if entry is not None:
             return entry[0]
         indices = _indices(mask)
-        by_index = self._by_index
+        configs = self._configs
         if inherit:
+            chain_costs = self.chain_costs
             for i in indices:
                 parent = memo.get(mask ^ (1 << i))
-                if parent is not None and not _within(by_index[i][1], parent[1]):
+                if parent is not None and not _within(chain_costs[configs[i]], parent[1]):
                     memo[mask] = parent
                     return parent[0]
         # a search plans inside its set size's corridor (Lemma G), the oracle over every arc
-        state = self._state((by_index[i][0] for i in indices), len(indices) if inherit else None)
+        state = self._state((configs[i] for i in indices), len(indices) if inherit else None)
         trace = simulate_attack(self.graph, state)
         rounds = trace.iterations
         entry = memo[mask] = (trace.total_cost, _reach(rounds, self.graph.config_cost))
@@ -450,7 +453,7 @@ class PlacementProblem:
             inside = [_within(through, limit) for through in self._through]
             # real configs and candidates; the folded pairs stay banned in every search simulation
             kept = bytearray(not fake for fake in view.fake)
-            for c, _ in self._by_index:
+            for c in self._configs:
                 kept[c] = 1
             corridor = self._corridors[size] = tuple(
                 tuple(arc for arc in arcs if kept[arc[1]] and inside[arc[2]]) if inside[p] else ()
@@ -480,8 +483,8 @@ class PlacementProblem:
             face_costs = self.graph.indexed.cost
             self._value(0)
             kept = []
-            for i, (c, chain) in enumerate(self._by_index):
-                if _within(chain, budget * b) and _within(face_costs[c], min(b, self.real_routes[c])):
+            for i, c in enumerate(self._configs):
+                if _within(self.chain_costs[c], budget * b) and _within(face_costs[c], min(b, self.real_routes[c])):
                     self._value(1 << i)
                     kept.append(i)
             kept = self._trippable[budget] = tuple(kept)
@@ -552,7 +555,7 @@ def _fake_bounds(view: IndexedView) -> tuple[list[float], list[float], list[floa
     none_banned = bytes(len(costs))
     head = _dijkstra(view.arcs, costs, none_banned, view.source)[0]
     tail = _dijkstra(backward, costs, none_banned, view.goal)[0]
-    real = _dijkstra(view.arcs, costs, bytes(fake), view.source)[0]
+    real = _dijkstra(view.arcs, costs, fake, view.source)[0]
     chains = [math.inf] * len(costs)
     routes = [math.inf] * len(costs)
     for c, pairs in ends.items():
@@ -673,15 +676,13 @@ class _SearchContext:
         return left, right
 
     def result(self, expanded: int, generated: int, t0: float) -> SearchResult:
-        best = tuple(self.problem.candidates[i] for i in self.best_key[2])
         return SearchResult(
-            best_assignments=best,
+            best_assignments=tuple(self.problem.candidates[i] for i in self.best_key[2]),
             best_utility=self.best_value,
             baseline_cost=self.problem.baseline_cost,
             expanded_nodes=expanded,
             generated_nodes=generated,
             elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-            budget_used=len(best),
         )
 
 

@@ -18,12 +18,12 @@ Both engines read a `PlanningState`: costs, ban flags and fake flags listed
 by config number, the one input `plan_with_stats` takes. `optimal_plan`, the
 id-keyed entry, numbers its costs and bans into a state once per call; the
 attacker keeps one state per simulation instead. Dijkstra runs on
-the graph's integer view (`AttackGraph.indexed`): privileges and exploits
-numbered in sorted id order, so heap ties between equal distances still break
-by privilege id, configs numbered in order of first use along the exploits,
-and per privilege the arcs (exploit, config, granted privilege) of the
-exploits requiring it, in exploit order. It scans the state's arcs and skips
-those of banned configs, as if they were left out. A search's state leaves
+the graph's integer view (`AttackGraph.indexed`): privileges, exploits and
+configs numbered in sorted id order, so heap ties between equal distances
+still break by privilege id, and per privilege the arcs (exploit, config,
+granted privilege) of the exploits requiring it, in exploit order. It
+scans the state's arcs and skips those of banned configs, as if they were
+left out. A search's state leaves
 out the arcs of configs banned for the whole simulation, which changes
 nothing, and those of privileges no plan of its simulation can reach, which
 keeps the plan but settles fewer privileges (Lemma G of
@@ -161,8 +161,9 @@ class PlannerStats:
 class PlanningState:
     """A graph's planning inputs by config number, the form the engines read.
 
-    `names[i]` is config i's id: the numbering of the graph's `IndexedView`
-    on unit-rule graphs, sorted ids elsewhere. `fake[i]` is its fake flag,
+    `names[i]` is config i's id, in sorted id order on every graph (the
+    numbering of the graph's `IndexedView` where it has one), so comparing
+    two numbers compares their ids. `fake[i]` is its fake flag,
     `costs[i]` its cost and `banned[i]` true while it is banned. `arcs` are
     the arcs Dijkstra scans out of each privilege (None on other graphs),
     fixed while the state is used: the view's, or the view's without some
@@ -172,7 +173,7 @@ class PlanningState:
     """
 
     names: tuple[str, ...]
-    fake: Sequence[bool]
+    fake: bytes
     costs: list[float]
     banned: bytearray
     arcs: Sequence[Sequence[tuple[int, int, int]]] | None
@@ -189,7 +190,7 @@ class PlanningState:
         if view is None:
             names = tuple(sorted(graph.config_nodes))
             face = [graph.config_cost[c] for c in names]
-            fake = tuple(graph.fake_flag.get(c, False) for c in names)
+            fake = bytes(graph.fake_flag.get(c, False) for c in names)
             arcs = None
         else:
             names, face, fake, arcs = view.configs, view.cost, view.fake, view.arcs

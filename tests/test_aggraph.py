@@ -370,6 +370,44 @@ def test_generated_and_loaded_graphs_agree():
     assert moved.indexed.goal == moved.indexed.source
 
 
+def _graph_with_an_unrequired_config() -> AttackGraph:
+    """One exploit from a to b, and a fake config on a, sorting before the exploit's, that no exploit requires."""
+    used, unused = config_id("b", "v"), config_id("a", "z")
+    exploit = exploit_id("b", "v", "a")
+    return AttackGraph(
+        privilege_nodes=frozenset({priv_id("a"), priv_id("b")}),
+        exploit_nodes=frozenset({exploit}),
+        config_nodes=frozenset({used, unused}),
+        edges=frozenset({(exploit, priv_id("a")), (exploit, used), (priv_id("b"), exploit)}),
+        goal=priv_id("b"),
+        source=priv_id("a"),
+        config_cost={used: 0.5, unused: 0.25},
+        fake_flag={used: False, unused: True},
+        provenance={unused: Assignment("a", "z")},
+    )
+
+
+def test_every_view_numbers_its_configs_in_sorted_id_order():
+    """Configs are numbered as privileges and exploits are, in sorted id order,
+    whether the view is generated or scanned, and the fake flags are bytes."""
+    graphs = [_graph_with_an_unrequired_config()]
+    graphs += [random_unit_rule_graph(random.Random(seed)) for seed in range(20)]
+    for net in (*_pinned_networks(), _prefix_ids_network()):
+        for graph in (build_attack_graph(net), apply_assignments(net, compatible_pairs(net))):
+            graphs += [graph, AttackGraph.from_dict(json.loads(graph.to_json())), dataclasses.replace(graph)]
+    assert validate_graph(graphs[0]) == []
+    for graph in graphs:
+        view = graph.indexed
+        assert view.configs == tuple(sorted(graph.config_nodes))
+        assert type(view.fake) is bytes
+        assert view.fake == bytes(graph.fake_flag[c] for c in view.configs)
+        assert PlanningState.of(graph).names == view.configs
+    # "v1x|" sorts before "v1|" in exploit ids, so numbering by first use along the exploits would differ
+    prefix = build_attack_graph(_prefix_ids_network())
+    first_use = dict.fromkeys(prefix.requirements[e][1][0] for e in sorted(prefix.exploit_nodes))
+    assert list(first_use) != sorted(prefix.config_nodes)
+
+
 def _graph_fields(graph: AttackGraph) -> list:
     """Everything a graph holds: its nine fields, then its integer view."""
     return [getattr(graph, f.name) for f in dataclasses.fields(AttackGraph)] + [graph.indexed]

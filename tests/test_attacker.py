@@ -148,6 +148,30 @@ class TestUnreachable:
             simulate_attack(g)
 
 
+def test_an_exploit_on_two_fakes_reveals_the_one_whose_id_sorts_first():
+    # the cheap exploit requires two fake configs, so the graph is planned by
+    # best-first search; the attacker trips both at once and learns the first by id
+    first, second = Assignment(host_id="g", vuln_id="a"), Assignment(host_id="g", vuln_id="b")
+    fakes = {config_id(*second): second, config_id(*first): first}
+    real = config_id("g", "r")
+    g = AttackGraph(
+        privilege_nodes=frozenset({"p0", "p1"}),
+        exploit_nodes=frozenset({"e-fake", "e-real"}),
+        config_nodes=frozenset({*fakes, real}),
+        edges=frozenset({("p1", "e-fake"), ("p1", "e-real"), ("e-fake", "p0"), ("e-real", "p0"), ("e-real", real)})
+        | {("e-fake", c) for c in fakes},
+        goal="p1",
+        source="p0",
+        config_cost={**dict.fromkeys(fakes, 0.125), real: 0.75},
+        fake_flag={**dict.fromkeys(fakes, True), real: False},
+        provenance=fakes,
+    )
+    assert not g.unit_rule and PlanningState.of(g).fake == bytes([1, 1, 0])
+    trace = simulate_attack(g)
+    assert [it.discovered_fake for it in trace.iterations] == [first, None]
+    assert [it.paid_prefix_cost for it in trace.iterations] == [0.25, 0.75]
+
+
 class TestFakeFreeIdentity:
     def test_fixture_graphs(self, lure_graph, chain_graph):
         for g in (lure_graph, chain_graph):

@@ -408,6 +408,17 @@ class TestExitCodes:
         assert res.exit_code == 2, res.output
         assert f"error: {path}: malformed network file" in res.output
 
+    def test_network_file_that_lists_a_host_twice(self, tmp_path, runner, chain_bundle):
+        bundle = json.loads(chain_bundle.read_text())
+        hosts = bundle["network"]["hosts"]
+        hosts.append(dict(hosts[0], installed_vulns=[]))
+        path, assignments = tmp_path / "net.json", tmp_path / "fakes.json"
+        path.write_text(json.dumps(bundle))
+        assignments.write_text("[]")
+        res = runner.invoke(main, ["evaluate", "--network", str(path), "--assignments", str(assignments)])
+        assert res.exit_code == 2, res.output
+        assert f"error: {path}: duplicate host {hosts[0]['host_id']}" in res.output
+
     def test_network_file_that_fails_the_model_checks(self, tmp_path, runner, chain_bundle):
         bundle = json.loads(chain_bundle.read_text())
         host = bundle["network"]["hosts"][0]
@@ -941,7 +952,15 @@ class TestSweep:
         assert f"error: {message}" in res.output
         assert cells == [] and not out.exists()
 
-    @pytest.mark.parametrize("shared", ["file-stem", "explicit"])
+    def test_dead_hosts_enter_a_generated_networks_default_id(self, tmp_path, runner):
+        networks = [{"hosts": 10, "seed": 4}, {"hosts": 10, "seed": 4, "dead_hosts": 3}]
+        res, out = self._sweep(tmp_path, runner, {"networks": networks, "budgets": [1], "trials": 1})
+        assert res.exit_code == 0, res.output
+        cells = json.loads((tmp_path / "r.summary.json").read_text())["cells"]
+        assert sorted({cell["network_id"] for cell in cells}) == ["gen-10-4", "gen-10-4-d3"]
+        assert all(cell["trials"] == 1 for cell in cells)
+
+    @pytest.mark.parametrize("shared", ["file-stem", "explicit", "explicit-and-default"])
     def test_networks_sharing_an_id_fail_before_any_row(self, tmp_path, runner, monkeypatch, shared):
         cells = []
         monkeypatch.setattr(cli, "_sweep_cell", lambda *args: cells.append(args))
@@ -952,9 +971,12 @@ class TestSweep:
                 save_network(generate_network(hosts, default_catalog(), seed=1), tmp_path / folder / "net.json")
                 networks.append({"path": str(tmp_path / folder / "net.json")})
             network_id = "net"
-        else:
+        elif shared == "explicit":
             networks = [{"hosts": 8, "seed": 3, "id": "n"}, {"hosts": 12, "seed": 7, "id": "n"}]
             network_id = "n"
+        else:
+            networks = [{"hosts": 10, "seed": 4}, {"hosts": 10, "seed": 4, "dead_hosts": 3, "id": "gen-10-4"}]
+            network_id = "gen-10-4"
         res, out = self._sweep(tmp_path, runner, {"networks": networks, "trials": 1})
         assert res.exit_code == 2, res.output
         message = f"network id {network_id!r} is given to more than one network (in {tmp_path / 'spec.json'})"

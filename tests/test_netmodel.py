@@ -317,6 +317,19 @@ class TestFiles:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             read(path)
 
+    @pytest.mark.parametrize("reader", ["bare", "bundle"])
+    def test_duplicate_host_is_refused(self, generated, tmp_path, reader):
+        # a second h01 must not replace the first
+        bundle = json.loads(generated.read_text())
+        hosts = bundle["network"]["hosts"]
+        twin = dict(hosts[0], installed_vulns=[])
+        bundle["network"]["hosts"] = hosts + [twin]
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(bundle["network"] if reader == "bare" else bundle))
+        message = f"{path}: duplicate host {twin['host_id']}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_network(path)
+
     def test_outputs_end_with_newline(self, catalog, tmp_path):
         path = tmp_path / "cat.json"
         save_catalog(catalog, path)

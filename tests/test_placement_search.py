@@ -1165,7 +1165,7 @@ class TestCorridor:
         face_cost = problem.graph.config_cost
         for size in range(4):
             for combo in combinations(problem.candidates, size):
-                fakes = [problem._by_index[problem._members[a]][0] for a in combo]
+                fakes = [problem._configs[problem._members[a]] for a in combo]
                 full = simulate_attack(problem.graph, problem._state(fakes))
                 inside = simulate_attack(problem.graph, problem._state(fakes, size))
                 at = f"{where}, {sorted(combo)}"
