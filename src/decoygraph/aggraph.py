@@ -215,12 +215,15 @@ class AttackGraph:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AttackGraph":
+        """The graph `to_dict` wrote; ValidationError on a node listed twice, under one kind or two."""
         privs, exploits, configs = set(), set(), set()
         cost: dict[str, float] = {}
         fake: dict[str, bool] = {}
         provenance: dict[str, Assignment] = {}
         for entry in data["nodes"]:
             node, kind = entry["id"], entry["kind"]
+            if node in privs or node in exploits or node in configs:
+                raise ValidationError(f"duplicate node {node}")
             if kind == NodeKind.PRIVILEGE:
                 privs.add(node)
             elif kind == NodeKind.EXPLOIT:

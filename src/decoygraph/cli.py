@@ -91,12 +91,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _catalog_from_option(catalog_path: str | None) -> Catalog:
-    if catalog_path:
-        return load_catalog(catalog_path)
-    return default_catalog()
-
-
 def _load_network_file(path: str, catalog_path: str | None) -> NetworkModel:
     """Read a network file, bare or bundled; `--catalog`, when given, replaces a bundle's catalog."""
     return load_network(path, load_catalog(catalog_path) if catalog_path else None)
@@ -173,7 +167,7 @@ def main() -> None:
 @_guarded
 def generate(hosts: int, seed: int, dead_hosts: int, catalog_path: str | None, out: str | None) -> None:
     """Generate a synthetic layered network with its catalog."""
-    catalog = _catalog_from_option(catalog_path)
+    catalog = load_catalog(catalog_path) if catalog_path else default_catalog()
     network = generate_network(hosts, catalog, seed, dead_hosts=dead_hosts)
     _emit(network_to_json(network), out)
 
@@ -218,26 +212,19 @@ def _search(
     network: NetworkModel,
     budget: int,
     seed: int,
-    problem: Callable[[], PlacementProblem] | None,
+    problem: PlacementProblem | None,
     algorithm: str,
     ordering: str,
     heuristic: str,
     pool_size: int,
     max_subsets: int,
 ) -> SearchResult:
-    """One placement search; `problem` returns a shared PlacementProblem, or is None to build one."""
-    if algorithm not in ("dfbnb", "astar", "exhaustive"):
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}; expected dfbnb, astar or exhaustive")
-    shared = problem() if problem else None
+    """One placement search by `algorithm` (dfbnb, astar or exhaustive), on `problem`,
+    a PlacementProblem shared by the network's searches, or on one it builds when None."""
     if algorithm == "exhaustive":
-        return exhaustive_best(network, budget, max_subsets, shared)
+        return exhaustive_best(network, budget, max_subsets, problem)
     engine = dfbnb if algorithm == "dfbnb" else astar
-    return engine(network, budget, ordering, heuristic, seed, pool_size, shared)
-
-
-def _reads_seed(algorithm, ordering) -> bool:
-    """Whether `_search` with these settings reads its seed: only dfbnb and astar do, under the random ordering."""
-    return algorithm != "exhaustive" and ordering == "random"
+    return engine(network, budget, ordering, heuristic, seed, pool_size, problem)
 
 
 @main.group()
@@ -426,12 +413,21 @@ def _count(value, name: str) -> int:
     return value
 
 
+def _only_fields(obj: dict, fields: tuple[str, ...], what: str) -> None:
+    """Refuse a sweep spec object holding a field outside `fields`, naming the first such field."""
+    other = [name for name in obj if name not in fields]
+    if other:
+        raise ConfigurationError(f"{what} has no field {other[0]!r}")
+
+
 def _network_spec(value) -> dict:
     """A sweep spec network entry: a path or hosts, string path and id, and a
-    generated network's integer hosts, seed and dead_hosts, where given."""
+    generated network's integer hosts, seed and dead_hosts, where given; no other field."""
     net_spec = _spec(value, dict, "network")
     if "path" not in net_spec and "hosts" not in net_spec:
         raise ConfigurationError(f"network spec {net_spec!r} needs a path or hosts")
+    fields = ("path", "id") if "path" in net_spec else ("hosts", "seed", "dead_hosts", "id")
+    _only_fields(net_spec, fields, f"network spec {net_spec!r}")
     for name in ("path", "id"):
         if name in net_spec:
             _spec(net_spec[name], str, f"network {name}")
@@ -452,6 +448,9 @@ def _approach_label(approach: dict) -> str:
         return f"search:{given['algorithm']}:{given['heuristic']}:{given['ordering']}"
     return name
 
+
+# The fields each sweep approach reads besides its name.
+_APPROACH_FIELDS = {"random": (), "random-hosts": ("fraction",), "search": tuple(_SEARCH_DEFAULTS)}
 
 # Errors that turn a sweep row into an error row instead of ending the sweep.
 _ROW_ERRORS = (ValidationError, ConfigurationError, Unreachable)
@@ -486,14 +485,21 @@ def _sweep_cell(
     seed: int,
     timings: bool,
 ) -> dict:
-    """One sweep row; `problem()` returns the network's shared PlacementProblem.
+    """One sweep row; an unknown approach, a field its approach does not read,
+    or a bad field value gives an error row.
 
+    `problem()` returns the network's shared PlacementProblem; a search row
+    calls it inside the row's `try`, so a network whose goal is unreachable
+    gives error rows, and each of its search rows tries the build again.
     `evaluated` holds the network's report columns by placement: a placement
     is evaluated once, and later rows with it copy its columns.
     """
     name = approach.get("name", "")
     row = _row(network_id, network, _approach_label(approach), budget, seed, trial)
     try:
+        if not isinstance(name, str) or name not in _APPROACH_FIELDS:
+            raise ConfigurationError(f"unknown approach {name!r}")
+        _only_fields(approach, ("name", *_APPROACH_FIELDS[name]), f"approach {name!r}")
         result = None
         if name == "random":
             assignments = draw_budget_placement(network, budget, seed)
@@ -503,12 +509,13 @@ def _sweep_cell(
             fraction = approach["fraction"]
             # a JSON integer is a fraction too (1 is every host), never a host count
             assignments = draw_placement(network, float(fraction) if type(fraction) is int else fraction, seed)
-        elif name == "search":
-            settings = {k: _spec(approach.get(k, v), type(v), k) for k, v in _SEARCH_DEFAULTS.items()}
-            result = _search(network, budget, seed, problem, **settings)
-            assignments = result.best_assignments
         else:
-            raise ConfigurationError(f"unknown approach {name!r}")
+            settings = {k: _spec(approach.get(k, v), type(v), k) for k, v in _SEARCH_DEFAULTS.items()}
+            algorithm = settings["algorithm"]
+            if algorithm not in ("dfbnb", "astar", "exhaustive"):
+                raise ConfigurationError(f"unknown algorithm {algorithm!r}; expected dfbnb, astar or exhaustive")
+            result = _search(network, budget, seed, problem(), **settings)
+            assignments = result.best_assignments
         placement = frozenset(assignments)  # evaluate reads the distinct assignments, in any order
         columns = evaluated.get(placement)
         if columns is None:
@@ -527,34 +534,22 @@ def _sweep_cell(
 
 
 def _summarize(rows: list[dict]) -> dict:
-    cells: dict[tuple, dict] = {}
+    """One cell per (network, approach, budget), read off its rows: its trials
+    are its rows, its errors the rows with an error, and each mean is over the
+    other rows that have the value (None when none has)."""
+    groups = collections.defaultdict(list)
     for row in rows:
-        key = (row["network_id"], row["approach"], row["budget"])
-        cell = cells.setdefault(
-            key,
-            {
-                "network_id": row["network_id"],
-                "approach": row["approach"],
-                "budget": row["budget"],
-                "trials": 0,
-                "errors": 0,
-                "_ok": [],
-            },
-        )
-        cell["trials"] += 1
-        if row["error"]:
-            cell["errors"] += 1
-        else:
-            cell["_ok"].append(row)
-    out = []
-    for key in sorted(cells, key=lambda k: (str(k[0]), str(k[1]), str(k[2]))):
-        cell = cells[key]
-        ok = cell.pop("_ok")
+        groups[row["network_id"], row["approach"], row["budget"]].append(row)
+    cells = []
+    for key in sorted(groups, key=lambda k: tuple(map(str, k))):
+        group = groups[key]
+        ok = [r for r in group if not r["error"]]
+        cell = dict(zip(("network_id", "approach", "budget"), key), trials=len(group), errors=len(group) - len(ok))
         for field in ("p1", "p3", "p4", "p2_states", "n_assignments", "expanded_nodes"):
             values = [float(r[field]) for r in ok if r[field] != ""]
             cell[f"mean_{field}"] = math.fsum(values) / len(values) if values else None
-        out.append(cell)
-    return {"cells": out}
+        cells.append(cell)
+    return {"cells": cells}
 
 
 @main.command()
@@ -568,10 +563,10 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
 
     The spec JSON carries: networks (generator specs {hosts, seed} or file
     refs {path}), optional catalog path, budgets, approaches, trials, and
-    base_seed; trial seeds are base_seed + trial index. Every network entry
-    is read or generated before the first row, so a bad one, or two with one
-    id, ends the sweep before any work, and a network is held only while its
-    rows are computed.
+    base_seed, and no other field; trial seeds are base_seed + trial index.
+    Every network entry is read or generated before the first row, so a bad
+    one, or two with one id, ends the sweep before any work, and a network is
+    held only while its rows are computed.
     Every search on a network shares one PlacementProblem, built when the
     first one needs it, and every row is evaluated by `evaluate_placement` on
     the same compiled graph. A network whose goal is unreachable gives an
@@ -586,6 +581,7 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
         spec = json.loads(Path(spec_path).read_text())
     try:
         spec = _spec(spec, dict, "file")
+        _only_fields(spec, ("networks", "catalog", "budgets", "approaches", "trials", "base_seed"), "sweep spec")
         catalog_path = spec.get("catalog")
         if catalog_path is not None:
             _spec(catalog_path, str, "catalog")
@@ -611,7 +607,9 @@ def sweep(spec_path: str, out: str, summary_path: str | None, timings: bool) -> 
         problem, evaluated = functools.cache(functools.partial(PlacementProblem, network)), {}
         for approach in approaches:
             given = {**_SEARCH_DEFAULTS, **approach}
-            seed_free = approach.get("name") == "search" and not _reads_seed(given["algorithm"], given["ordering"])
+            # only dfbnb and astar read a seed, and only under the random ordering
+            reads_seed = given["algorithm"] != "exhaustive" and given["ordering"] == "random"
+            seed_free = given.get("name") == "search" and not reads_seed
             for budget in budgets:
                 for trial in range(trials):
                     seed = base_seed + trial

@@ -149,6 +149,16 @@ class TestSerialization:
     def test_json_is_stable(self, lure_graph):
         assert lure_graph.to_json() == lure_graph.to_json()
 
+    @pytest.mark.parametrize("kind", ["config", "privilege"], ids=["same-kind", "other-kind"])
+    def test_a_node_listed_twice_is_refused(self, lure_graph, kind):
+        # a second entry for a config, at another cost or under another kind
+        data = lure_graph.to_dict()
+        config = next(node for node in data["nodes"] if node["kind"] == "config")
+        twin = dict(config, kind=kind, cost=config["cost"] / 2)
+        with pytest.raises(ValidationError) as exc:
+            AttackGraph.from_dict({**data, "nodes": data["nodes"] + [twin]})
+        assert str(exc.value) == f"duplicate node {config['id']}"
+
 
 class TestValidateCatchesTampering:
     def test_cost_out_of_range(self, chain_graph):

@@ -15,7 +15,15 @@ from decoygraph.aggraph import AttackGraph, apply_assignments, build_attack_grap
 from decoygraph.attacker import evaluate_placement, simulate_attack
 from decoygraph.errors import Unreachable, ValidationError
 from decoygraph import placement_search
-from decoygraph.netmodel import Assignment, Host, compatible_pairs, compatible_vulns, default_catalog, generate_network
+from decoygraph.netmodel import (
+    EXTERNAL,
+    Assignment,
+    Host,
+    compatible_pairs,
+    compatible_vulns,
+    default_catalog,
+    generate_network,
+)
 from decoygraph.placement_random import draw_budget_placement, draw_placement, random_placement
 from decoygraph.placement_search import (
     PlacementProblem,
@@ -126,6 +134,18 @@ class TestConventions:
         bogus = Assignment(host_id="h1", vuln_id="rv-hi")
         with pytest.raises(ValidationError):
             evaluate_placement(chain_net, [bogus])
+
+    def test_an_attacker_that_starts_on_the_goal_pays_nothing(self):
+        # 8 hosts, seed 3, entered from the goal host: b and the attack cost 0, so p3 is 1 by convention
+        net = generate_network(8, default_catalog(), 3)
+        goal = net.goal.host_id
+        reachability = frozenset((goal if src == EXTERNAL else src, dst) for src, dst in net.reachability)
+        net = dataclasses.replace(net, attacker_entry=goal, reachability=reachability)
+        rep = evaluate_placement(net, [])
+        assert (rep.p1, rep.p3, rep.baseline_cost, rep.total_cost) == (1, 1.0, 0.0, 0.0)
+        for engine in (dfbnb, astar):
+            result = engine(net, 2)
+            assert (result.best_utility, result.best_assignments) == (0.0, ())
 
 
 class TestUnreachable:

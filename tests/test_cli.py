@@ -14,7 +14,7 @@ from decoygraph import cli
 from decoygraph.cli import main
 from decoygraph.netmodel import catalog_to_json, default_catalog, generate_network, save_network
 from decoygraph.placement_search import PlacementProblem, build_path_index
-from helpers import cut_network
+from helpers import cut_network, cvss3_catalog
 
 
 @pytest.fixture
@@ -65,6 +65,16 @@ class TestGeneratePlanRoundTrip:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_generate_carries_the_given_catalog(self, tmp_path, runner):
+        catalog, net = tmp_path / "cvss3.json", tmp_path / "net.json"
+        catalog.write_text(catalog_to_json(cvss3_catalog()))
+        res = runner.invoke(
+            main, ["generate", "--hosts", "6", "--seed", "3", "--catalog", str(catalog), "--out", str(net)]
+        )
+        assert res.exit_code == 0, res.output
+        records = json.loads(net.read_text())["catalog"]
+        assert records == json.loads(catalog.read_text()) != json.loads(catalog_to_json(default_catalog()))
+
     def test_to_dot(self, tmp_path, runner, chain_bundle):
         graph = tmp_path / "graph.json"
         res = runner.invoke(main, ["build-graph", "--network", str(chain_bundle), "--out", str(graph)])
@@ -107,6 +117,11 @@ class TestObfuscateRandom:
 
         res = runner.invoke(main, ["obfuscate", "random", "--network", str(chain_bundle)])
         assert res.exit_code == 2
+
+    def test_negative_budget_is_refused(self, runner, chain_bundle):
+        res = runner.invoke(main, ["obfuscate", "random", "--network", str(chain_bundle), "--budget", "-1"])
+        assert res.exit_code == 2, res.output
+        assert res.output == "error: budget must be non-negative, got -1\n"
 
     def test_fraction_and_count_modes(self, runner, chain_bundle):
         res = runner.invoke(
@@ -419,6 +434,18 @@ class TestExitCodes:
         assert res.exit_code == 2, res.output
         assert f"error: {path}: duplicate host {hosts[0]['host_id']}" in res.output
 
+    def test_graph_file_that_lists_a_node_twice(self, tmp_path, runner, chain_bundle):
+        graph = tmp_path / "graph.json"
+        res = runner.invoke(main, ["build-graph", "--network", str(chain_bundle), "--out", str(graph)])
+        assert res.exit_code == 0, res.output
+        data = json.loads(graph.read_text())
+        config = next(node for node in data["nodes"] if node["kind"] == "config")
+        data["nodes"].append(dict(config, cost=config["cost"] / 2))
+        graph.write_text(json.dumps(data))
+        res = runner.invoke(main, ["plan", "--graph", str(graph)])
+        assert res.exit_code == 2, res.output
+        assert res.output == f"error: {graph}: duplicate node {config['id']}\n"
+
     def test_network_file_that_fails_the_model_checks(self, tmp_path, runner, chain_bundle):
         bundle = json.loads(chain_bundle.read_text())
         host = bundle["network"]["hosts"][0]
@@ -656,6 +683,22 @@ class TestSweep:
         assert res.exit_code == 0, res.output
         rows = _rows(out.read_text())
         assert [row["error"] for row in rows] == ["ConfigurationError: sweep spec ordering must be a string, got 5"]
+
+    @pytest.mark.parametrize(
+        "approach, field",
+        [
+            ({"name": "random", "fraction": 0.5}, "fraction"),
+            ({"name": "random-hosts", "fraction": 0.5, "count": 2}, "count"),
+            ({"name": "search", "algoritm": "astar", "heuristic": "h1"}, "algoritm"),
+        ],
+        ids=["random", "random-hosts", "search"],
+    )
+    def test_approach_field_its_approach_does_not_read_becomes_an_error_row(self, tmp_path, runner, approach, field):
+        spec = {"networks": [{"hosts": 12, "seed": 7}], "approaches": [approach], "trials": 2}
+        res, out = self._sweep(tmp_path, runner, spec)
+        assert res.exit_code == 0, res.output
+        message = f"ConfigurationError: approach {approach['name']!r} has no field {field!r}"
+        assert [(row["trial"], row["error"]) for row in _rows(out.read_text())] == [("0", message), ("1", message)]
 
     @pytest.mark.parametrize("field", ["algorithm", "heuristic", "ordering"])
     def test_non_string_approach_field_becomes_an_error_row(self, tmp_path, runner, field):
@@ -950,6 +993,31 @@ class TestSweep:
         res, out = self._sweep(tmp_path, runner, {"networks": [{"hosts": 4, "seed": 1}, network]})
         assert res.exit_code == 2, res.output
         assert f"error: {message}" in res.output
+        assert cells == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"budget": [2]}, "sweep spec has no field 'budget'"),
+            ({"trail": 3}, "sweep spec has no field 'trail'"),
+            (
+                {"networks": [{"path": "net.json", "seed": 2}]},
+                "network spec {'path': 'net.json', 'seed': 2} has no field 'seed'",
+            ),
+            ({"networks": [{"hosts": 4, "seeds": 2}]}, "network spec {'hosts': 4, 'seeds': 2} has no field 'seeds'"),
+            (
+                {"networks": [{"hosts": 4, "path": "net.json"}]},
+                "network spec {'hosts': 4, 'path': 'net.json'} has no field 'hosts'",
+            ),
+        ],
+        ids=["budget", "trail", "file-entry-seed", "generated-entry-seeds", "both-entry-kinds"],
+    )
+    def test_unknown_spec_field_fails_before_any_row(self, tmp_path, runner, monkeypatch, spec, message):
+        cells = []
+        monkeypatch.setattr(cli, "_sweep_cell", lambda *args: cells.append(args))
+        res, out = self._sweep(tmp_path, runner, {"networks": [{"hosts": 4, "seed": 1}], **spec})
+        assert res.exit_code == 2, res.output
+        assert res.output == f"error: {message} (in {tmp_path / 'spec.json'})\n"
         assert cells == [] and not out.exists()
 
     def test_dead_hosts_enter_a_generated_networks_default_id(self, tmp_path, runner):

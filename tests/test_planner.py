@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -7,11 +8,14 @@ import random
 import pytest
 
 from decoygraph.aggraph import AttackGraph, apply_assignments
+from decoygraph.attacker import simulate_attack
 from decoygraph.errors import ConfigurationError, Unreachable
 from decoygraph.netmodel import default_catalog, generate_network
 from decoygraph.planner import (
     AttackPlan,
     PlanningState,
+    _bestfirst_plan,
+    _dijkstra_plan,
     optimal_cost,
     optimal_plan,
     plan_with_stats,
@@ -86,9 +90,19 @@ class TestBasics:
         assert plan.cost == 0.0
         assert plan.exec_order == ()
 
-    def test_unreachable_raises(self, diamond):
-        import dataclasses
+    def test_goal_equals_source_on_either_engine(self, diamond):
+        # the diamond started at its goal, and its unit-rule copy, where e2 requires cf1 alone
+        general = dataclasses.replace(diamond, goal="p0")
+        unit = dataclasses.replace(general, edges=general.edges - {("e2", "cf0")})
+        assert not general.unit_rule and unit.unit_rule
+        for graph, engines in ((general, [_bestfirst_plan]), (unit, [_dijkstra_plan, _bestfirst_plan])):
+            for engine in engines:
+                plan = engine(graph, PlanningState.of(graph))[0]
+                assert (plan.node_set, plan.exec_order, plan.cost, plan.step_configs) == ({"p0"}, (), 0.0, ())
+            trace = simulate_attack(graph)
+            assert trace.recalculations == 1 and trace.total_cost == 0.0
 
+    def test_unreachable_raises(self, diamond):
         cut = dataclasses.replace(
             diamond,
             edges=frozenset(e for e in diamond.edges if e[0] != "p2"),
